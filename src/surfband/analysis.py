@@ -9,14 +9,21 @@ import numpy as np
 from .discretize import (
     Grid,
     OperatorMatrix,
+    check_dense_fits,
     hermiticity_residual,
-    weighted_adjoint,
+    max_abs,
     weighted_norm,
+    weighted_transpose,
 )
 from .fields import GaugeFieldSpec, GaugeFunction, add_gauge, materialize
 from .geometry import PhysicalConstants
 
 HERMITIAN_TOL = 1e-10
+# Hermitian solves of at least this dimension, with k at most dim // 16, use
+# shift-invert ARPACK; smaller or nearly full solves use dense eigh.
+SPARSE_MIN_DIM = 512
+_SHIFT_INVERT_SEED = 20161031
+_MAX_FACTORIZATIONS = 40
 
 
 @dataclass
@@ -24,7 +31,9 @@ class SpectrumReport:
     """Eigenvalues plus the diagnostics needed to trust them.
 
     Hermitian operators give real ascending eigenvalues; non-Hermitian input
-    is reported as complex, sorted by real part then imaginary part.
+    is reported as complex, sorted by real part then imaginary part.  solver
+    names the path taken (dense-eigh, dense-eig or sparse-shift-invert); dim
+    and nnz describe the operator it was given.
     """
 
     eigenvalues: np.ndarray
@@ -32,6 +41,9 @@ class SpectrumReport:
     operator_label: str
     parameters: dict = dc_field(default_factory=dict)
     eigenvectors: np.ndarray | None = None
+    solver: str = ""
+    dim: int = 0
+    nnz: int = 0
 
     @property
     def is_hermitian(self) -> bool:
@@ -42,13 +54,24 @@ class SpectrumReport:
         return [(float(np.real(x)), float(np.imag(x))) for x in ev]
 
 
+def choose_solver(n: int, k: int, hermitian: bool) -> str:
+    """The eigensolver path for k of n levels; depends on the input only."""
+    if not hermitian:
+        return "dense-eig"
+    if n >= SPARSE_MIN_DIM and 16 * k <= n:
+        return "sparse-shift-invert"
+    return "dense-eigh"
+
+
 def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = False,
              parameters: dict | None = None) -> SpectrumReport:
     """Lowest-k eigenpairs of an operator in its weighted inner product.
 
     Operators within HERMITIAN_TOL of self-adjoint are symmetrized as
-    W^(1/2) H W^(-1/2) and solved with a self-adjoint eigensolver; anything
-    else goes through the general complex solver.
+    W^(1/2) H W^(-1/2) and solved with a self-adjoint eigensolver (dense, or
+    shift-invert ARPACK for k << dim); anything else goes through the dense
+    general complex solver.  Dense paths refuse operators too large for
+    memory with ValueError.
     """
     n = op.dim
     if k is None:
@@ -56,44 +79,169 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     resid = hermiticity_residual(op)
-    w = op.full_weights()
-    sqw = np.sqrt(w)
     # absolute tolerance for O(1) operators, relative floor for stiff ones
-    scale = float(np.abs(op.entries).max()) or 1.0
+    scale = max_abs(op.entries) or 1.0
+    solver = choose_solver(n, k, resid <= max(HERMITIAN_TOL, 1e-12 * scale))
     try:
-        if resid <= max(HERMITIAN_TOL, 1e-12 * scale):
-            S = (sqw[:, None] * op.entries) / sqw[None, :]
-            S = 0.5 * (S + S.conj().T)
-            if np.iscomplexobj(S) and not S.imag.any():
-                S = S.real  # real symmetric solver is several times faster
+        if solver == "dense-eig":
+            check_dense_fits(n, 16, copies=3)
+            A = op.toarray()
             if want_vectors:
-                ev, vec = np.linalg.eigh(S)
-                vec = vec.astype(complex) / sqw[:, None]
+                ev, vec = np.linalg.eig(A)
+                order = np.lexsort((ev.imag, ev.real))
+                ev, vec = ev[order], vec[:, order]
             else:
-                ev = np.linalg.eigvalsh(S)
+                ev = np.linalg.eigvals(A)
+                ev = ev[np.lexsort((ev.imag, ev.real))]
                 vec = None
-        elif want_vectors:
-            ev, vec = np.linalg.eig(op.entries)
-            order = np.lexsort((ev.imag, ev.real))
-            ev = ev[order]
-            vec = vec[:, order]
         else:
-            ev = np.linalg.eigvals(op.entries)
-            ev = ev[np.lexsort((ev.imag, ev.real))]
-            vec = None
+            sqw = np.sqrt(op.full_weights())
+            S = _symmetrized(op.entries, sqw)
+            if solver == "sparse-shift-invert":
+                ev, vec = _shift_invert(S, k, sqw, scale, want_vectors, op.label)
+            else:
+                check_dense_fits(n, S.dtype.itemsize, copies=3)
+                if want_vectors:
+                    ev, vec = np.linalg.eigh(S.toarray())
+                else:
+                    ev, vec = np.linalg.eigvalsh(S.toarray()), None
+            if vec is not None:
+                vec = vec.astype(complex) / sqw[:, None]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for operator {op.label!r}: {exc}") from exc
     ev = ev[:k]
     if vec is not None:
         vec = vec[:, :k]
-    return SpectrumReport(ev, resid, op.label, parameters or {}, vec)
+    return SpectrumReport(ev, resid, op.label, parameters or {}, vec, solver, n, op.nnz)
+
+
+def _symmetrized(A, sqw: np.ndarray):
+    """(S + S^H)/2 with S = W^(1/2) A W^(-1/2), real when no imaginary part survives."""
+    import scipy.sparse as sp
+
+    C = A.tocoo()
+    S = sp.csr_array((C.data * sqw[C.row] / sqw[C.col], (C.row, C.col)), shape=A.shape)
+    S = 0.5 * (S + S.conj().T)
+    if np.iscomplexobj(S.data) and not S.data.imag.any():
+        S = S.real  # real symmetric solvers are several times faster
+    return S
+
+
+def _factor(S, sigma: float):
+    """SuperLU of S - sigma I with diagonal pivots, and its count of negative pivots.
+
+    Symmetric mode with diag_pivot_thresh=0 keeps perm_r == perm_c, so
+    L U = P (S - sigma I) P^T and the signs of U's diagonal are the inertia
+    of S - sigma I (Sylvester).  The count is None when SuperLU had to pivot
+    off the diagonal anyway, which proves nothing, or found S - sigma I
+    singular.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    shifted = (S - sigma * sp.eye_array(S.shape[0])).tocsc()
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular: sigma is an eigenvalue
+        return None, None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return lu, None
+    return lu, int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, want_vectors: bool, label: str):
+    """Lowest k eigenpairs of sparse Hermitian S by ARPACK in shift-invert mode.
+
+    The shift sigma starts below the Rayleigh quotient rho of the weighted
+    constant vector u, by the spread ||(S - rho) u|| / ||u||, and moves down
+    geometrically until the inertia of S - sigma I has no negative
+    eigenvalue: then every eigenvalue lies above sigma, and the ones nearest
+    sigma are the lowest.  While k or more levels may lie below the bracket
+    top (rho, then the last rejected shift), the bracket is bisected: a
+    shift far below the wanted levels makes Lanczos crawl and can make it
+    settle on the wrong levels.  The accepted factorization is reused
+    as OPinv.  Lanczos can drop copies of a degenerate level or miss one near
+    the top of the window, so the inertia just above the k-th eigenvalue must
+    match the count found; missing levels are searched for with the found
+    eigenvectors deflated.
+    """
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
+    n = S.shape[0]
+    resolution = 1e-8 * scale
+    u = sqw / np.linalg.norm(sqw)
+    Su = S @ u
+    rho = float(np.vdot(u, Su).real)
+    step = max(float(np.linalg.norm(Su - rho * u)), resolution)
+    # rho bounds the lowest level from above; count it as holding every level
+    top, below_top = rho, n  # the lowest rejected shift and its level count
+    for _ in range(_MAX_FACTORIZATIONS):
+        sigma = rho - step
+        lu, negative = _factor(S, sigma)
+        if negative == 0:
+            break
+        top, below_top = sigma, n if negative is None else negative
+        step *= 4
+    else:
+        raise RuntimeError(f"no shift below the spectrum of {label!r} was found")
+    while below_top >= k and top - sigma > resolution:
+        mid = 0.5 * (sigma + top)
+        lu_mid, negative = _factor(S, mid)
+        if negative == 0:
+            sigma, lu = mid, lu_mid
+        else:
+            top, below_top = mid, n if negative is None else negative
+
+    rng = np.random.default_rng(_SHIFT_INVERT_SEED)
+
+    def lowest(count, V):
+        """count eigenpairs nearest sigma, orthogonal to the columns of V.
+
+        Each search starts from a fresh seeded vector: a reused start has no
+        component along degenerate copies the previous search missed.
+        """
+        start = rng.standard_normal(n)
+        if np.iscomplexobj(S.data):
+            start = start + 1j * rng.standard_normal(n)
+        op = lu.solve
+        if V is not None:
+            # einsum, not BLAS: numpy's threaded BLAS interleaved with the solver's
+            # own BLAS copy oversubscribes the cores and slows every step
+            Vc = V.conj()
+            project = lambda x: x - np.einsum("ij,j->i", V, np.einsum("ij,i->j", Vc, x))
+            op, start = (lambda x: project(lu.solve(project(x)))), project(start)
+        try:
+            return eigsh(S, count, sigma=sigma, which="LM", tol=0, v0=start, ncv=ncv,
+                         OPinv=LinearOperator((n, n), matvec=op, dtype=S.dtype))
+        except (ArpackNoConvergence, ArpackError) as exc:
+            raise RuntimeError(f"shift-invert eigensolve failed for operator {label!r}: "
+                               f"{exc}") from exc
+
+    ncv = min(n, max(2 * k + 1, 20))
+    ev, vec = lowest(k, None)
+    gap = resolution
+    for _ in range(_MAX_FACTORIZATIONS):
+        order = np.argsort(ev, kind="stable")
+        ev, vec = ev[order], vec[:, order]
+        above = ev[k - 1] + gap
+        _, below = _factor(S, above)
+        if below is None:
+            gap *= 2
+            continue
+        missing = below - int(np.count_nonzero(ev < above))
+        if missing <= 0:
+            return ev[:k], vec[:, :k] if want_vectors else None
+        more, more_vec = lowest(min(missing, n - 1 - len(ev)), vec)
+        ev, vec = np.concatenate([ev, more]), np.hstack([vec, more_vec])
+    raise RuntimeError(f"the lowest {k} levels of {label!r} could not be certified")
 
 
 def antihermitian_part(op: OperatorMatrix) -> tuple[OperatorMatrix, float]:
-    """(H - H^dag_W)/2 and its max-entry norm."""
-    anti = 0.5 * (op.entries - weighted_adjoint(op).entries)
-    norm = float(np.abs(anti).max())
-    return OperatorMatrix(anti, op.weights, op.spin_dim, f"antihermitian({op.label})"), norm
+    """(H - H^dag_W)/2 and its max-entry norm, on the stored entries."""
+    anti = 0.5 * (op.entries - weighted_transpose(op.entries, op.full_weights()))
+    return (OperatorMatrix(anti, op.weights, op.spin_dim, f"antihermitian({op.label})"),
+            max_abs(anti))
 
 
 def _phase_operator(lam: GaugeFunction, grid: Grid, c: PhysicalConstants,

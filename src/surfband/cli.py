@@ -232,7 +232,7 @@ def _json_text(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return _fmt(obj) if np.isfinite(obj) else "null"  # JSON has no nan/inf
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -295,7 +295,7 @@ def run(cfg: RunConfig) -> int:
             rep = analysis.spectrum(op, min(cfg.k, op.dim))
             eigenvalues = list(rep.eigenvalues)
             residual = rep.hermiticity_residual
-            diagnostics = {"operator_label": rep.operator_label}
+            diagnostics = {"operator_label": rep.operator_label, "solver": rep.solver}
             e0 = rep.eigenvalues[0]
             summary = f"E0 = {np.real(e0):.6g}"
             if abs(np.imag(e0)) > 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Grid, _periodic_d1, _sphere_polar_d1
+from .discretize import Grid, _kron_axis1, _kron_axis2, _periodic_d1, _sphere_polar_d1, sparse_from
 from .geometry import SurfaceKind, SurfaceSpec
 
 
@@ -235,16 +235,16 @@ def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
     if surface.kind is SurfaceKind.SPHERE:
         s = np.sin(grid.coords1)[:, None]
         Dth = _sphere_polar_d1(grid.n1, grid.n2, grid.h1)  # scalar parity
-        Dph = np.kron(np.eye(grid.n1), _periodic_d1(grid.n2, grid.h2, 2))
+        Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2), grid.n1)
         # s*A_phi is parity-even across the pole, so the scalar stencil applies
         Br = (to2(Dth @ flat(s * a2)) - to2(Dph @ flat(a1))) / (R * s)
         Bth = to2(Dph @ flat(ar)) / (R * s) - radial_term * a2 / R
         Bph = radial_term * a1 / R - to2(Dth @ flat(ar)) / R
         return (Br, Bth, Bph)
     if surface.kind is SurfaceKind.CYLINDER:
-        Dth = np.kron(_periodic_d1(grid.n1, grid.h1, 2), np.eye(grid.n2))
+        Dth = _kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2)
         # one-sided rows at the walls: gauge data is not Dirichlet
-        DzF = np.kron(np.eye(grid.n1), _open_d1(grid.n2, grid.h2))
+        DzF = _kron_axis2(_open_d1(grid.n2, grid.h2), grid.n1)
         Br = to2(Dth @ flat(a2)) / R - to2(DzF @ flat(a1))
         Bth = to2(DzF @ flat(ar))
         Bz = radial_term * a1 / R - to2(Dth @ flat(ar)) / R
@@ -287,15 +287,14 @@ def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray,
     return _curl_of_samples(grid, a1, a2, ar)
 
 
-def _open_d1(n: int, h: float) -> np.ndarray:
+def _open_d1(n: int, h: float):
     """Centered first derivative with one-sided second-order end rows."""
-    A = np.zeros((n, n))
-    for j in range(1, n - 1):
-        A[j, j - 1] = -0.5 / h
-        A[j, j + 1] = 0.5 / h
-    A[0, 0], A[0, 1], A[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    A[-1, -1], A[-1, -2], A[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return A
+    inner = np.arange(1, n - 1)
+    rows = np.concatenate([inner, inner, [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([inner - 1, inner + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
+    vals = np.concatenate([np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h),
+                           np.array([-1.5, 2.0, -0.5, 1.5, -2.0, 0.5]) / h])
+    return sparse_from(n, rows, cols, vals)
 
 
 def surface_gradient(lam: GaugeFunction, surface: SurfaceSpec, grid: Grid,
@@ -312,14 +311,14 @@ def surface_gradient(lam: GaugeFunction, surface: SurfaceSpec, grid: Grid,
         D = _periodic_d1(grid.n1, grid.h1, order)
         return ((D @ v.ravel()).reshape(shape) / R, np.zeros(shape))
     if surface.kind is SurfaceKind.CYLINDER:
-        Dth = np.kron(_periodic_d1(grid.n1, grid.h1, order), np.eye(grid.n2))
-        Dz = np.kron(np.eye(grid.n1), _open_d1(grid.n2, grid.h2))
+        Dth = _kron_axis1(_periodic_d1(grid.n1, grid.h1, order), grid.n2)
+        Dz = _kron_axis2(_open_d1(grid.n2, grid.h2), grid.n1)
         g1 = (Dth @ v.ravel()).reshape(shape) / R
         g2 = (Dz @ v.ravel()).reshape(shape)
         return (g1, g2)
     s = np.sin(grid.coords1)[:, None]
     Dth = _sphere_polar_d1(grid.n1, grid.n2, grid.h1)
-    Dph = np.kron(np.eye(grid.n1), _periodic_d1(grid.n2, grid.h2, order))
+    Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, order), grid.n1)
     g1 = (Dth @ v.ravel()).reshape(shape) / R
     g2 = (Dph @ v.ravel()).reshape(shape) / (R * s)
     return (g1, g2)

@@ -1,6 +1,8 @@
-"""Assembly of surface Hamiltonians as weighted-Hermitian operator matrices.
+"""Assembly of surface Hamiltonians as weighted-Hermitian sparse operator matrices.
 
-Correct variants come in two couplings:
+Every kinetic term is a covariant hopping on the grid graph plus a
+diagonal, built by one assembler, link_operator.  Correct variants come in
+two couplings:
 
 * "peierls" (default): the magnetic coupling enters through link phases
   exp(-i e/hbar * integral A.dl) on the hoppings.  Zero field reduces
@@ -23,14 +25,16 @@ import numpy as np
 
 from . import fields as fields_mod
 from .discretize import (
+    _D1_O4,
     Grid,
     OperatorMatrix,
     _dirichlet_d1,
-    _dirichlet_fold_d2,
+    _kron_axis1,
+    _kron_axis2,
     _periodic_d1,
-    _periodic_d2,
     _sphere_polar_d1,
     _stencil_matrix,
+    weighted_transpose,
 )
 from .fields import GaugeFieldSpec, Sampled, link_integrals, sample_potential
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
@@ -73,20 +77,94 @@ def _label(req: HamiltonianRequest, name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# free kinetic cores
+# the covariant link-graph assembler
 # ---------------------------------------------------------------------------
 
-def _ring_kinetic(grid: Grid, c: PhysicalConstants, order: int) -> np.ndarray:
-    R = grid.surface.R
-    D2 = _periodic_d2(grid.n1, grid.h1, order)
-    return -(c.hbar**2 / (2 * c.mass)) * D2 / R**2
+def link_operator(n: int, i, j, c, phase=None, diag=None, row_scale=None):
+    """Sum over links of c (|i><i| + |j><j|) - c e^(-i phase) |i><j| - h.c., plus diag.
+
+    This is the discrete magnetic Laplacian with Peierls link phases; with no
+    phases it is the free stencil.  Links may repeat: each node pair's
+    amplitude is summed once and mirrored as its conjugate, so the result is
+    exactly Hermitian.  row_scale then multiplies row r by row_scale[r],
+    which makes the operator self-adjoint under weights ~ 1/row_scale.
+    Returns an n x n scipy.sparse CSR array (real when there are no phases).
+    """
+    import scipy.sparse as sp
+
+    i, j = np.ravel(i), np.ravel(j)
+    c = np.broadcast_to(np.asarray(c, dtype=float).ravel(), i.shape)
+    amp = -c if phase is None else -c * np.exp(-1j * np.ravel(phase))
+    swap = i > j
+    lo, hi = np.where(swap, j, i), np.where(swap, i, j)
+    amp = np.where(swap, np.conj(amp), amp)
+    pairs, slot = np.unique(lo * n + hi, return_inverse=True)
+    summed = np.bincount(slot, amp.real)
+    if np.iscomplexobj(amp):
+        summed = summed + 1j * np.bincount(slot, amp.imag)
+    lo, hi = np.divmod(pairs, n)
+    d = np.bincount(i, c, minlength=n) + np.bincount(j, c, minlength=n)
+    if diag is not None:
+        d = d + diag
+    nodes = np.arange(n)
+    rows = np.concatenate([lo, hi, nodes])
+    cols = np.concatenate([hi, lo, nodes])
+    data = np.concatenate([summed, np.conj(summed), d])
+    if row_scale is not None:
+        data = data * row_scale[rows]
+    return sp.csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def _cylinder_kinetic(grid: Grid, c: PhysicalConstants) -> np.ndarray:
-    R = grid.surface.R
-    D2t = np.kron(_periodic_d2(grid.n1, grid.h1, 2), np.eye(grid.n2))
-    D2z = np.kron(np.eye(grid.n1), _dirichlet_fold_d2(grid.n2, grid.h2))
-    return -(c.hbar**2 / (2 * c.mass)) * (D2t / R**2 + D2z)
+def _grid_links(grid: Grid, axis: int, offset: int = 1):
+    """(start, end) node indices of the links k -> k + offset along one grid axis.
+
+    Periodic axes (every azimuth) keep all n1 x n2 links; open axes (sphere
+    polar, cylinder z) keep only links inside the grid, so the arrays line up
+    with the per-link integrals of fields.link_integrals.
+    """
+    idx = np.arange(grid.size).reshape(grid.n1, grid.n2)
+    end = np.roll(idx, -offset, axis=axis)
+    kind = grid.surface.kind
+    periodic = (axis == 0) != (kind is SurfaceKind.SPHERE)
+    if periodic:
+        return idx, end
+    cut = (slice(None, -offset), slice(None)) if axis == 0 else (slice(None), slice(None, -offset))
+    return idx[cut], end[cut]
+
+
+def _periodic_links(grid: Grid, axis: int, c, order: int, phases=None, diag=None):
+    """-c d2 along a periodic grid axis: links at offset 1 (order 2), or at
+    offsets 1 and 2 weighted 4/3 and -1/12 (order 4, no phases).
+
+    c is a scalar or an array broadcastable to (n1, n2), one value per link start.
+    """
+    c = np.broadcast_to(c, (grid.n1, grid.n2)).ravel()
+    i, j = _grid_links(grid, axis)
+    if order == 2:
+        return link_operator(grid.size, i, j, c, phases, diag)
+    i2, j2 = _grid_links(grid, axis, offset=2)
+    return link_operator(grid.size, np.concatenate([i.ravel(), i2.ravel()]),
+                         np.concatenate([j.ravel(), j2.ravel()]),
+                         np.concatenate([c * 4 / 3, c * -1 / 12]), diag=diag)
+
+
+def _cylinder_links(req: HamiltonianRequest, phases=None, diag=None):
+    """Kinetic stencils on the ring/cylinder with optional link phases.
+
+    The z axis closes with odd-reflected wall ghosts: a wall node has one z
+    link, and its diagonal gains 2 cz (the missing link plus the ghost).
+    """
+    grid, c = req.grid, req.constants
+    ct = c.hbar**2 / (2 * c.mass * grid.surface.R**2 * grid.h1**2)
+    p1, p2 = phases if phases is not None else (None, None)
+    H = _periodic_links(grid, 0, ct, req.order, p1, diag)
+    if grid.surface.kind is SurfaceKind.CYLINDER:
+        cz = c.hbar**2 / (2 * c.mass * grid.h2**2)
+        wall = np.zeros((grid.n1, grid.n2))
+        wall[:, [0, -1]] = 2 * cz
+        i, j = _grid_links(grid, 1)
+        H = H + link_operator(grid.size, i, j, cz, p2, wall.ravel())
+    return H
 
 
 def _sphere_measure(grid: Grid, order: int) -> np.ndarray:
@@ -106,97 +184,52 @@ def _sphere_measure(grid: Grid, order: int) -> np.ndarray:
     return m
 
 
-def _sphere_theta_order2(grid: Grid, kappa: float, phases=None) -> np.ndarray:
+def _sphere_theta(grid: Grid, kappa: float, order: int, phases=None):
     """Polar part of -(hbar^2/2m) Lap on the sphere, flux (divergence) form.
 
-    kappa = hbar^2/(2 m R^2).  Hermitian under weights ~ measure by
-    construction: zero flux through the pole faces closes the stencil.
+    kappa = hbar^2/(2 m R^2).  Face fluxes are links between polar
+    neighbours, rows scaled by 1/measure; zero flux through the pole faces
+    closes the stencil.  Order 4 uses the staggered 4-point face gradient
+    with pole crossing (theta -> -theta, phi -> phi + pi), assembled as the
+    links of G^T diag(s~) G, and its first and last interior faces carry the
+    +h/12 end correction that cancels the O(h^2) pole defect of the gradient
+    quadrature; it requires even n2.
     """
-    n1, n2 = grid.n1, grid.n2
-    h = grid.h1
-    m = _sphere_measure(grid, 2)
-    N = n1 * n2
-    H = np.zeros((N, N), dtype=complex)
+    n1, n2, h = grid.n1, grid.n2, grid.h1
+    m = _sphere_measure(grid, order)
     sface = np.sin(np.arange(n1 + 1) * h)  # faces at integer multiples of h
-    for j in range(n1):
-        lo = j * n2
-        diag = kappa * (sface[j] + sface[j + 1]) / (m[j] * h**2)
-        H[range(lo, lo + n2), range(lo, lo + n2)] += diag
-        if j + 1 < n1:
-            up = -kappa * sface[j + 1] / (m[j] * h**2)
-            dn = -kappa * sface[j + 1] / (m[j + 1] * h**2)
-            for k in range(n2):
-                if phases is None:
-                    H[lo + k, lo + n2 + k] += up
-                    H[lo + n2 + k, lo + k] += dn
-                else:
-                    ph = np.exp(-1j * phases[j, k])
-                    H[lo + k, lo + n2 + k] += up * ph
-                    H[lo + n2 + k, lo + k] += dn * np.conj(ph)
-    return H
-
-
-def _sphere_theta_order4(grid: Grid, kappa: float) -> np.ndarray:
-    """4th-order staggered divergence form with pole crossing.
-
-    Assembled per (phi, phi+pi) column pair as Gt^T diag(s~ h) Gt, which keeps
-    it exactly symmetric.  Face coefficients at the first and last interior
-    faces carry the +h/12 end correction that cancels the O(h^2) pole defect
-    of the gradient quadrature; requires even n2.
-    """
-    n1, n2 = grid.n1, grid.n2
+    rows = 1.0 / np.repeat(m, n2)
+    if order == 2:
+        i, j = _grid_links(grid, 0)
+        c = kappa * np.repeat(sface[1:n1], n2) / h**2
+        return link_operator(grid.size, i, j, c, phases, row_scale=rows)
     if n2 % 2 != 0:
         raise ValueError("order-4 sphere assembly requires an even azimuthal count")
-    h = grid.h1
-    m = _sphere_measure(grid, 4)
-    half = n2 // 2
-    sface = np.sin(np.arange(n1 + 1) * h)
     stld = sface.copy()
     stld[1] += h / 12
     stld[n1 - 1] += h / 12
-
-    # local pair problem: indices 0..n1-1 = column k, n1..2n1-1 = column k+half
-    def local(j, second):
-        if j < 0:
-            return (-1 - j) + (0 if second else n1)
-        if j >= n1:
-            return (2 * n1 - 1 - j) + (0 if second else n1)
-        return j + (n1 if second else 0)
-
-    nf = n1 - 1
-    G = np.zeros((2 * nf, 2 * n1))
-    sv = np.zeros(2 * nf)
+    f, k = np.meshgrid(np.arange(1, n1), np.arange(n2), indexing="ij")
     coef = np.array([1.0, -27.0, 27.0, -1.0]) / (24 * h)
-    for second in (False, True):
-        base = nf if second else 0
-        for f in range(1, n1):
-            row = base + f - 1
-            for off, cc in zip((f - 2, f - 1, f, f + 1), coef):
-                G[row, local(off, second)] += cc
-            sv[row] = stld[f]
-    L = (G.T * (sv * h)) @ G  # symmetric local core
-    mloc = np.concatenate([m, m])
-    Hloc = kappa * (L / (mloc * h)[:, None])
-
-    N = n1 * n2
-    H = np.zeros((N, N), dtype=complex)
-    for k in range(half):
-        k2 = k + half
-        ids = np.r_[np.arange(n1) * n2 + k, np.arange(n1) * n2 + k2]
-        H[np.ix_(ids, ids)] += Hloc
-    return H
+    pts = []
+    for p in (f - 2, f - 1, f, f + 1):
+        crossed = (p < 0) | (p >= n1)
+        p = np.where(p < 0, -1 - p, np.where(p >= n1, 2 * n1 - 1 - p, p))
+        pts.append(p * n2 + np.where(crossed, (k + n2 // 2) % n2, k))
+    s = stld[f]
+    i, j, c = [], [], []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            i.append(pts[a])
+            j.append(pts[b])
+            c.append(-kappa * h * s * coef[a] * coef[b])
+    return link_operator(grid.size, np.concatenate(i), np.concatenate(j), np.concatenate(c),
+                         row_scale=rows / h)
 
 
-def _sphere_phi_part(grid: Grid, kappa: float, order: int) -> np.ndarray:
-    n1, n2 = grid.n1, grid.n2
-    s2 = np.sin(grid.coords1) ** 2
-    D2 = _periodic_d2(n2, grid.h2, order)
-    N = n1 * n2
-    H = np.zeros((N, N), dtype=complex)
-    for j in range(n1):
-        sl = slice(j * n2, (j + 1) * n2)
-        H[sl, sl] += -kappa * D2 / s2[j]
-    return H
+def _sphere_phi(grid: Grid, kappa: float, order: int, phases=None):
+    """Azimuthal part: -kappa d2/dphi2 / sin^2(theta) on each ring, with optional phases."""
+    cph = kappa / (grid.h2**2 * np.sin(grid.coords1) ** 2)
+    return _periodic_links(grid, 1, cph[:, None], order, phases)
 
 
 def _sphere_weights(grid: Grid, order: int) -> np.ndarray:
@@ -215,9 +248,8 @@ def _sphere_weights(grid: Grid, order: int) -> np.ndarray:
 def free_ring(req: HamiltonianRequest) -> OperatorMatrix:
     """H = -(hbar^2/2mR^2) d2/dtheta2 - hbar^2/(8mR^2)."""
     _expect(req, SurfaceKind.RING, field_allowed=False)
-    H = _ring_kinetic(req.grid, req.constants, req.order).astype(complex)
-    H += geometric_kinetic_energy(req.surface, req.constants) * np.eye(req.grid.n1)
-    return _finish(req, H, req.grid.weights, "H_free")
+    gke = np.full(req.grid.size, geometric_kinetic_energy(req.surface, req.constants))
+    return _finish(req, _cylinder_links(req, diag=gke), req.grid.weights, "H_free")
 
 
 def free_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
@@ -225,9 +257,8 @@ def free_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
     _expect(req, SurfaceKind.CYLINDER, field_allowed=False)
     if req.order != 2:
         raise ValueError("cylinder builders support stencil order 2")
-    H = _cylinder_kinetic(req.grid, req.constants).astype(complex)
-    H += geometric_kinetic_energy(req.surface, req.constants) * np.eye(req.grid.size)
-    return _finish(req, H, req.grid.weights, "H_free")
+    gke = np.full(req.grid.size, geometric_kinetic_energy(req.surface, req.constants))
+    return _finish(req, _cylinder_links(req, diag=gke), req.grid.weights, "H_free")
 
 
 def free_sphere(req: HamiltonianRequest) -> OperatorMatrix:
@@ -235,11 +266,7 @@ def free_sphere(req: HamiltonianRequest) -> OperatorMatrix:
     _expect(req, SurfaceKind.SPHERE, field_allowed=False)
     c = req.constants
     kappa = c.hbar**2 / (2 * c.mass * req.surface.R**2)
-    if req.order == 2:
-        H = _sphere_theta_order2(req.grid, kappa)
-    else:
-        H = _sphere_theta_order4(req.grid, kappa)
-    H += _sphere_phi_part(req.grid, kappa, req.order)
+    H = _sphere_theta(req.grid, kappa, req.order) + _sphere_phi(req.grid, kappa, req.order)
     return _finish(req, H, _sphere_weights(req.grid, req.order), "H_free")
 
 
@@ -260,21 +287,14 @@ def magnetic_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
     if req.order != 2:
         raise ValueError("magnetic builders support stencil order 2")
     grid, c = req.grid, req.constants
-    R = grid.surface.R
-    is_ring = req.surface.kind is SurfaceKind.RING
-    gke = geometric_kinetic_energy(req.surface, c)
-
+    gke = np.full(grid.size, geometric_kinetic_energy(req.surface, c))
     if req.coupling == "peierls":
-        ct = c.hbar**2 / (2 * c.mass * R**2 * grid.h1**2)
         links = link_integrals(req.field, grid)
-        H = _hopping_matrix_cylinder(grid, ct, None if is_ring else c.hbar**2 / (2 * c.mass * grid.h2**2),
-                                     links, c)
-        H += gke * np.eye(grid.size)
+        e_h = c.charge / c.hbar
+        p2 = None if links["axis2"] is None else e_h * links["axis2"]
+        H = _cylinder_links(req, (e_h * links["axis1"], p2), gke)
     else:
-        base = _ring_kinetic(grid, c, 2) if is_ring else _cylinder_kinetic(grid, c)
-        H = base.astype(complex)
-        H += gke * np.eye(grid.size)
-        H += _expanded_tangential(req, include_radial=False)
+        H = _cylinder_links(req, diag=gke) + _expanded_tangential(req, include_radial=False)
     return _finish(req, H, grid.weights, "H_correct")
 
 
@@ -288,12 +308,12 @@ def magnetic_sphere(req: HamiltonianRequest) -> OperatorMatrix:
     kappa = c.hbar**2 / (2 * c.mass * grid.surface.R**2)
     if req.coupling == "peierls":
         links = link_integrals(req.field, grid)
-        ph1 = (c.charge / c.hbar) * links["axis1"]
-        H = _sphere_theta_order2(grid, kappa, phases=ph1)
-        H += _sphere_phi_hopping(grid, kappa, (c.charge / c.hbar) * links["axis2"])
+        e_h = c.charge / c.hbar
+        H = (_sphere_theta(grid, kappa, 2, e_h * links["axis1"])
+             + _sphere_phi(grid, kappa, 2, e_h * links["axis2"]))
     else:
-        H = _sphere_theta_order2(grid, kappa) + _sphere_phi_part(grid, kappa, 2)
-        H += _expanded_tangential(req, include_radial=False)
+        H = _sphere_theta(grid, kappa, 2) + _sphere_phi(grid, kappa, 2)
+        H = H + _expanded_tangential(req, include_radial=False)
     return _finish(req, H, _sphere_weights(grid, 2), "H_correct")
 
 
@@ -304,28 +324,29 @@ def pragmatic_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
     and omits the curvature energy shift.  dA_r/dr must be supplied as
     on-surface samples; the surface grid cannot differentiate radially.
     """
+    import scipy.sparse as sp
+
     if req.surface.kind not in (SurfaceKind.RING, SurfaceKind.CYLINDER):
         raise ValueError("the pragmatic variant is defined on the ring and cylinder")
     _require_field(req)
     if req.order != 2:
         raise ValueError("pragmatic builder supports stencil order 2")
     grid, c = req.grid, req.constants
-    is_ring = req.surface.kind is SurfaceKind.RING
-    base = _ring_kinetic(grid, c, 2) if is_ring else _cylinder_kinetic(grid, c)
-    H = base.astype(complex)
-    H += _expanded_tangential(req, include_radial=True)
+    H = _cylinder_links(req) + _expanded_tangential(req, include_radial=True)
     ar, dar = fields_mod._radial_samples(req.field, grid)
     R = grid.surface.R
-    H += 1j * (c.hbar * c.charge / (2 * c.mass)) * np.diag((ar / R + dar).ravel())
+    H = H + sp.diags_array(1j * (c.hbar * c.charge / (2 * c.mass)) * (ar / R + dar).ravel())
     return _finish(req, H, grid.weights, "H_pragmatic")
 
 
-def _expanded_tangential(req: HamiltonianRequest, include_radial: bool) -> np.ndarray:
+def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
     """(i hbar e/2m) sum_dirs (T - T^dag_W) + (e^2/2m) |A|^2 with T = diag(a) D.
 
     The manifest symmetrization reproduces a.D + (1/2)(div a) including the
     metric divergence terms, and is weighted-Hermitian for any stencil.
     """
+    import scipy.sparse as sp
+
     grid, c = req.grid, req.constants
     R = grid.surface.R
     a1, a2 = sample_potential(req.field, grid)
@@ -333,77 +354,24 @@ def _expanded_tangential(req: HamiltonianRequest, include_radial: bool) -> np.nd
     Gs = []
     if kind is SurfaceKind.SPHERE:
         Gs.append((a1, _sphere_polar_d1(grid.n1, grid.n2, grid.h1) / R))
-        Dph = np.kron(np.eye(grid.n1), _periodic_d1(grid.n2, grid.h2, 2))
         inv_rs = 1.0 / (R * np.repeat(np.sin(grid.coords1), grid.n2))
-        Gs.append((a2, inv_rs[:, None] * Dph))
+        Gs.append((a2, sp.diags_array(inv_rs) @ _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2),
+                                                            grid.n1)))
     elif kind is SurfaceKind.CYLINDER:
-        Gs.append((a1, np.kron(_periodic_d1(grid.n1, grid.h1, 2), np.eye(grid.n2)) / R))
-        Gs.append((a2, np.kron(np.eye(grid.n1), _dirichlet_d1(grid.n2, grid.h2))))
+        Gs.append((a1, _kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2) / R))
+        Gs.append((a2, _kron_axis2(_dirichlet_d1(grid.n2, grid.h2), grid.n1)))
     else:
         Gs.append((a1, _periodic_d1(grid.n1, grid.h1, 2) / R))
-    w = grid.weights
-    ratio = w[None, :] / w[:, None]
-    out = np.zeros((grid.size, grid.size), dtype=complex)
-    for a, G in Gs:
-        T = a.ravel()[:, None] * G
-        Tdag = T.T * ratio  # real T
-        out += 1j * (c.hbar * c.charge / (2 * c.mass)) * (T - Tdag)
     diam = a1**2 + a2**2
     if include_radial:
         ar, _ = fields_mod._radial_samples(req.field, grid)
         diam = diam + ar**2
-    out += (c.charge**2 / (2 * c.mass)) * np.diag(diam.ravel())
+    out = sp.diags_array((c.charge**2 / (2 * c.mass)) * diam.ravel())
+    pref = 1j * (c.hbar * c.charge / (2 * c.mass))
+    for a, G in Gs:
+        T = sp.diags_array(a.ravel()) @ G
+        out = out + pref * (T - weighted_transpose(T, grid.weights))
     return out
-
-
-def _hopping_matrix_cylinder(grid: Grid, ct: float, cz, links: dict,
-                             c: PhysicalConstants) -> np.ndarray:
-    """Compact kinetic stencils with covariant link phases; fold diagonals stay real."""
-    n1, n2 = grid.n1, grid.n2
-    N = n1 * n2
-    H = np.zeros((N, N), dtype=complex)
-    e_h = c.charge / c.hbar
-    l1 = np.atleast_2d(links["axis1"].reshape(n1, n2) if n2 > 1 else links["axis1"].reshape(n1, 1))
-    idx = lambda j, k: (j % n1) * n2 + k
-    for j in range(n1):
-        for k in range(n2):
-            i0 = idx(j, k)
-            H[i0, i0] += 2 * ct
-            amp = -ct * np.exp(-1j * e_h * l1[j, k])
-            H[i0, idx(j + 1, k)] += amp
-            H[idx(j + 1, k), i0] += np.conj(amp)
-    if cz is not None:
-        l2 = links["axis2"]
-        for j in range(n1):
-            for k in range(n2):
-                i0 = idx(j, k)
-                H[i0, i0] += 2 * cz
-                if k == 0 or k == n2 - 1:
-                    H[i0, i0] += cz  # odd-reflection wall closure
-                if k < n2 - 1:
-                    amp = -cz * np.exp(-1j * e_h * l2[j, k])
-                    H[i0, idx(j, k + 1)] += amp
-                    H[idx(j, k + 1), i0] += np.conj(amp)
-    return H
-
-
-def _sphere_phi_hopping(grid: Grid, kappa: float, phases: np.ndarray) -> np.ndarray:
-    n1, n2 = grid.n1, grid.n2
-    s2 = np.sin(grid.coords1) ** 2
-    N = n1 * n2
-    H = np.zeros((N, N), dtype=complex)
-    cph = kappa / grid.h2**2
-    for j in range(n1):
-        lo = j * n2
-        cj = cph / s2[j]
-        for k in range(n2):
-            i0 = lo + k
-            i1 = lo + (k + 1) % n2
-            H[i0, i0] += 2 * cj
-            amp = -cj * np.exp(-1j * phases[j, k])
-            H[i0, i1] += amp
-            H[i1, i0] += np.conj(amp)
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +385,12 @@ def zeeman_block(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid,
     B is evaluated from the base field (gauge attachments have exactly zero
     curl) and contracted with the Pauli matrices in the fixed Cartesian frame.
     """
+    import scipy.sparse as sp
+
     Bx, By, Bz = _cartesian_field(field, surface, grid)
     pref = -(c.charge * c.hbar / (2 * c.mass))
-    n = grid.size
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    for B, sig in zip((Bx, By, Bz), PAULI):
-        H += pref * np.kron(sig, np.diag(B.ravel()))
+    H = sum(pref * sp.kron(sig, sp.diags_array(B.ravel()))
+            for B, sig in zip((Bx, By, Bz), PAULI))
     return OperatorMatrix(H, grid.weights, 2, "zeeman")
 
 
@@ -485,16 +453,16 @@ def _require_field(req: HamiltonianRequest):
         raise ValueError("magnetic builder requires a field (use Phi=0 or B=0 for none)")
 
 
-def _finish(req: HamiltonianRequest, H: np.ndarray, weights: np.ndarray, name: str) -> OperatorMatrix:
-    label = _label(req, name)
-    if req.spin:
-        n = H.shape[0]
-        full = np.kron(np.eye(2), H)
-        if req.field is not None:
-            zb = zeeman_block(req.field, req.surface, req.grid, req.constants)
-            full += zb.entries
-        return OperatorMatrix(full, weights, 2, label + " coupling=" + req.coupling)
-    return OperatorMatrix(H, weights, 1, label + " coupling=" + req.coupling)
+def _finish(req: HamiltonianRequest, H, weights: np.ndarray, name: str) -> OperatorMatrix:
+    import scipy.sparse as sp
+
+    label = _label(req, name) + " coupling=" + req.coupling
+    if not req.spin:
+        return OperatorMatrix(H, weights, 1, label)
+    full = sp.kron(sp.eye_array(2), H)
+    if req.field is not None:
+        full = full + zeeman_block(req.field, req.surface, req.grid, req.constants).entries
+    return OperatorMatrix(full, weights, 2, label)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +477,9 @@ def open_radial_grid(r0: float, r1: float, n: int) -> tuple[np.ndarray, float]:
     return r, float(r[1] - r[0])
 
 
-def _open_centered_d1(n: int, h: float, order: int) -> np.ndarray:
+def _open_centered_d1(n: int, h: float, order: int):
     if order == 2:
         return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), False)
-    from .discretize import _D1_O4
-
     return _stencil_matrix(n, range(-2, 3), _D1_O4 / h, False)
 
 
@@ -523,8 +489,11 @@ def hermitian_radial_momentum(r: np.ndarray, h: float, kind: str = "cylinder",
     """-i hbar (d/dr + 1/2r) for the cylinder measure, -i hbar (d/dr + 1/r) for the sphere.
 
     Self-adjoint under r dr / r^2 dr respectively; the measure correction is
-    what restores the canonical commutator alongside Hermiticity.
+    what restores the canonical commutator alongside Hermiticity.  Returned
+    as a dense array.
     """
+    import scipy.sparse as sp
+
     D = _open_centered_d1(len(r), h, order)
     if kind == "cylinder":
         corr = 0.5 / r
@@ -532,13 +501,15 @@ def hermitian_radial_momentum(r: np.ndarray, h: float, kind: str = "cylinder",
         corr = 1.0 / r
     else:
         raise ValueError("kind must be 'cylinder' or 'sphere'")
-    return -1j * c.hbar * (D + np.diag(corr))
+    return (-1j * c.hbar * (D + sp.diags_array(corr))).toarray()
 
 
 def radial_flux_laplacian(r: np.ndarray, h: float, kind: str = "cylinder",
                           order: int = 2,
                           c: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
-    """-hbar^2 (1/r^s) d/dr (r^s d/dr) as a product of centered stencils (s=1, 2)."""
+    """-hbar^2 (1/r^s) d/dr (r^s d/dr) as a product of centered stencils (s=1, 2); dense."""
+    import scipy.sparse as sp
+
     s = 1 if kind == "cylinder" else 2
     D = _open_centered_d1(len(r), h, order)
-    return -c.hbar**2 * np.diag(1.0 / r**s) @ D @ np.diag(r**s) @ D
+    return (-c.hbar**2 * (sp.diags_array(1.0 / r**s) @ D @ sp.diags_array(r**s) @ D)).toarray()

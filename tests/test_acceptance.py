@@ -103,8 +103,8 @@ def test_c03_hermiticity_dichotomy():
                              variant="pragmatic")
     anti, _ = antihermitian_part(build_hamiltonian(req))
     target = 1j * a / 2  # (hbar e / 2m)(a/R), natural units, R = 1
-    assert np.abs(np.diag(anti.entries) - target).max() <= 1e-14
-    off = anti.entries - np.diag(np.diag(anti.entries))
+    assert np.abs(np.diag(anti.toarray()) - target).max() <= 1e-14
+    off = anti.toarray() - np.diag(np.diag(anti.toarray()))
     assert np.abs(off).max() <= 1e-14
     _report(3, f"worst correct-variant residual {worst:.2e}; "
                f"anti-Hermitian diagonal exact to 1e-14")
@@ -125,8 +125,8 @@ def test_c04_gauge_covariance():
         H0 = build(field)
         H1 = build(add_gauge(field, lam, g))
         u = np.exp(1j * (c.charge / c.hbar) * lam.grid_values(g).ravel())
-        conj = (u[:, None] * H0.entries) * np.conj(u)[None, :]
-        op_resid = np.abs(H1.entries - conj).max()
+        conj = (u[:, None] * H0.toarray()) * np.conj(u)[None, :]
+        op_resid = np.abs(H1.toarray() - conj).max()
         ev0 = spectrum(H0, 10).eigenvalues
         ev1 = spectrum(H1, 10).eigenvalues
         ev_resid = np.abs(ev1 - ev0).max()

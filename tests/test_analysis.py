@@ -92,7 +92,7 @@ class TestAntihermitianPart:
         req = HamiltonianRequest(g.surface, g, ABFlux(Phi=0.0, radial_component=0.8),
                                  variant="pragmatic")
         anti, norm = antihermitian_part(build_hamiltonian(req))
-        np.testing.assert_allclose(np.diag(anti.entries), 0.4j, atol=1e-14)
+        np.testing.assert_allclose(np.diag(anti.toarray()), 0.4j, atol=1e-14)
         assert norm == pytest.approx(0.4, abs=1e-14)
 
 

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +133,22 @@ class TestRun:
         b = json.loads(out_b.read_text())["diagnostics"]["table"]
         assert a == b
 
+    def test_exact_extrapolation_report_is_valid_json(self, tmp_path):
+        # l = 0 on the sphere is a flat box: every surface energy is exactly 0,
+        # so no convergence order can be measured (NaN inside the library)
+        out = tmp_path / "g.json"
+        assert run(parse_config(["gke", "--surface", "sphere", "--l", "0",
+                                 "--d", "0.08,0.04,0.02,0.01", "--output", str(out)])) == 0
+        rep = json.loads(out.read_text())
+        assert rep["diagnostics"]["empirical_order"] is None
+        assert rep["diagnostics"]["limit"] == 0.0
+
+    def test_spectrum_reports_solver(self, tmp_path):
+        out = tmp_path / "s.json"
+        run(parse_config(["spectrum", "--surface", "ring", "--n1", "16", "--k", "2",
+                          "--output", str(out)]))
+        assert json.loads(out.read_text())["diagnostics"]["solver"] == "dense-eigh"
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "r.json"
         run(parse_config(["gke", "--surface", "sphere", "--output", str(out)]))
@@ -159,3 +178,13 @@ class TestDeterminism:
         rep = json.loads(text)
         val = rep["eigenvalues"][1][0]
         assert f"{val:.17g}" in text
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that need it, never at import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, surfband.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -52,7 +52,7 @@ class TestBuildGrid:
 class TestStencils:
     def test_second_derivative_kills_constants(self):
         g = build_grid(ring(1.0), 16)
-        D2 = periodic_second_derivative(g, 0).entries
+        D2 = periodic_second_derivative(g, 0).toarray()
         np.testing.assert_allclose(np.abs(D2 @ np.ones(16)), 0, atol=1e-12)
 
     def test_theta_mode_symbol(self):
@@ -85,7 +85,7 @@ class TestStencils:
     def test_second_derivative_symmetric(self):
         g = build_grid(cylinder(1.0, 1.0), 6, 8)
         for axis in (0, 1):
-            A = periodic_second_derivative(g, axis).entries
+            A = periodic_second_derivative(g, axis).toarray()
             assert np.abs(A - A.T).max() == 0.0
 
     def test_sphere_polar_second_derivative_reserved(self):
@@ -98,19 +98,19 @@ class TestMultiplicationOperator:
     def test_identity(self):
         g = build_grid(ring(1.0), 8)
         op = multiplication_operator(np.ones(8), g)
-        np.testing.assert_array_equal(op.entries, np.eye(8))
+        np.testing.assert_array_equal(op.toarray(), np.eye(8))
 
     def test_sphere_sin_diagonal(self):
         g = build_grid(sphere(1.0), 4, 4)
         f = np.repeat(np.sin(g.coords1), 4)
         op = multiplication_operator(f, g)
-        np.testing.assert_array_equal(np.diag(op.entries), f.astype(complex))
+        np.testing.assert_array_equal(np.diag(op.toarray()), f.astype(complex))
 
     def test_diagonals_commute(self):
         g = build_grid(ring(1.0), 12)
         rng = np.random.default_rng(3)
-        a = multiplication_operator(rng.standard_normal(12), g).entries
-        b = multiplication_operator(rng.standard_normal(12), g).entries
+        a = multiplication_operator(rng.standard_normal(12), g).toarray()
+        b = multiplication_operator(rng.standard_normal(12), g).toarray()
         assert np.abs(a @ b - b @ a).max() == 0.0
 
     def test_nonfinite_rejected(self):
@@ -131,19 +131,19 @@ class TestWeightedAdjoint:
     def test_identity_self_adjoint(self):
         g = build_grid(ring(1.0), 8)
         op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, 1, "id")
-        np.testing.assert_array_equal(weighted_adjoint(op).entries, np.eye(8))
+        np.testing.assert_array_equal(weighted_adjoint(op).toarray(), np.eye(8))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_involution(self, seed):
         op = self._random_op(seed)
         twice = weighted_adjoint(weighted_adjoint(op))
-        np.testing.assert_allclose(twice.entries, op.entries, atol=1e-13)
+        np.testing.assert_allclose(twice.toarray(), op.toarray(), atol=1e-13)
 
     def test_anti_hermitian_diagonal(self):
         g = build_grid(ring(1.0), 8)
         d = np.linspace(1, 2, 8)
         op = OperatorMatrix(1j * np.diag(d), g.weights, 1, "i diag")
-        np.testing.assert_allclose(weighted_adjoint(op).entries, -1j * np.diag(d), atol=1e-15)
+        np.testing.assert_allclose(weighted_adjoint(op).toarray(), -1j * np.diag(d), atol=1e-15)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_adjoint_pairing_on_random_vectors(self, seed):
@@ -176,3 +176,58 @@ class TestHermiticityResidual:
         g = build_grid(surf, 24, 24)
         H = free_sphere(HamiltonianRequest(surf, g))
         assert hermiticity_residual(H) <= 1e-12
+
+
+class TestSparseStencils:
+    @staticmethod
+    def _polar_d1_loop(n1, n2, h, parity):
+        # node-by-node reference for the vectorized pole-crossing stencil
+        A = np.zeros((n1 * n2, n1 * n2))
+        half = n2 // 2
+        cross = 2 * half == n2
+
+        def node(j, k):
+            if j < 0:
+                return (-1 - j) * n2 + (k + half) % n2, parity
+            if j >= n1:
+                return (2 * n1 - 1 - j) * n2 + (k + half) % n2, parity
+            return j * n2 + k, 1
+
+        for j in range(n1):
+            for k in range(n2):
+                row = j * n2 + k
+                if cross or 0 < j < n1 - 1:
+                    for o, cc in ((1, 0.5 / h), (-1, -0.5 / h)):
+                        col, sg = node(j + o, k)
+                        A[row, col] += sg * cc
+                elif j == 0:
+                    A[row, row] += -1.5 / h
+                    A[row, (j + 1) * n2 + k] += 2.0 / h
+                    A[row, (j + 2) * n2 + k] += -0.5 / h
+                else:
+                    A[row, row] += 1.5 / h
+                    A[row, (j - 1) * n2 + k] += -2.0 / h
+                    A[row, (j - 2) * n2 + k] += 0.5 / h
+        return A
+
+    @pytest.mark.parametrize("n1,n2,parity", [(6, 8, 1), (6, 8, -1), (5, 7, 1), (3, 4, -1)])
+    def test_sphere_polar_d1_matches_loop(self, n1, n2, parity):
+        from surfband.discretize import _sphere_polar_d1
+
+        h = np.pi / n1
+        A = _sphere_polar_d1(n1, n2, h, parity).toarray()
+        np.testing.assert_array_equal(A, self._polar_d1_loop(n1, n2, h, parity))
+
+    @pytest.mark.parametrize("n,periodic", [(3, True), (4, True), (9, True), (9, False)])
+    def test_stencil_matrix_matches_loop(self, n, periodic):
+        from surfband.discretize import _D2_O4, _stencil_matrix
+
+        ref = np.zeros((n, n))
+        for o, c in zip(range(-2, 3), _D2_O4):
+            for j in range(n):
+                if periodic:
+                    ref[j, (j + o) % n] += c
+                elif 0 <= j + o < n:
+                    ref[j, j + o] += c
+        A = _stencil_matrix(n, range(-2, 3), _D2_O4, periodic).toarray()
+        np.testing.assert_allclose(A, ref, rtol=0, atol=1e-15)

@@ -12,6 +12,7 @@ from surfband.hamiltonians import (
     free_ring,
     free_sphere,
     hermitian_radial_momentum,
+    link_operator,
     magnetic_cylinder,
     magnetic_sphere,
     open_radial_grid,
@@ -24,6 +25,39 @@ from surfband.hamiltonians import (
 def ring_req(n=64, R=1.0, **kw):
     surf = ring(R)
     return HamiltonianRequest(surf, build_grid(surf, n), **kw)
+
+
+class TestLinkOperator:
+    def _links(self, n=7, m=30, seed=4):
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, m)
+        j = (i + rng.integers(1, n, m)) % n  # no self-links; pairs repeat in both orientations
+        return n, i, j, rng.uniform(-1, 2, m), rng.uniform(-3, 3, m), rng.uniform(-1, 1, n)
+
+    def test_matches_dense_accumulation(self):
+        n, i, j, c, theta, diag = self._links()
+        ref = np.diag(diag).astype(complex)
+        for a, b, cc, t in zip(i, j, c, theta):
+            ref[a, a] += cc
+            ref[b, b] += cc
+            ref[a, b] -= cc * np.exp(-1j * t)
+            ref[b, a] -= cc * np.exp(1j * t)
+        H = link_operator(n, i, j, c, theta, diag)
+        np.testing.assert_allclose(H.toarray(), ref, atol=1e-14)
+
+    def test_exactly_hermitian_and_row_scaled(self):
+        n, i, j, c, theta, _ = self._links(seed=9)
+        H = link_operator(n, i, j, c, theta).toarray()
+        assert np.array_equal(H, H.conj().T)
+        scale = np.linspace(0.5, 2.0, n)
+        Hs = link_operator(n, i, j, c, theta, row_scale=scale).toarray()
+        np.testing.assert_allclose(Hs, scale[:, None] * H, atol=1e-14)
+
+    def test_no_phases_gives_real_free_stencil(self):
+        n, i, j, c, _, _ = self._links()
+        H = link_operator(n, i, j, c)
+        assert np.isrealobj(H.data)
+        np.testing.assert_allclose(H @ np.ones(n), 0.0, atol=1e-13)
 
 
 class TestFreeRing:
@@ -42,8 +76,8 @@ class TestFreeRing:
         H = free_ring(req)
         from surfband.discretize import periodic_second_derivative
 
-        naive = -0.5 * periodic_second_derivative(req.grid, 0).entries / 4.0
-        shift = H.entries - naive
+        naive = -0.5 * periodic_second_derivative(req.grid, 0).toarray() / 4.0
+        shift = H.toarray() - naive
         np.testing.assert_allclose(shift, -1 / 32 * np.eye(32), atol=1e-14)
 
     def test_order4_extends_accuracy(self):
@@ -115,7 +149,7 @@ class TestMagneticCylinder:
             req = ring_req(32, field=ABFlux(Phi=0.0), coupling=coupling)
             H = magnetic_cylinder(req)
             H0 = free_ring(ring_req(32))
-            np.testing.assert_allclose(H.entries, H0.entries, atol=1e-13)
+            np.testing.assert_allclose(H.toarray(), H0.toarray(), atol=1e-13)
 
     def test_landau_level_exact_at_matching_l(self):
         # B = 2, R = 1: the l = 1 mode sits exactly at the curvature shift
@@ -134,7 +168,7 @@ class TestMagneticCylinder:
         poisoned = magnetic_cylinder(
             ring_req(24, field=UniformAxial(B=1.0, radial_component=37.0,
                                             radial_derivative=-4.0)))
-        assert np.array_equal(base.entries, poisoned.entries)
+        assert np.array_equal(base.toarray(), poisoned.toarray())
 
     def test_full_cylinder_hermitian_both_couplings(self):
         surf = cylinder(1.0, np.pi)
@@ -165,7 +199,7 @@ class TestSampledFieldPaths:
         fld = UniformAxial(B=1.3)
         Ha = magnetic_cylinder(HamiltonianRequest(surf, g, fld))
         Hs = magnetic_cylinder(HamiltonianRequest(surf, g, materialize(fld, g)))
-        np.testing.assert_allclose(Ha.entries, Hs.entries, atol=1e-14)
+        np.testing.assert_allclose(Ha.toarray(), Hs.toarray(), atol=1e-14)
 
     def test_constant_axial_component_is_pure_gauge(self):
         # A_z = const = grad(c z) on the cylinder: same spectrum as free
@@ -202,7 +236,7 @@ class TestMagneticSphere:
         g = build_grid(surf, 16, 16)
         H = magnetic_sphere(HamiltonianRequest(surf, g, ABFlux(Phi=0.0)))
         H0 = free_sphere(HamiltonianRequest(surf, g))
-        np.testing.assert_allclose(H.entries, H0.entries, atol=1e-13)
+        np.testing.assert_allclose(H.toarray(), H0.toarray(), atol=1e-13)
 
     def test_uniform_axial_real_spectrum_and_hermitian(self):
         surf = sphere(1.0)
@@ -231,8 +265,8 @@ class TestPragmaticCylinder:
         H = pragmatic_cylinder(req)
         anti, norm = antihermitian_part(H)
         # i (hbar e / 2m) a / R on the diagonal, nothing else
-        np.testing.assert_allclose(np.diag(anti.entries), 1j * a / 2, atol=1e-15)
-        off = anti.entries - np.diag(np.diag(anti.entries))
+        np.testing.assert_allclose(np.diag(anti.toarray()), 1j * a / 2, atol=1e-15)
+        off = anti.toarray() - np.diag(np.diag(anti.toarray()))
         assert np.abs(off).max() < 1e-15
         assert norm == pytest.approx(a / 2, abs=1e-14)
         assert hermiticity_residual(H) == pytest.approx(a, abs=1e-13)
@@ -246,7 +280,7 @@ class TestPragmaticCylinder:
         req = HamiltonianRequest(surf, g, ABFlux(Phi=0.0, radial_component=ar),
                                  variant="pragmatic")
         anti, _ = antihermitian_part(pragmatic_cylinder(req))
-        np.testing.assert_allclose(np.diag(anti.entries), 1j * 0.3 * np.cos(g.coords1),
+        np.testing.assert_allclose(np.diag(anti.toarray()), 1j * 0.3 * np.cos(g.coords1),
                                    atol=1e-15)
 
     def test_radial_derivative_enters_diagonal(self):
@@ -255,13 +289,13 @@ class TestPragmaticCylinder:
         req = ring_req(16, field=ABFlux(Phi=0.0, radial_component=1.0,
                                         radial_derivative=0.5), variant="pragmatic")
         anti, norm = antihermitian_part(pragmatic_cylinder(req))
-        np.testing.assert_allclose(np.diag(anti.entries), 1j * 0.75, atol=1e-15)
+        np.testing.assert_allclose(np.diag(anti.toarray()), 1j * 0.75, atol=1e-15)
 
     def test_zero_field_misses_curvature_shift_exactly(self):
         req = ring_req(32, field=ABFlux(Phi=0.0), variant="pragmatic")
         Hp = pragmatic_cylinder(req)
         H0 = free_ring(ring_req(32))
-        np.testing.assert_allclose(Hp.entries - H0.entries, 0.125 * np.eye(32), atol=1e-15)
+        np.testing.assert_allclose(Hp.toarray() - H0.toarray(), 0.125 * np.eye(32), atol=1e-15)
 
     def test_hermitian_when_radial_component_vanishes(self):
         surf = cylinder(1.0, np.pi)
@@ -277,7 +311,7 @@ class TestPragmaticCylinder:
         fld = UniformAxial(B=1.5)
         Hp = pragmatic_cylinder(HamiltonianRequest(surf, g, fld, variant="pragmatic"))
         Hc = magnetic_cylinder(HamiltonianRequest(surf, g, fld, coupling="expanded"))
-        np.testing.assert_allclose(Hp.entries - Hc.entries, 0.125 * np.eye(g.size),
+        np.testing.assert_allclose(Hp.toarray() - Hc.toarray(), 0.125 * np.eye(g.size),
                                    atol=1e-15)
 
     def test_sphere_rejected(self):
@@ -293,20 +327,20 @@ class TestZeeman:
         surf = ring(1.0)
         g = build_grid(surf, 8)
         zb = zeeman_block(UniformAxial(B=1.0), surf, g)
-        ev = np.linalg.eigvalsh(zb.entries)
+        ev = np.linalg.eigvalsh(zb.toarray())
         np.testing.assert_allclose(ev, [-0.5] * 8 + [0.5] * 8, atol=1e-14)
 
     def test_zero_field_zero_block(self):
         surf = ring(1.0)
         g = build_grid(surf, 8)
         zb = zeeman_block(UniformAxial(B=0.0), surf, g)
-        assert np.abs(zb.entries).max() == 0.0
+        assert np.abs(zb.toarray()).max() == 0.0
 
     def test_traceless(self):
         surf = sphere(1.0)
         g = build_grid(surf, 8, 8)
         zb = zeeman_block(UniformAxial(B=2.0), surf, g)
-        assert abs(np.trace(zb.entries)) < 1e-12
+        assert abs(np.trace(zb.toarray())) < 1e-12
 
     def test_spin_splitting_exact(self):
         req = ring_req(32, field=UniformAxial(B=1.0), spin=True)

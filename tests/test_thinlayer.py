@@ -58,7 +58,7 @@ class TestFluxOperator:
     def test_weighted_hermitian_to_scale(self):
         p = ShellProblem(cylinder(1.0, 1.0), 0.2, 1, 100)
         op = build_radial_operator(p)
-        scale = np.abs(op.entries).max()
+        scale = np.abs(op.toarray()).max()
         assert hermiticity_residual(op) <= 1e-13 * scale
 
     @pytest.mark.parametrize("surf", [cylinder(1.0, 1.0), sphere(1.0)])
