@@ -7,16 +7,18 @@ written atomically (temp file then rename).  The JSON schema is
      "hermiticity_residual": x, "diagnostics": {...}}
 
 and a config file is exactly the "config" block; command-line flags override
-file values.  SURFBAND_THREADS caps sweep parallelism for thin-layer runs.
+file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -26,18 +28,6 @@ from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec
 from .hamiltonians import HamiltonianRequest, build_hamiltonian
 
 SUBCOMMANDS = ("spectrum", "hermiticity", "gauge-check", "thin-layer", "gke")
-
-_DEFAULTS = {
-    "surface": "ring", "R": 1.0, "L": 3.141592653589793,
-    "n1": 64, "n2": 16, "order": 2, "coupling": "peierls",
-    "variant": "correct", "spin": False,
-    "field": "none", "B": 1.0, "phi": 0.0, "a_r": 0.0, "da_r_dr": 0.0,
-    "k": 10, "lam": "const", "lam_amp": 1.0, "exact_gauge": True,
-    "d_list": "0.1,0.05,0.025,0.0125", "l": 0, "n_r": thinlayer.DEFAULT_NR,
-    "n_levels": 1,
-    "hbar": 1.0, "mass": 1.0, "charge": 1.0,
-    "output": None, "format": "json", "config": None,
-}
 
 
 @dataclass(frozen=True)
@@ -84,16 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the report's config block")
-        sp.add_argument("--surface", choices=["ring", "cylinder", "sphere"], default=None)
+        sp.add_argument("--surface", choices=_CHOICES["surface"], default=None)
         sp.add_argument("--R", type=float, default=None)
         sp.add_argument("--L", type=float, default=None)
         sp.add_argument("--n", type=int, default=None, help="sets both grid counts")
         sp.add_argument("--n1", type=int, default=None)
         sp.add_argument("--n2", type=int, default=None)
-        sp.add_argument("--order", type=int, choices=[2, 4], default=None)
-        sp.add_argument("--coupling", choices=["peierls", "expanded"], default=None)
+        sp.add_argument("--order", type=int, choices=_CHOICES["order"], default=None)
+        sp.add_argument("--coupling", choices=_CHOICES["coupling"], default=None)
         sp.add_argument("--spin", action="store_true", default=None)
-        sp.add_argument("--field", choices=["none", "uniform-axial", "ab-flux"], default=None)
+        sp.add_argument("--field", choices=_CHOICES["field"], default=None)
         sp.add_argument("--B", type=float, default=None)
         sp.add_argument("--phi", type=float, default=None)
         sp.add_argument("--A-r", dest="a_r", type=float, default=None,
@@ -103,14 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mass", type=float, default=None)
         sp.add_argument("--charge", type=float, default=None)
         sp.add_argument("--output", type=str, default=None)
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
+        sp.add_argument("--format", choices=_CHOICES["format"], default=None)
         if name in ("spectrum", "hermiticity"):
-            sp.add_argument("--variant", choices=["correct", "pragmatic"], default=None)
+            sp.add_argument("--variant", choices=_CHOICES["variant"], default=None)
         if name in ("spectrum", "gauge-check"):
             sp.add_argument("--k", type=int, default=None)
         if name == "gauge-check":
-            sp.add_argument("--lam", choices=["const", "sin-theta", "cos-theta", "sin-theta-z"],
-                            default=None)
+            sp.add_argument("--lam", choices=_CHOICES["lam"], default=None)
             sp.add_argument("--lam-amp", dest="lam_amp", type=float, default=None)
             sp.add_argument("--resampled", dest="exact_gauge", action="store_false", default=None)
         if name in ("thin-layer", "gke"):
@@ -126,8 +115,7 @@ def parse_config(argv=None) -> RunConfig:
     """Parse flags (and an optional config file; flags win) into a validated RunConfig."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    values = dict(_DEFAULTS)
-    values.pop("config")
+    values = {f.name: f.default for f in dc_fields(RunConfig) if f.name != "subcommand"}
     if ns.config:
         try:
             import json
@@ -136,10 +124,14 @@ def parse_config(argv=None) -> RunConfig:
                 file_vals = json.load(fh)
         except (OSError, ValueError) as exc:
             parser.error(f"--config: cannot read {ns.config}: {exc}")
-        unknown = set(file_vals) - set(values) - {"subcommand"}
+        if not isinstance(file_vals, dict):
+            parser.error("--config: the file must hold a JSON object")
+        file_vals.pop("subcommand", None)
+        unknown = set(file_vals) - set(values)
         if unknown:
             parser.error(f"--config: unknown keys {sorted(unknown)}")
-        values.update({k: v for k, v in file_vals.items() if k != "subcommand"})
+        _check_file_values(file_vals, parser)
+        values.update(file_vals)
     for key in values:
         cli_val = getattr(ns, key, None)
         if cli_val is not None:
@@ -147,14 +139,29 @@ def parse_config(argv=None) -> RunConfig:
     if getattr(ns, "n", None) is not None:
         values["n1"] = ns.n
         values["n2"] = ns.n
-    values["spin"] = bool(values["spin"])
-    values["exact_gauge"] = bool(values["exact_gauge"])
     cfg = RunConfig(subcommand=ns.subcommand, **values)
     _validate(cfg, parser)
     return cfg
 
 
+def _check_file_values(file_vals: dict, parser: argparse.ArgumentParser):
+    """Each value has its RunConfig field's type (int passes for float) and a listed choice."""
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in file_vals.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if float in allowed:
+            allowed += (int,)
+        if type(value) not in allowed:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            parser.error(f"--config: {key} must be {names}, not {value!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            parser.error(f"--config: {key} must be one of {list(_CHOICES[key])}, not {value!r}")
+
+
 def _validate(cfg: RunConfig, parser: argparse.ArgumentParser):
+    for key, hint in typing.get_type_hints(RunConfig).items():
+        if hint is float and not math.isfinite(getattr(cfg, key)):
+            parser.error(f"{key} must be finite")
     if cfg.R <= 0:
         parser.error("--R must be positive")
     if cfg.L <= 0:
@@ -170,8 +177,8 @@ def _validate(cfg: RunConfig, parser: argparse.ArgumentParser):
             ds = cfg.ds()
         except ValueError:
             parser.error("--d must be a comma list of numbers")
-        if not ds or any(d <= 0 for d in ds):
-            parser.error("--d values must be positive")
+        if not ds or any(not 0 < d < math.inf for d in ds):
+            parser.error("--d values must be positive and finite")
         if cfg.subcommand == "gke" and (len(ds) < 3 or any(np.diff(ds) >= 0)):
             parser.error("--d needs at least 3 strictly decreasing values")
         if cfg.n_r < 50:
@@ -203,6 +210,14 @@ _LAM_PRESETS = {
     "sin-theta": lambda amp: (lambda c1, c2: amp * np.sin(c1)),
     "cos-theta": lambda amp: (lambda c1, c2: amp * np.cos(c1)),
     "sin-theta-z": lambda amp: (lambda c1, c2: amp * np.sin(c1) * c2),
+}
+
+# the allowed values of every choice-valued key, shared by the flags and --config files
+_CHOICES = {
+    "surface": ("ring", "cylinder", "sphere"), "order": (2, 4),
+    "coupling": ("peierls", "expanded"), "variant": ("correct", "pragmatic"),
+    "field": ("none", "uniform-axial", "ab-flux"), "format": ("json", "csv"),
+    "lam": tuple(_LAM_PRESETS),
 }
 
 
@@ -330,9 +345,8 @@ def run(cfg: RunConfig) -> int:
                            "lambda": cfg.lam, "operator_label": H0.label}
             summary = f"gauge_residual = {r_op:.6g}"
         elif cfg.subcommand == "thin-layer":
-            workers = int(os.environ.get("SURFBAND_THREADS", "1"))
             table = thinlayer.sweep_table(surface, [cfg.l], cfg.ds(), constants,
-                                          cfg.n_r, cfg.n_levels, max_workers=workers)
+                                          cfg.n_r, cfg.n_levels)
             diagnostics = {"table": table}
             last = table[-1]
             summary = f"E_surface(d={last['d']:g}, l={cfg.l}) = {last['E_surface']:.6g}"

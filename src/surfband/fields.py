@@ -9,7 +9,7 @@ the pragmatic Hamiltonian consumes it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,27 +43,24 @@ class GaugeFunction:
         return GaugeFunction(vals, label)
 
     def grid_values(self, grid: Grid) -> np.ndarray:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (grid.n1, grid.n2):
-            v = v.reshape(grid.n1, grid.n2)
-        return v
+        return np.asarray(self.values, dtype=float).reshape(grid.n1, grid.n2)
 
 
 @dataclass(frozen=True)
 class GaugeFieldSpec:
-    """Base vector-potential configuration.
+    """Base vector-potential configuration plus attached gauge functions.
 
-    radial_component / radial_derivative hold on-surface samples (or constants)
-    of A_r and dA_r/dr for the pragmatic builder; correct surface Hamiltonians
-    ignore them by construction.
+    A field is its base (the subclass data) and the tuple gauges of gauge
+    functions lambda added by add_gauge; every sample, link integral and
+    curl is derived from these two.  radial_component / radial_derivative
+    hold on-surface samples (or constants) of A_r and dA_r/dr for the
+    pragmatic builder; correct surface Hamiltonians ignore them by
+    construction.
     """
 
     radial_component: object = None
     radial_derivative: object = None
-
-    @property
-    def gauges(self) -> tuple:
-        return ()
+    gauges: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -82,33 +79,19 @@ class ABFlux(GaugeFieldSpec):
 
 @dataclass(frozen=True)
 class Sampled(GaugeFieldSpec):
-    """Node-sampled tangential components bound to a grid.
-
-    a1/a2 are the evaluated (materialized) samples.  base1/base2 hold the part
-    that is quadrature-integrated over links; gauge_terms are exact per-link
-    increments lambda(end) - lambda(start) added on top, which is what makes
-    discrete gauge shifts unitarily exact.
-    """
+    """Node-sampled tangential components a1, a2 bound to a grid."""
 
     grid: Grid = None
     a1: np.ndarray = None
     a2: np.ndarray = None
-    base1: np.ndarray = None
-    base2: np.ndarray = None
-    gauge_terms: tuple = ()
-    analytic_base: GaugeFieldSpec = None
 
     def __post_init__(self):
         if self.grid is None or self.a1 is None:
             raise ValueError("Sampled field requires a grid and component samples")
-        for name in ("a1", "a2", "base1", "base2"):
+        for name in ("a1", "a2"):
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite samples in {name}")
-
-    @property
-    def gauges(self) -> tuple:
-        return self.gauge_terms
 
 
 def zero_field() -> ABFlux:
@@ -130,19 +113,24 @@ def _radial_samples(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.nd
     return expand(spec.radial_component), expand(spec.radial_derivative)
 
 
-def _analytic_components(spec: GaugeFieldSpec, surface: SurfaceSpec, c1: float, c2: float):
+def _analytic_components(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
+    """(A_1, A_2) of an analytic base at theta (a scalar or an array).
+
+    Neither analytic field depends on the second coordinate.
+    """
     R = surface.R
+    zero = np.zeros_like(theta, dtype=float)
     if isinstance(spec, UniformAxial):
         if surface.kind is SurfaceKind.SPHERE:
-            return 0.0, 0.5 * spec.B * R * np.sin(c1)
-        return 0.5 * spec.B * R, 0.0
+            return zero, 0.5 * spec.B * R * np.sin(theta)
+        return zero + 0.5 * spec.B * R, zero
     if isinstance(spec, ABFlux):
         if surface.kind is SurfaceKind.SPHERE:
-            s = np.sin(c1)
-            if abs(s) < 1e-12:
+            s = np.sin(theta)
+            if np.any(np.abs(s) < 1e-12):
                 raise ValueError("singular potential at pole")
-            return 0.0, spec.Phi / (2 * np.pi * R * s)
-        return spec.Phi / (2 * np.pi * R), 0.0
+            return zero, spec.Phi / (2 * np.pi * R * s)
+        return zero + spec.Phi / (2 * np.pi * R), zero
     raise TypeError(f"not an analytic field spec: {type(spec).__name__}")
 
 
@@ -150,20 +138,25 @@ def eval_potential(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
     """Tangential components at a surface point; appends A_r when defined.
 
     point = (theta,) on the ring, (theta, z) on the cylinder,
-    (theta, phi) on the sphere.  Sampled fields require a grid node.
+    (theta, phi) on the sphere.  Sampled fields require a grid node.  A
+    gauge-shifted analytic field has no grid to take the gradient on:
+    sample it with sample_potential instead.
     """
     c1 = float(point[0])
     c2 = float(point[1]) if len(point) > 1 else 0.0
     if isinstance(spec, Sampled):
         g = spec.grid
-        j = int(np.argmin(np.abs(g.coords1 - c1)))
-        k = int(np.argmin(np.abs(g.coords2 - c2)))
-        if abs(g.coords1[j] - c1) > 1e-9 or (g.n2 > 1 and abs(g.coords2[k] - c2) > 1e-9):
+        j = int(_node_index(g.coords1, g.h1, c1))
+        k = int(_node_index(g.coords2, g.h2, c2)) if g.n2 > 1 else 0
+        if j < 0 or k < 0:
             raise ValueError("sampled field can only be evaluated at grid nodes")
-        out = (float(np.real(spec.a1.reshape(g.n1, g.n2)[j, k])),
-               float(np.real(spec.a2.reshape(g.n1, g.n2)[j, k])) if spec.a2 is not None else 0.0)
+        a1, a2 = sample_potential(spec, g)
+        out = (float(a1[j, k]), float(a2[j, k]))
+    elif spec.gauges:
+        raise ValueError("a gauge-shifted analytic field has no grid; "
+                         "evaluate it at the nodes with sample_potential(field, grid)")
     else:
-        out = _analytic_components(spec, surface, c1, c2)
+        out = tuple(float(a) for a in _analytic_components(spec, surface, c1))
     if spec.radial_component is not None:
         ar = np.asarray(spec.radial_component, dtype=float)
         if ar.ndim == 0:
@@ -176,19 +169,22 @@ def eval_potential(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
 
 
 def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Materialized (n1, n2) component arrays on the grid."""
+    """Materialized (n1, n2) component arrays on the grid.
+
+    The base's node samples plus the stencil gradient (surface_gradient) of
+    each attached gauge function.
+    """
+    shape = (grid.n1, grid.n2)
     if isinstance(spec, Sampled):
-        a1 = np.asarray(spec.a1, dtype=float).reshape(grid.n1, grid.n2)
-        a2 = (np.zeros((grid.n1, grid.n2)) if spec.a2 is None
-              else np.asarray(spec.a2, dtype=float).reshape(grid.n1, grid.n2))
-        return a1, a2
-    surface = grid.surface
-    a1 = np.zeros((grid.n1, grid.n2))
-    a2 = np.zeros((grid.n1, grid.n2))
-    for j, c1 in enumerate(grid.coords1):
-        for k in range(grid.n2):
-            c2 = grid.coords2[k] if grid.n2 > 1 else 0.0
-            a1[j, k], a2[j, k] = _analytic_components(spec, surface, c1, c2)
+        a1 = np.asarray(spec.a1, dtype=float).reshape(shape)
+        a2 = (np.zeros(shape) if spec.a2 is None
+              else np.asarray(spec.a2, dtype=float).reshape(shape))
+    else:
+        theta = np.broadcast_to(grid.coords1[:, None], shape)
+        a1, a2 = _analytic_components(spec, grid.surface, theta)
+    for lam in spec.gauges:
+        g1, g2 = surface_gradient(lam, grid.surface, grid)
+        a1, a2 = a1 + g1, a2 + g2
     return a1, a2
 
 
@@ -197,7 +193,7 @@ def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point, grid: G
 
     Analytic specs use closed forms.  Sampled specs use the grid stencils;
     radial derivatives that cannot be formed from surface data are taken from
-    the supplied dA_r/dr samples or dropped.
+    the supplied dA_r/dr samples or dropped.  Attached gauges have no curl.
     """
     if isinstance(spec, UniformAxial):
         if surface.kind is SurfaceKind.SPHERE:
@@ -218,48 +214,45 @@ def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point, grid: G
 
 
 def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
-                     ar: np.ndarray, gradient_like: bool = False) -> tuple[np.ndarray, ...]:
+                     ar: np.ndarray) -> tuple[np.ndarray, ...]:
     """Stencil curl restricted to surface data.
 
     Radial derivatives unavailable on the surface are closed with the
-    r-independent-extension convention d/dr(r A_t) = A_t, except for
-    gradient_like data (tangential gradients of r-independent scalars), where
-    r A_t is itself r-independent and those terms vanish identically.
+    r-independent-extension convention d/dr(r A_t) = A_t.
     """
     surface = grid.surface
     shape = (grid.n1, grid.n2)
     R = surface.R
     flat = lambda a: a.ravel()
     to2 = lambda v: v.reshape(shape)
-    radial_term = 0.0 if gradient_like else 1.0
     if surface.kind is SurfaceKind.SPHERE:
         s = np.sin(grid.coords1)[:, None]
         Dth = _sphere_polar_d1(grid.n1, grid.n2, grid.h1)  # scalar parity
         Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2), grid.n1)
         # s*A_phi is parity-even across the pole, so the scalar stencil applies
         Br = (to2(Dth @ flat(s * a2)) - to2(Dph @ flat(a1))) / (R * s)
-        Bth = to2(Dph @ flat(ar)) / (R * s) - radial_term * a2 / R
-        Bph = radial_term * a1 / R - to2(Dth @ flat(ar)) / R
+        Bth = to2(Dph @ flat(ar)) / (R * s) - a2 / R
+        Bph = a1 / R - to2(Dth @ flat(ar)) / R
         return (Br, Bth, Bph)
     if surface.kind is SurfaceKind.CYLINDER:
         Dth = _kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2)
-        # one-sided rows at the walls: gauge data is not Dirichlet
+        # one-sided rows at the walls: field data is not Dirichlet
         DzF = _kron_axis2(_open_d1(grid.n2, grid.h2), grid.n1)
         Br = to2(Dth @ flat(a2)) / R - to2(DzF @ flat(a1))
         Bth = to2(DzF @ flat(ar))
-        Bz = radial_term * a1 / R - to2(Dth @ flat(ar)) / R
+        Bz = a1 / R - to2(Dth @ flat(ar)) / R
         return (Br, Bth, Bz)
     Dth = _periodic_d1(grid.n1, grid.h1, 2)
-    Bz = radial_term * a1 / R - (Dth @ ar.ravel()).reshape(shape) / R
+    Bz = a1 / R - (Dth @ ar.ravel()).reshape(shape) / R
     return (np.zeros(shape), np.zeros(shape), Bz)
 
 
 def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, ...]:
     """curl A on the whole grid, local-frame components as (n1, n2) arrays.
 
-    Gauge-shifted fields decompose as base plus gradient: the base curl is
-    exact for analytic bases, and the gradient part contributes its stencil
-    curl, which vanishes at stencil accuracy.
+    Analytic bases use closed forms, Sampled bases the stencil curl.
+    Attached gauges are gradients, which have no curl, so only the base
+    enters and B does not depend on the gauge.
     """
     surface = grid.surface
     shape = (grid.n1, grid.n2)
@@ -272,18 +265,8 @@ def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray,
         return (np.zeros(shape), np.zeros(shape), np.full(shape, spec.B))
     if isinstance(spec, ABFlux):
         return (np.zeros(shape), np.zeros(shape), np.zeros(shape))
-    a1, a2 = sample_potential(spec, grid)
+    a1, a2 = sample_potential(replace(spec, gauges=()), grid)
     ar, _dar = _radial_samples(spec, grid)
-    if spec.base1 is not None:
-        b1 = spec.base1.reshape(shape)
-        b2 = (spec.base2.reshape(shape) if spec.base2 is not None else np.zeros(shape))
-        g1, g2 = a1 - b1, a2 - b2
-        if spec.analytic_base is not None:
-            base_curl = sample_magnetic_field(spec.analytic_base, grid)
-        else:
-            base_curl = _curl_of_samples(grid, b1, b2, ar)
-        grad_curl = _curl_of_samples(grid, g1, g2, np.zeros(shape), gradient_like=True)
-        return tuple(b + g for b, g in zip(base_curl, grad_curl))
     return _curl_of_samples(grid, a1, a2, ar)
 
 
@@ -324,36 +307,19 @@ def surface_gradient(lam: GaugeFunction, surface: SurfaceSpec, grid: Grid,
     return (g1, g2)
 
 
-def add_gauge(spec: GaugeFieldSpec, lam: GaugeFunction, grid: Grid,
-              surface: SurfaceSpec = None) -> Sampled:
-    """A <- A + grad(lambda), returned as a Sampled field.
+def add_gauge(spec: GaugeFieldSpec, lam: GaugeFunction, grid: Grid) -> GaugeFieldSpec:
+    """A <- A + grad(lambda): the same field with lam attached; nothing is sampled.
 
-    The materialized samples carry the stencil gradient (for evaluation and
-    curl diagnostics); the gauge term itself is kept attached so operator
-    builders can apply exact per-link increments.
+    Operator builders apply lam as exact per-link increments
+    (link_integrals); sample_potential adds its stencil gradient to the
+    materialized samples.
     """
-    surface = surface or grid.surface
-    g1, g2 = surface_gradient(lam, surface, grid)
-    if isinstance(spec, Sampled):
-        base1, base2 = spec.base1, spec.base2
-        gauges = spec.gauge_terms + (lam,)
-        a1 = np.asarray(spec.a1, float).reshape(grid.n1, grid.n2) + g1
-        a2 = (np.asarray(spec.a2, float).reshape(grid.n1, grid.n2) if spec.a2 is not None
-              else np.zeros_like(g2)) + g2
-        analytic = spec.analytic_base
-    else:
-        base1, base2 = sample_potential(spec, grid)
-        a1, a2 = base1 + g1, base2 + g2
-        gauges = (lam,)
-        analytic = spec
-    return Sampled(grid=grid, a1=a1, a2=a2, base1=base1, base2=base2,
-                   gauge_terms=gauges, analytic_base=analytic,
-                   radial_component=spec.radial_component,
-                   radial_derivative=spec.radial_derivative)
+    lam.grid_values(grid)  # rejects values that do not fit the grid
+    return replace(spec, gauges=spec.gauges + (lam,))
 
 
 def materialize(spec: GaugeFieldSpec, grid: Grid) -> Sampled:
-    """Plain Sampled field from the materialized samples, dropping exact gauge terms."""
+    """Plain Sampled field of sample_potential's samples; attached gauges become stencil gradients."""
     a1, a2 = sample_potential(spec, grid)
     return Sampled(grid=grid, a1=a1, a2=a2,
                    radial_component=spec.radial_component,
@@ -365,86 +331,34 @@ def link_integrals(spec: GaugeFieldSpec, grid: Grid) -> dict:
 
     axis1: theta links j -> j+1 (wrapping on ring/cylinder; n1-1 rows on the
     sphere).  axis2: z links k -> k+1 (cylinder) or phi links (sphere, wraps).
-    Analytic parts use midpoint values; sampled parts the trapezoid rule;
-    attached gauge terms contribute their exact increments.
+    The base's node samples are integrated by the trapezoid rule, and each
+    attached gauge adds its exact increment lambda(end) - lambda(start).  For
+    UniformAxial and ABFlux the trapezoid rule is the exact line integral:
+    the only nonzero component (A_theta on ring and cylinder, A_phi on the
+    sphere) is constant along each link it runs along.
     """
     surface = grid.surface
     R = surface.R
     kind = surface.kind
-
-    if isinstance(spec, Sampled):
-        if spec.base1 is not None:
-            b1 = spec.base1.reshape(grid.n1, grid.n2)
-            b2 = (spec.base2.reshape(grid.n1, grid.n2) if spec.base2 is not None
-                  else np.zeros((grid.n1, grid.n2)))
-        else:
-            b1, b2 = sample_potential(spec, grid)
-        analytic = spec.analytic_base if spec.base1 is not None and spec.analytic_base is not None else None
-        gauges = spec.gauge_terms
+    b1, b2 = sample_potential(replace(spec, gauges=()), grid)
+    if kind is SurfaceKind.SPHERE:
+        l1 = 0.5 * (b1[:-1, :] + b1[1:, :]) * R * grid.h1
+        arc = (R * np.sin(grid.coords1) * grid.h2)[:, None]
+        l2 = 0.5 * (b2 + np.roll(b2, -1, axis=1)) * arc
     else:
-        analytic = spec
-        b1 = b2 = None
-        gauges = ()
-
-    def midpoint_links():
-        if kind is SurfaceKind.SPHERE:
-            l1 = np.zeros((grid.n1 - 1, grid.n2))
-            for j in range(grid.n1 - 1):
-                thm = (grid.coords1[j] + grid.coords1[j + 1]) / 2
-                for k in range(grid.n2):
-                    a1m, _ = _analytic_components(analytic, surface, thm, grid.coords2[k])
-                    l1[j, k] = a1m * R * grid.h1
-            l2 = np.zeros((grid.n1, grid.n2))
-            for j in range(grid.n1):
-                th = grid.coords1[j]
-                arc = R * np.sin(th) * grid.h2
-                for k in range(grid.n2):
-                    phm = grid.coords2[k] + grid.h2 / 2
-                    _, a2m = _analytic_components(analytic, surface, th, phm)
-                    l2[j, k] = a2m * arc
-            return l1, l2
-        n2 = grid.n2
-        l1 = np.zeros((grid.n1, n2))
-        for j in range(grid.n1):
-            thm = grid.coords1[j] + grid.h1 / 2
-            for k in range(n2):
-                c2 = grid.coords2[k] if n2 > 1 else 0.0
-                a1m, _ = _analytic_components(analytic, surface, thm, c2)
-                l1[j, k] = a1m * R * grid.h1
-        if kind is SurfaceKind.RING:
-            return l1.reshape(grid.n1), None
-        l2 = np.zeros((grid.n1, n2 - 1))
-        for j in range(grid.n1):
-            for k in range(n2 - 1):
-                zm = (grid.coords2[k] + grid.coords2[k + 1]) / 2
-                _, a2m = _analytic_components(analytic, surface, grid.coords1[j], zm)
-                l2[j, k] = a2m * grid.h2
-        return l1, l2
-
-    def trapezoid_links():
-        if kind is SurfaceKind.SPHERE:
-            l1 = 0.5 * (b1[:-1, :] + b1[1:, :]) * R * grid.h1
-            arc = (R * np.sin(grid.coords1) * grid.h2)[:, None]
-            l2 = 0.5 * (b2 + np.roll(b2, -1, axis=1)) * arc
-            return l1, l2
         l1 = 0.5 * (b1 + np.roll(b1, -1, axis=0)) * R * grid.h1
-        if kind is SurfaceKind.RING:
-            return l1.reshape(grid.n1), None
-        l2 = 0.5 * (b2[:, :-1] + b2[:, 1:]) * grid.h2
-        return l1, l2
-
-    l1, l2 = midpoint_links() if analytic is not None else trapezoid_links()
-
-    for lam in gauges:
+        l2 = None if kind is SurfaceKind.RING else 0.5 * (b2[:, :-1] + b2[:, 1:]) * grid.h2
+    for lam in spec.gauges:
         v = lam.grid_values(grid)
         if kind is SurfaceKind.SPHERE:
             l1 = l1 + (v[1:, :] - v[:-1, :])
             l2 = l2 + (np.roll(v, -1, axis=1) - v)
-        elif kind is SurfaceKind.CYLINDER:
-            l1 = l1 + (np.roll(v, -1, axis=0) - v)
-            l2 = l2 + (v[:, 1:] - v[:, :-1])
         else:
-            l1 = l1 + (np.roll(v[:, 0], -1) - v[:, 0])
+            l1 = l1 + (np.roll(v, -1, axis=0) - v)
+            if kind is SurfaceKind.CYLINDER:
+                l2 = l2 + (v[:, 1:] - v[:, :-1])
+    if kind is SurfaceKind.RING:
+        l1 = l1.reshape(grid.n1)
     return {"axis1": l1, "axis2": l2}
 
 
@@ -456,8 +370,19 @@ def _is_number(text: str) -> bool:
         return False
 
 
+def _node_index(coords: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """Index of the grid node at each coordinate in x (uniform coords); -1 where none is."""
+    idx = np.rint((x - coords[0]) / h).astype(int)
+    ok = (idx >= 0) & (idx < len(coords))
+    idx = np.where(ok, idx, 0)
+    return np.where(ok & (np.abs(coords[idx] - x) <= 1e-8), idx, -1)
+
+
 def load_sampled_csv(path, grid: Grid) -> Sampled:
-    """Sampled field from CSV columns (coord1, coord2, A_1, A_2[, A_r]); header mandatory."""
+    """Sampled field from CSV columns (coord1, coord2, A_1, A_2[, A_r]); header mandatory.
+
+    Every grid node must be listed exactly once.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -471,16 +396,14 @@ def load_sampled_csv(path, grid: Grid) -> Sampled:
     if len(rows) != grid.size:
         raise ValueError(f"CSV has {len(rows)} rows, grid needs {grid.size}")
     data = np.array(rows)
-    a1 = np.zeros((grid.n1, grid.n2))
-    a2 = np.zeros((grid.n1, grid.n2))
-    ar = np.zeros((grid.n1, grid.n2)) if has_ar else None
-    for row in data:
-        j = int(np.argmin(np.abs(grid.coords1 - row[0])))
-        k = int(np.argmin(np.abs(grid.coords2 - row[1]))) if grid.n2 > 1 else 0
-        if abs(grid.coords1[j] - row[0]) > 1e-8 or (grid.n2 > 1 and abs(grid.coords2[k] - row[1]) > 1e-8):
-            raise ValueError(f"CSV coordinate ({row[0]}, {row[1]}) is not a grid node")
-        a1[j, k] = row[2]
-        a2[j, k] = row[3]
-        if has_ar:
-            ar[j, k] = row[4]
-    return Sampled(grid=grid, a1=a1, a2=a2, radial_component=ar)
+    j = _node_index(grid.coords1, grid.h1, data[:, 0])
+    k = _node_index(grid.coords2, grid.h2, data[:, 1]) if grid.n2 > 1 else np.zeros_like(j)
+    bad = np.flatnonzero((j < 0) | (k < 0))
+    if bad.size:
+        raise ValueError(f"CSV coordinate ({data[bad[0], 0]}, {data[bad[0], 1]}) is not a grid node")
+    node = j * grid.n2 + k
+    if np.unique(node).size != node.size:
+        raise ValueError("CSV lists a grid node more than once")
+    table = data[np.argsort(node)].reshape(grid.n1, grid.n2, -1)
+    return Sampled(grid=grid, a1=table[..., 2], a2=table[..., 3],
+                   radial_component=table[..., 4] if has_ar else None)

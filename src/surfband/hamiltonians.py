@@ -36,7 +36,7 @@ from .discretize import (
     _stencil_matrix,
     weighted_transpose,
 )
-from .fields import GaugeFieldSpec, Sampled, link_integrals, sample_potential
+from .fields import GaugeFieldSpec, link_integrals, sample_potential
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
 
 PAULI = (
@@ -395,14 +395,7 @@ def zeeman_block(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid,
 
 
 def _cartesian_field(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid):
-    spec = field
-    if isinstance(spec, Sampled) and spec.analytic_base is not None:
-        spec = spec.analytic_base  # exact curl; gradients contribute none
-    if isinstance(spec, Sampled) and spec.base1 is not None:
-        spec = Sampled(grid=spec.grid, a1=spec.base1, a2=spec.base2,
-                       radial_component=spec.radial_component,
-                       radial_derivative=spec.radial_derivative)
-    B1, B2, B3 = fields_mod.sample_magnetic_field(spec, grid)
+    B1, B2, B3 = fields_mod.sample_magnetic_field(field, grid)
     th = grid.coords1[:, None]
     if surface.kind is SurfaceKind.SPHERE:
         ph = grid.coords2[None, :]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .discretize import OperatorMatrix
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec
+from .hamiltonians import link_operator
 
 DEFAULT_NR = 256
 
@@ -115,6 +116,8 @@ def build_radial_operator(p: ShellProblem) -> OperatorMatrix:
     r^s dr measure.  radial_spectrum solves its exact Liouville image; the
     two spectra agree to stencil order.
     """
+    import scipy.sparse as sp
+
     r, h = p.nodes()
     s = p.s_exponent
     c = p.constants
@@ -123,17 +126,14 @@ def build_radial_operator(p: ShellProblem) -> OperatorMatrix:
     faces = np.empty(n + 1)
     faces[:-1] = (r - h / 2) ** s
     faces[-1] = (r[-1] + h / 2) ** s
-    H = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        lo, hi = faces[j], faces[j + 1]
-        H[j, j] = kcoef * (lo + hi) / (r[j] ** s * h**2)
-        if j + 1 < n:
-            H[j, j + 1] = -kcoef * hi / (r[j] ** s * h**2)
-            H[j + 1, j] = -kcoef * hi / (r[j + 1] ** s * h**2)
-    # odd reflection at the walls doubles the wall-face pull
-    H[0, 0] += kcoef * faces[0] / (r[0] ** s * h**2)
-    H[-1, -1] += kcoef * faces[-1] / (r[-1] ** s * h**2)
-    H += np.diag(p.centrifugal(r))
+    # odd reflection at the walls doubles the wall-face pull: the wall face
+    # enters twice on top of its share of the stencil
+    wall = np.zeros(n)
+    wall[0], wall[-1] = 2 * kcoef * faces[0] / h**2, 2 * kcoef * faces[-1] / h**2
+    nodes = np.arange(n - 1)
+    H = link_operator(n, nodes, nodes + 1, kcoef * faces[1:-1] / h**2, diag=wall,
+                      row_scale=1.0 / r**s)
+    H = H + sp.diags_array(p.centrifugal(r))
     weights = r**s * h
     label = (f"H_radial[{p.surface.kind.value} R={p.surface.R:g} d={p.d:g} "
              f"l={p.l} n_r={p.n_r}]")
@@ -195,12 +195,11 @@ def gke_extrapolate(surface: SurfaceSpec, l: int, d_sequence,
 
 def sweep_table(surface: SurfaceSpec, l_values, d_values,
                 constants: PhysicalConstants = PhysicalConstants(),
-                n_r: int = DEFAULT_NR, n: int = 1, max_workers: int = 1) -> list[dict]:
+                n_r: int = DEFAULT_NR, n: int = 1) -> list[dict]:
     """Convergence table rows: d, l, E_raw, E_box, E_surface, shift.
 
     shift is the surface energy minus the naive angular energy, the quantity
-    whose d -> 0 limit is the curvature shift.  Cells are independent; when
-    max_workers > 1 they run in a thread pool.
+    whose d -> 0 limit is the curvature shift.
     """
     cells = [(d, l) for l in l_values for d in d_values]
 
@@ -216,9 +215,4 @@ def sweep_table(surface: SurfaceSpec, l_values, d_values,
         return {"d": d, "l": l, "E_raw": e_raw, "E_box": e_box,
                 "E_surface": e_surface, "shift": e_surface - naive}
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, cells))
     return [one(cell) for cell in cells]

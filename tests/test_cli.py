@@ -53,6 +53,27 @@ class TestParseConfig:
             parse_config(["spectrum", "--config", str(cfile)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("content", [{"n1": "abc"}, [], {"surface": "torus"},
+                                         {"spin": "false"}, {"R": float("nan")}])
+    def test_bad_config_file_exits_2(self, tmp_path, content):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["spectrum", "--config", str(cfile)])
+        assert exc.value.code == 2
+
+    def test_config_file_int_accepted_for_float(self, tmp_path):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"R": 2, "spin": True, "output": None}))
+        cfg = parse_config(["spectrum", "--config", str(cfile)])
+        assert cfg.R == 2 and cfg.spin is True
+
+    @pytest.mark.parametrize("flags", [["--R", "nan"], ["--d", "0.1,inf"]])
+    def test_non_finite_flag_exits_2(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["thin-layer", *flags])
+        assert exc.value.code == 2
+
 
 class TestRun:
     def test_gke_prints_shift(self, tmp_path, capsys):
@@ -120,18 +141,6 @@ class TestRun:
                             "--d", "0.1,0.05", "--output", str(tmp_path / "x.json")])
         assert run(cfg) == 1
         assert "collapses" in capsys.readouterr().err
-
-    def test_thread_cap_env_var_keeps_output(self, tmp_path, monkeypatch):
-        args = ["thin-layer", "--surface", "cylinder", "--R", "1", "--l", "1",
-                "--d", "0.1,0.05,0.025"]
-        out_a, out_b = tmp_path / "serial.json", tmp_path / "pool.json"
-        monkeypatch.setenv("SURFBAND_THREADS", "1")
-        run(parse_config(args + ["--output", str(out_a)]))
-        monkeypatch.setenv("SURFBAND_THREADS", "4")
-        run(parse_config(args + ["--output", str(out_b)]))
-        a = json.loads(out_a.read_text())["diagnostics"]["table"]
-        b = json.loads(out_b.read_text())["diagnostics"]["table"]
-        assert a == b
 
     def test_exact_extrapolation_report_is_valid_json(self, tmp_path):
         # l = 0 on the sphere is a flat box: every surface energy is exactly 0,

@@ -112,7 +112,7 @@ class TestAddGauge:
         g = build_grid(surf, 16)
         lam = GaugeFunction.from_callable(lambda t, z: 1.0, g)
         shifted = add_gauge(zero_field(), lam, g)
-        np.testing.assert_allclose(shifted.a1, 0, atol=1e-14)
+        np.testing.assert_allclose(sample_potential(shifted, g)[0], 0, atol=1e-14)
 
     def test_curl_grad_vanishes(self):
         # the two directional stencils commute on the tensor grid, so the
@@ -143,7 +143,7 @@ class TestAddGauge:
         minus = GaugeFunction(-lam.values, "-lambda")
         spec = add_gauge(add_gauge(UniformAxial(B=1.0), lam, g), minus, g)
         base1, _ = sample_potential(UniformAxial(B=1.0), g)
-        np.testing.assert_allclose(spec.a1, base1, atol=1e-13)
+        np.testing.assert_allclose(sample_potential(spec, g)[0], base1, atol=1e-13)
         # attached increments cancel exactly in the link integrals
         li = link_integrals(spec, g)
         li0 = link_integrals(UniformAxial(B=1.0), g)
@@ -157,7 +157,37 @@ class TestAddGauge:
         lam_b = GaugeFunction(rng.standard_normal((24, 1)), "b")
         ab = add_gauge(add_gauge(zero_field(), lam_a, g), lam_b, g)
         ba = add_gauge(add_gauge(zero_field(), lam_b, g), lam_a, g)
-        np.testing.assert_allclose(ab.a1, ba.a1, atol=1e-13)
+        np.testing.assert_allclose(sample_potential(ab, g)[0], sample_potential(ba, g)[0], atol=1e-13)
+
+
+class TestLinkIntegrals:
+    # each analytic base is constant along the links it runs along, so the
+    # link integrals are closed forms
+    def test_uniform_axial_cylinder_theta_links(self):
+        B, R = 1.7, 1.3
+        g = build_grid(cylinder(R, 2.0), 11, 6)
+        li = link_integrals(UniformAxial(B=B), g)
+        np.testing.assert_allclose(li["axis1"], B * R**2 * g.h1 / 2, rtol=1e-15, atol=0)
+        assert not li["axis2"].any()
+
+    def test_uniform_axial_sphere_phi_links(self):
+        B, R = 1.7, 1.3
+        g = build_grid(sphere(R), 9, 7)
+        li = link_integrals(UniformAxial(B=B), g)
+        closed = B * R**2 * np.sin(g.coords1)[:, None] ** 2 * g.h2 / 2
+        np.testing.assert_allclose(li["axis2"], np.broadcast_to(closed, (9, 7)), rtol=1e-15, atol=0)
+        assert not li["axis1"].any()
+
+    @pytest.mark.parametrize("surf, n2, axis", [(cylinder(1.3, 2.0), 6, "axis1"),
+                                                (sphere(1.3), 7, "axis2")])
+    def test_flux_line_azimuthal_links(self, surf, n2, axis):
+        Phi = -2.3
+        g = build_grid(surf, 9, n2)
+        li = link_integrals(ABFlux(Phi=Phi), g)
+        h = g.h1 if axis == "axis1" else g.h2
+        np.testing.assert_allclose(li[axis], Phi * h / (2 * np.pi), rtol=1e-15, atol=0)
+        other = li["axis2" if axis == "axis1" else "axis1"]
+        assert not other.any()
 
 
 class TestSampledEvaluation:
@@ -167,6 +197,12 @@ class TestSampledEvaluation:
         spec = Sampled(grid=g, a1=vals, a2=np.zeros((8, 1)))
         a1, a2 = eval_potential(spec, g.surface, (g.coords1[3],))
         assert a1 == 3.0 and a2 == 0.0
+
+    def test_gauged_analytic_field_needs_a_grid(self):
+        g = build_grid(ring(1.0), 8)
+        lam = GaugeFunction.from_callable(lambda t, z: np.sin(t), g)
+        with pytest.raises(ValueError, match="sample_potential"):
+            eval_potential(add_gauge(UniformAxial(B=1.0), lam, g), g.surface, (g.coords1[3],))
 
     def test_eval_off_node_rejected(self):
         g = build_grid(ring(1.0), 8)
@@ -195,8 +231,8 @@ class TestMaterialize:
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t), g)
         shifted = add_gauge(UniformAxial(B=1.0), lam, g)
         plain = materialize(shifted, g)
-        assert plain.gauge_terms == ()
-        np.testing.assert_allclose(plain.a1, shifted.a1)
+        assert plain.gauges == ()
+        np.testing.assert_allclose(plain.a1, sample_potential(shifted, g)[0])
 
 
 class TestCsvLoading:
@@ -232,6 +268,16 @@ class TestCsvLoading:
         rows += [f"{0.123 + j},0.0,1.0,0.0" for j in range(4)]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="grid node"):
+            load_sampled_csv(path, g)
+
+    def test_node_listed_twice_rejected(self, tmp_path):
+        g = build_grid(cylinder(1.0, 1.0), 3, 3)
+        nodes = [(t, z) for t in g.coords1 for z in g.coords2]
+        nodes[4] = nodes[3]  # node 3 twice, node 4 missing
+        path = tmp_path / "dup.csv"
+        path.write_text("coord1,coord2,A_1,A_2\n"
+                        + "".join(f"{t:.17g},{z:.17g},1.0,0.0\n" for t, z in nodes))
+        with pytest.raises(ValueError, match="more than once"):
             load_sampled_csv(path, g)
 
     def test_non_finite_samples_rejected(self):
