@@ -40,13 +40,7 @@ from .fields import (
 from .hamiltonians import (
     HamiltonianRequest,
     build_hamiltonian,
-    free_cylinder,
-    free_ring,
-    free_sphere,
     hermitian_radial_momentum,
-    magnetic_cylinder,
-    magnetic_sphere,
-    pragmatic_cylinder,
     zeeman_block,
 )
 from .analysis import (

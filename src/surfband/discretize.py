@@ -241,11 +241,20 @@ def _dirichlet_d1(n: int, h: float):
     return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), False)
 
 
-def _sphere_polar_d1(n1: int, n2: int, h: float, parity: int = 1):
-    """Centered polar derivative with pole crossing (theta -> -theta, phi -> phi+pi).
+def _open_d1(n: int, h: float):
+    """Centered first derivative with one-sided second-order end rows."""
+    inner = np.arange(1, n - 1)
+    rows = np.concatenate([inner, inner, [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([inner - 1, inner + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
+    vals = np.concatenate([np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h),
+                           np.array([-1.5, 2.0, -0.5, 1.5, -2.0, 0.5]) / h])
+    return sparse_from(n, rows, cols, vals)
 
-    parity is +1 for scalars and -1 for tangential vector components, whose
-    sign flips across the pole.  Falls back to one-sided rows when n2 is odd.
+
+def _sphere_polar_d1(n1: int, n2: int, h: float):
+    """Centered polar derivative of a scalar with pole crossing (theta -> -theta, phi -> phi+pi).
+
+    Falls back to one-sided rows when n2 is odd.
     """
     half = n2 // 2
     j, k = np.divmod(np.arange(n1 * n2), n2)
@@ -257,7 +266,7 @@ def _sphere_polar_d1(n1: int, n2: int, h: float, parity: int = 1):
             jj = np.where(jj < 0, -1 - jj, np.where(jj >= n1, 2 * n1 - 1 - jj, jj))
             rows.append(j * n2 + k)
             cols.append(jj * n2 + np.where(crossed, (k + half) % n2, k))
-            vals.append(np.where(crossed, parity * cc, cc))
+            vals.append(np.full(j.size, cc))
         return sparse_from(n1 * n2, np.concatenate(rows), np.concatenate(cols),
                            np.concatenate(vals))
     # one-sided 2nd-order rows at the first and last polar rings
@@ -285,6 +294,31 @@ def _kron_axis2(block, n1: int):
     import scipy.sparse as sp
 
     return sp.kron(sp.eye_array(n1), block, format="csr")
+
+
+def tangential_gradient(grid: Grid, z_d1) -> tuple:
+    """Sparse physical tangential gradient (G1, G2) acting on flat node data.
+
+    G1 = (1/R) d/dtheta on every surface.  G2 is d/dz on the cylinder,
+    (1/(R sin theta)) d/dphi on the sphere and None on the ring.  Interior
+    rows are centered second order; sphere polar rows cross the pole (see
+    _sphere_polar_d1 for odd n2).  z_d1
+    builds the cylinder z stencil: _open_d1 (one-sided wall rows) for field
+    and gauge data, which need not vanish at the walls, or _dirichlet_d1
+    (truncated, exactly skew) for operators.
+    """
+    import scipy.sparse as sp
+
+    R = grid.surface.R
+    kind = grid.surface.kind
+    if kind is SurfaceKind.SPHERE:
+        inv_rs = 1.0 / (R * np.repeat(np.sin(grid.coords1), grid.n2))
+        Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2), grid.n1)
+        return _sphere_polar_d1(grid.n1, grid.n2, grid.h1) / R, sp.diags_array(inv_rs) @ Dph
+    if kind is SurfaceKind.RING:
+        return _periodic_d1(grid.n1, grid.h1, 2) / R, None
+    return (_kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2) / R,
+            _kron_axis2(z_d1(grid.n2, grid.h2), grid.n1))
 
 
 def periodic_derivative(grid: Grid, axis: int, order: int = 2) -> OperatorMatrix:
@@ -328,7 +362,7 @@ def periodic_second_derivative(grid: Grid, axis: int, order: int = 2) -> Operato
         if kind is SurfaceKind.SPHERE:
             raise ValueError(
                 "the sphere polar second derivative is assembled in divergence "
-                "form by the Hamiltonian builders"
+                "form by build_hamiltonian"
             )
         D = _periodic_d2(grid.n1, grid.h1, order)
         A = D if kind is SurfaceKind.RING else _kron_axis1(D, grid.n2)

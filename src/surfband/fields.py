@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import Grid, _kron_axis1, _kron_axis2, _periodic_d1, _sphere_polar_d1, sparse_from
+from .discretize import Grid, _open_d1, tangential_gradient
 from .geometry import SurfaceKind, SurfaceSpec
 
 
@@ -30,10 +30,10 @@ class GaugeFunction:
         c1 = grid.coords1
         c2 = grid.coords2
         vals = np.array([[fn(a, b) for b in c2] for a in c1], dtype=float)
-        # seam check on the periodic coordinate rejects lambda ~ theta
+        # seam check at every node of the seam rejects lambda ~ theta
         kind = grid.surface.kind
         probe = c1 if kind is SurfaceKind.SPHERE else c2
-        for p in probe[: min(len(probe), 4)]:
+        for p in probe:
             if kind is SurfaceKind.SPHERE:
                 a, b = fn(p, 0.0), fn(p, 2 * np.pi)
             else:
@@ -54,7 +54,7 @@ class GaugeFieldSpec:
     functions lambda added by add_gauge; every sample, link integral and
     curl is derived from these two.  radial_component / radial_derivative
     hold on-surface samples (or constants) of A_r and dA_r/dr for the
-    pragmatic builder; correct surface Hamiltonians ignore them by
+    pragmatic variant; correct surface Hamiltonians ignore them by
     construction.
     """
 
@@ -142,21 +142,15 @@ def eval_potential(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
     gauge-shifted analytic field has no grid to take the gradient on:
     sample it with sample_potential instead.
     """
-    c1 = float(point[0])
-    c2 = float(point[1]) if len(point) > 1 else 0.0
     if isinstance(spec, Sampled):
-        g = spec.grid
-        j = int(_node_index(g.coords1, g.h1, c1))
-        k = int(_node_index(g.coords2, g.h2, c2)) if g.n2 > 1 else 0
-        if j < 0 or k < 0:
-            raise ValueError("sampled field can only be evaluated at grid nodes")
-        a1, a2 = sample_potential(spec, g)
+        j, k = _node_of(spec.grid, point)
+        a1, a2 = sample_potential(spec, spec.grid)
         out = (float(a1[j, k]), float(a2[j, k]))
     elif spec.gauges:
         raise ValueError("a gauge-shifted analytic field has no grid; "
                          "evaluate it at the nodes with sample_potential(field, grid)")
     else:
-        out = tuple(float(a) for a in _analytic_components(spec, surface, c1))
+        out = tuple(float(a) for a in _analytic_components(spec, surface, float(point[0])))
     if spec.radial_component is not None:
         ar = np.asarray(spec.radial_component, dtype=float)
         if ar.ndim == 0:
@@ -191,9 +185,10 @@ def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.n
 def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point, grid: Grid = None) -> tuple:
     """curl A in the local curvilinear frame: (B_r, B_theta, B_z) or (B_r, B_theta, B_phi).
 
-    Analytic specs use closed forms.  Sampled specs use the grid stencils;
-    radial derivatives that cannot be formed from surface data are taken from
-    the supplied dA_r/dr samples or dropped.  Attached gauges have no curl.
+    Analytic specs use closed forms.  Sampled specs use the grid stencils
+    and, like eval_potential, take only grid nodes as points; radial
+    derivatives that cannot be formed from surface data are taken from the
+    supplied dA_r/dr samples or dropped.  Attached gauges have no curl.
     """
     if isinstance(spec, UniformAxial):
         if surface.kind is SurfaceKind.SPHERE:
@@ -207,9 +202,8 @@ def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point, grid: G
     g = spec.grid if isinstance(spec, Sampled) else grid
     if g is None:
         raise ValueError("sampled fields need their grid to evaluate curl")
+    j, k = _node_of(g, point)
     B1, B2, B3 = sample_magnetic_field(spec, g)
-    j = int(np.argmin(np.abs(g.coords1 - float(point[0]))))
-    k = int(np.argmin(np.abs(g.coords2 - (float(point[1]) if len(point) > 1 else 0.0)))) if g.n2 > 1 else 0
     return (float(B1[j, k]), float(B2[j, k]), float(B3[j, k]))
 
 
@@ -218,33 +212,22 @@ def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
     """Stencil curl restricted to surface data.
 
     Radial derivatives unavailable on the surface are closed with the
-    r-independent-extension convention d/dr(r A_t) = A_t.
+    r-independent-extension convention d/dr(r A_t) = A_t.  Cylinder wall
+    rows are one-sided: field data is not Dirichlet.
     """
-    surface = grid.surface
     shape = (grid.n1, grid.n2)
-    R = surface.R
-    flat = lambda a: a.ravel()
-    to2 = lambda v: v.reshape(shape)
-    if surface.kind is SurfaceKind.SPHERE:
+    R = grid.surface.R
+    G1, G2 = tangential_gradient(grid, _open_d1)
+    d1 = lambda a: (G1 @ a.ravel()).reshape(shape)
+    d2 = lambda a: (G2 @ a.ravel()).reshape(shape)
+    kind = grid.surface.kind
+    if kind is SurfaceKind.SPHERE:
         s = np.sin(grid.coords1)[:, None]
-        Dth = _sphere_polar_d1(grid.n1, grid.n2, grid.h1)  # scalar parity
-        Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2), grid.n1)
         # s*A_phi is parity-even across the pole, so the scalar stencil applies
-        Br = (to2(Dth @ flat(s * a2)) - to2(Dph @ flat(a1))) / (R * s)
-        Bth = to2(Dph @ flat(ar)) / (R * s) - a2 / R
-        Bph = a1 / R - to2(Dth @ flat(ar)) / R
-        return (Br, Bth, Bph)
-    if surface.kind is SurfaceKind.CYLINDER:
-        Dth = _kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2)
-        # one-sided rows at the walls: field data is not Dirichlet
-        DzF = _kron_axis2(_open_d1(grid.n2, grid.h2), grid.n1)
-        Br = to2(Dth @ flat(a2)) / R - to2(DzF @ flat(a1))
-        Bth = to2(DzF @ flat(ar))
-        Bz = a1 / R - to2(Dth @ flat(ar)) / R
-        return (Br, Bth, Bz)
-    Dth = _periodic_d1(grid.n1, grid.h1, 2)
-    Bz = a1 / R - (Dth @ ar.ravel()).reshape(shape) / R
-    return (np.zeros(shape), np.zeros(shape), Bz)
+        return (d1(s * a2) / s - d2(a1), d2(ar) - a2 / R, a1 / R - d1(ar))
+    if kind is SurfaceKind.CYLINDER:
+        return (d1(a2) - d2(a1), d2(ar), a1 / R - d1(ar))
+    return (np.zeros(shape), np.zeros(shape), a1 / R - d1(ar))
 
 
 def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -270,47 +253,24 @@ def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray,
     return _curl_of_samples(grid, a1, a2, ar)
 
 
-def _open_d1(n: int, h: float):
-    """Centered first derivative with one-sided second-order end rows."""
-    inner = np.arange(1, n - 1)
-    rows = np.concatenate([inner, inner, [0, 0, 0, n - 1, n - 1, n - 1]])
-    cols = np.concatenate([inner - 1, inner + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
-    vals = np.concatenate([np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h),
-                           np.array([-1.5, 2.0, -0.5, 1.5, -2.0, 0.5]) / h])
-    return sparse_from(n, rows, cols, vals)
-
-
-def surface_gradient(lam: GaugeFunction, surface: SurfaceSpec, grid: Grid,
-                     order: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def surface_gradient(lam: GaugeFunction, surface: SurfaceSpec,
+                     grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Tangential gradient of a gauge function, physical components.
 
-    Uses the same azimuthal stencils as the operator assembly; the cylinder
-    z edge rows are one-sided (gauge data does not vanish at the walls).
+    Uses the operator assembly's stencils, except that the cylinder z wall
+    rows are one-sided (gauge data does not vanish at the walls).
     """
-    v = lam.grid_values(grid)
-    R = surface.R
+    v = lam.grid_values(grid).ravel()
     shape = (grid.n1, grid.n2)
-    if surface.kind is SurfaceKind.RING:
-        D = _periodic_d1(grid.n1, grid.h1, order)
-        return ((D @ v.ravel()).reshape(shape) / R, np.zeros(shape))
-    if surface.kind is SurfaceKind.CYLINDER:
-        Dth = _kron_axis1(_periodic_d1(grid.n1, grid.h1, order), grid.n2)
-        Dz = _kron_axis2(_open_d1(grid.n2, grid.h2), grid.n1)
-        g1 = (Dth @ v.ravel()).reshape(shape) / R
-        g2 = (Dz @ v.ravel()).reshape(shape)
-        return (g1, g2)
-    s = np.sin(grid.coords1)[:, None]
-    Dth = _sphere_polar_d1(grid.n1, grid.n2, grid.h1)
-    Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, order), grid.n1)
-    g1 = (Dth @ v.ravel()).reshape(shape) / R
-    g2 = (Dph @ v.ravel()).reshape(shape) / (R * s)
-    return (g1, g2)
+    G1, G2 = tangential_gradient(grid, _open_d1)
+    g2 = np.zeros(shape) if G2 is None else (G2 @ v).reshape(shape)
+    return (G1 @ v).reshape(shape), g2
 
 
 def add_gauge(spec: GaugeFieldSpec, lam: GaugeFunction, grid: Grid) -> GaugeFieldSpec:
     """A <- A + grad(lambda): the same field with lam attached; nothing is sampled.
 
-    Operator builders apply lam as exact per-link increments
+    build_hamiltonian applies lam as exact per-link increments
     (link_integrals); sample_potential adds its stencil gradient to the
     materialized samples.
     """
@@ -376,6 +336,16 @@ def _node_index(coords: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     ok = (idx >= 0) & (idx < len(coords))
     idx = np.where(ok, idx, 0)
     return np.where(ok & (np.abs(coords[idx] - x) <= 1e-8), idx, -1)
+
+
+def _node_of(grid: Grid, point) -> tuple[int, int]:
+    """(j, k) of the grid node at a surface point; ValueError when the point is not a node."""
+    c2 = float(point[1]) if len(point) > 1 else 0.0
+    j = int(_node_index(grid.coords1, grid.h1, float(point[0])))
+    k = int(_node_index(grid.coords2, grid.h2, c2)) if grid.n2 > 1 else 0
+    if j < 0 or k < 0:
+        raise ValueError("sampled field can only be evaluated at grid nodes")
+    return j, k
 
 
 def load_sampled_csv(path, grid: Grid) -> Sampled:

@@ -29,11 +29,8 @@ from .discretize import (
     Grid,
     OperatorMatrix,
     _dirichlet_d1,
-    _kron_axis1,
-    _kron_axis2,
-    _periodic_d1,
-    _sphere_polar_d1,
     _stencil_matrix,
+    tangential_gradient,
     weighted_transpose,
 )
 from .fields import GaugeFieldSpec, link_integrals, sample_potential
@@ -48,6 +45,14 @@ PAULI = (
 
 @dataclass(frozen=True)
 class HamiltonianRequest:
+    """One surface operator to assemble; unsupported combinations raise ValueError here.
+
+    Supported: any surface with or without a field in the correct variant;
+    the pragmatic variant only on the ring or cylinder and only with a field;
+    stencil order 4 only without a field, on the ring or on a sphere with an
+    even azimuthal count.
+    """
+
     surface: SurfaceSpec
     grid: Grid
     field: GaugeFieldSpec | None = None
@@ -64,10 +69,21 @@ class HamiltonianRequest:
             raise ValueError(f"unknown coupling {self.coupling!r}")
         if self.order not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
-        if self.variant == "pragmatic" and self.field is None:
-            raise ValueError("pragmatic variant requires a field")
         if self.grid.surface != self.surface:
             raise ValueError("grid was built for a different surface")
+        kind = self.surface.kind
+        if self.variant == "pragmatic":
+            if self.field is None:
+                raise ValueError("pragmatic variant requires a field")
+            if kind is SurfaceKind.SPHERE:
+                raise ValueError("the pragmatic variant is defined on the ring and cylinder")
+        if self.order == 4:
+            if self.field is not None:
+                raise ValueError("operators with a field support stencil order 2 only")
+            if kind is SurfaceKind.CYLINDER:
+                raise ValueError("cylinder operators support stencil order 2 only")
+            if kind is SurfaceKind.SPHERE and self.grid.n2 % 2:
+                raise ValueError("order-4 sphere assembly requires an even azimuthal count")
 
 
 def _label(req: HamiltonianRequest, name: str) -> str:
@@ -148,15 +164,15 @@ def _periodic_links(grid: Grid, axis: int, c, order: int, phases=None, diag=None
                          np.concatenate([c * 4 / 3, c * -1 / 12]), diag=diag)
 
 
-def _cylinder_links(req: HamiltonianRequest, phases=None, diag=None):
-    """Kinetic stencils on the ring/cylinder with optional link phases.
+def _cylinder_links(req: HamiltonianRequest, phases, diag=None):
+    """Kinetic stencils on the ring/cylinder with link phases (p1, p2), either may be None.
 
     The z axis closes with odd-reflected wall ghosts: a wall node has one z
     link, and its diagonal gains 2 cz (the missing link plus the ghost).
     """
     grid, c = req.grid, req.constants
     ct = c.hbar**2 / (2 * c.mass * grid.surface.R**2 * grid.h1**2)
-    p1, p2 = phases if phases is not None else (None, None)
+    p1, p2 = phases
     H = _periodic_links(grid, 0, ct, req.order, p1, diag)
     if grid.surface.kind is SurfaceKind.CYLINDER:
         cz = c.hbar**2 / (2 * c.mass * grid.h2**2)
@@ -193,7 +209,7 @@ def _sphere_theta(grid: Grid, kappa: float, order: int, phases=None):
     with pole crossing (theta -> -theta, phi -> phi + pi), assembled as the
     links of G^T diag(s~) G, and its first and last interior faces carry the
     +h/12 end correction that cancels the O(h^2) pole defect of the gradient
-    quadrature; it requires even n2.
+    quadrature; it requires even n2 (checked by HamiltonianRequest).
     """
     n1, n2, h = grid.n1, grid.n2, grid.h1
     m = _sphere_measure(grid, order)
@@ -203,8 +219,6 @@ def _sphere_theta(grid: Grid, kappa: float, order: int, phases=None):
         i, j = _grid_links(grid, 0)
         c = kappa * np.repeat(sface[1:n1], n2) / h**2
         return link_operator(grid.size, i, j, c, phases, row_scale=rows)
-    if n2 % 2 != 0:
-        raise ValueError("order-4 sphere assembly requires an even azimuthal count")
     stld = sface.copy()
     stld[1] += h / 12
     stld[n1 - 1] += h / 12
@@ -242,101 +256,49 @@ def _sphere_weights(grid: Grid, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# free builders
+# the builder
 # ---------------------------------------------------------------------------
 
-def free_ring(req: HamiltonianRequest) -> OperatorMatrix:
-    """H = -(hbar^2/2mR^2) d2/dtheta2 - hbar^2/(8mR^2)."""
-    _expect(req, SurfaceKind.RING, field_allowed=False)
-    gke = np.full(req.grid.size, geometric_kinetic_energy(req.surface, req.constants))
-    return _finish(req, _cylinder_links(req, diag=gke), req.grid.weights, "H_free")
+def build_hamiltonian(req: HamiltonianRequest) -> OperatorMatrix:
+    """Assemble the request's operator: kinetic links plus diagonals, then spin.
 
-
-def free_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
-    """H = -(hbar^2/2m)[(1/R^2) d2/dtheta2 + d2/dz2] - hbar^2/(8mR^2)."""
-    _expect(req, SurfaceKind.CYLINDER, field_allowed=False)
-    if req.order != 2:
-        raise ValueError("cylinder builders support stencil order 2")
-    gke = np.full(req.grid.size, geometric_kinetic_energy(req.surface, req.constants))
-    return _finish(req, _cylinder_links(req, diag=gke), req.grid.weights, "H_free")
-
-
-def free_sphere(req: HamiltonianRequest) -> OperatorMatrix:
-    """H = -(hbar^2/2m) Laplace-Beltrami on the sphere; no curvature shift."""
-    _expect(req, SurfaceKind.SPHERE, field_allowed=False)
-    c = req.constants
-    kappa = c.hbar**2 / (2 * c.mass * req.surface.R**2)
-    H = _sphere_theta(req.grid, kappa, req.order) + _sphere_phi(req.grid, kappa, req.order)
-    return _finish(req, H, _sphere_weights(req.grid, req.order), "H_free")
-
-
-# ---------------------------------------------------------------------------
-# magnetic builders
-# ---------------------------------------------------------------------------
-
-def magnetic_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
-    """Gauge-covariant H on the cylinder (or its z-frozen ring section).
-
-    H = (1/2m)[(D'_theta)^2 + (D'_z)^2] - hbar^2/(8mR^2) + Zeeman, with the
-    covariant derivatives realized per the request's coupling mode.  The
-    matrix never references A_r.
-    """
-    if req.surface.kind not in (SurfaceKind.RING, SurfaceKind.CYLINDER):
-        raise ValueError("magnetic_cylinder needs a ring or cylinder surface")
-    _require_field(req)
-    if req.order != 2:
-        raise ValueError("magnetic builders support stencil order 2")
-    grid, c = req.grid, req.constants
-    gke = np.full(grid.size, geometric_kinetic_energy(req.surface, c))
-    if req.coupling == "peierls":
-        links = link_integrals(req.field, grid)
-        e_h = c.charge / c.hbar
-        p2 = None if links["axis2"] is None else e_h * links["axis2"]
-        H = _cylinder_links(req, (e_h * links["axis1"], p2), gke)
-    else:
-        H = _cylinder_links(req, diag=gke) + _expanded_tangential(req, include_radial=False)
-    return _finish(req, H, grid.weights, "H_correct")
-
-
-def magnetic_sphere(req: HamiltonianRequest) -> OperatorMatrix:
-    """Gauge-covariant H on the sphere: (1/2m)[(D'_theta)^2 + (D'_phi)^2] + Zeeman."""
-    _expect(req, SurfaceKind.SPHERE, field_allowed=True)
-    _require_field(req)
-    if req.order != 2:
-        raise ValueError("magnetic builders support stencil order 2")
-    grid, c = req.grid, req.constants
-    kappa = c.hbar**2 / (2 * c.mass * grid.surface.R**2)
-    if req.coupling == "peierls":
-        links = link_integrals(req.field, grid)
-        e_h = c.charge / c.hbar
-        H = (_sphere_theta(grid, kappa, 2, e_h * links["axis1"])
-             + _sphere_phi(grid, kappa, 2, e_h * links["axis2"]))
-    else:
-        H = _sphere_theta(grid, kappa, 2) + _sphere_phi(grid, kappa, 2)
-        H = H + _expanded_tangential(req, include_radial=False)
-    return _finish(req, H, _sphere_weights(grid, 2), "H_correct")
-
-
-def pragmatic_cylinder(req: HamiltonianRequest) -> OperatorMatrix:
-    """Surface-restricted operator obtained by deleting d/dr and setting r=R.
-
-    Keeps the i(hbar e/2m)(A_r/R + dA_r/dr) diagonal, which is anti-Hermitian,
-    and omits the curvature energy shift.  dA_r/dr must be supplied as
-    on-surface samples; the surface grid cannot differentiate radially.
+    Free (no field):  -(hbar^2/2m) Laplace-Beltrami plus the curvature shift
+    -hbar^2/(8mR^2) on the ring and cylinder (zero on the sphere).
+    Correct (field):  (1/2m)[(D'_1)^2 + (D'_2)^2] plus the same shift, with
+    the covariant derivatives realized per the coupling; the matrix never
+    references A_r.  With spin, the Zeeman block is added.
+    Pragmatic:  the surface-restricted operator obtained by deleting d/dr
+    and setting r = R.  It keeps the i(hbar e/2m)(A_r/R + dA_r/dr) diagonal,
+    which is anti-Hermitian, and omits the curvature shift; dA_r/dr must be
+    supplied as on-surface samples.
     """
     import scipy.sparse as sp
 
-    if req.surface.kind not in (SurfaceKind.RING, SurfaceKind.CYLINDER):
-        raise ValueError("the pragmatic variant is defined on the ring and cylinder")
-    _require_field(req)
-    if req.order != 2:
-        raise ValueError("pragmatic builder supports stencil order 2")
     grid, c = req.grid, req.constants
-    H = _cylinder_links(req) + _expanded_tangential(req, include_radial=True)
-    ar, dar = fields_mod._radial_samples(req.field, grid)
-    R = grid.surface.R
-    H = H + sp.diags_array(1j * (c.hbar * c.charge / (2 * c.mass)) * (ar / R + dar).ravel())
-    return _finish(req, H, grid.weights, "H_pragmatic")
+    correct = req.variant == "correct"
+    peierls = req.field is not None and correct and req.coupling == "peierls"
+    phases = (None, None)
+    if peierls:
+        links = link_integrals(req.field, grid)
+        e_h = c.charge / c.hbar
+        phases = tuple(None if l is None else e_h * l for l in (links["axis1"], links["axis2"]))
+    if grid.surface.kind is SurfaceKind.SPHERE:
+        kappa = c.hbar**2 / (2 * c.mass * grid.surface.R**2)
+        H = (_sphere_theta(grid, kappa, req.order, phases[0])
+             + _sphere_phi(grid, kappa, req.order, phases[1]))
+        weights = _sphere_weights(grid, req.order)
+    else:
+        gke = np.full(grid.size, geometric_kinetic_energy(req.surface, c)) if correct else None
+        H = _cylinder_links(req, phases, gke)
+        weights = grid.weights
+    if req.field is not None and not peierls:
+        H = H + _expanded_tangential(req, include_radial=not correct)
+    if not correct:
+        ar, dar = fields_mod._radial_samples(req.field, grid)
+        R = grid.surface.R
+        H = H + sp.diags_array(1j * (c.hbar * c.charge / (2 * c.mass)) * (ar / R + dar).ravel())
+    name = "H_free" if req.field is None else "H_correct" if correct else "H_pragmatic"
+    return _finish(req, H, weights, name)
 
 
 def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
@@ -348,20 +310,9 @@ def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
     import scipy.sparse as sp
 
     grid, c = req.grid, req.constants
-    R = grid.surface.R
     a1, a2 = sample_potential(req.field, grid)
-    kind = grid.surface.kind
-    Gs = []
-    if kind is SurfaceKind.SPHERE:
-        Gs.append((a1, _sphere_polar_d1(grid.n1, grid.n2, grid.h1) / R))
-        inv_rs = 1.0 / (R * np.repeat(np.sin(grid.coords1), grid.n2))
-        Gs.append((a2, sp.diags_array(inv_rs) @ _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2),
-                                                            grid.n1)))
-    elif kind is SurfaceKind.CYLINDER:
-        Gs.append((a1, _kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2) / R))
-        Gs.append((a2, _kron_axis2(_dirichlet_d1(grid.n2, grid.h2), grid.n1)))
-    else:
-        Gs.append((a1, _periodic_d1(grid.n1, grid.h1, 2) / R))
+    G1, G2 = tangential_gradient(grid, _dirichlet_d1)
+    Gs = [(a1, G1)] if G2 is None else [(a1, G1), (a2, G2)]
     diam = a1**2 + a2**2
     if include_radial:
         ar, _ = fields_mod._radial_samples(req.field, grid)
@@ -414,37 +365,8 @@ def _cartesian_field(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid):
 
 
 # ---------------------------------------------------------------------------
-# dispatch and shared finishing
+# shared finishing
 # ---------------------------------------------------------------------------
-
-def build_hamiltonian(req: HamiltonianRequest) -> OperatorMatrix:
-    """Route a request to the matching builder."""
-    if req.variant == "pragmatic":
-        return pragmatic_cylinder(req)
-    if req.field is None:
-        if req.surface.kind is SurfaceKind.RING:
-            return free_ring(req)
-        if req.surface.kind is SurfaceKind.CYLINDER:
-            return free_cylinder(req)
-        return free_sphere(req)
-    if req.surface.kind is SurfaceKind.SPHERE:
-        return magnetic_sphere(req)
-    return magnetic_cylinder(req)
-
-
-def _expect(req: HamiltonianRequest, kind: SurfaceKind, field_allowed: bool):
-    if req.surface.kind is not kind:
-        raise ValueError(f"builder expects a {kind.value}, got {req.surface.kind.value}")
-    if not field_allowed and req.field is not None:
-        raise ValueError("free builders take no field; use the magnetic builders")
-    if req.variant != "correct":
-        raise ValueError("free/magnetic builders assemble the correct variant")
-
-
-def _require_field(req: HamiltonianRequest):
-    if req.field is None:
-        raise ValueError("magnetic builder requires a field (use Phi=0 or B=0 for none)")
-
 
 def _finish(req: HamiltonianRequest, H, weights: np.ndarray, name: str) -> OperatorMatrix:
     import scipy.sparse as sp

@@ -150,6 +150,12 @@ def effective_surface_energy(p: ShellProblem, n: int = 1) -> float:
     return float(radial_spectrum(p, n)[n - 1] - box_energy(p, n))
 
 
+def _naive_angular_energy(surface: SurfaceSpec, l: int, c: PhysicalConstants) -> float:
+    """hbar^2 l(l+1)/(2 m R^2) on the sphere, hbar^2 l^2/(2 m R^2) on the ring/cylinder."""
+    pref = c.hbar**2 / (2 * c.mass * surface.R**2)
+    return pref * (l * (l + 1) if surface.kind is SurfaceKind.SPHERE else l * l)
+
+
 def _neville_limit(ds: np.ndarray, vals: np.ndarray) -> float:
     # polynomial extrapolation in d^2 (the expansion is even in d)
     x = ds**2
@@ -176,9 +182,7 @@ def gke_extrapolate(surface: SurfaceSpec, l: int, d_sequence,
         raise ValueError("need at least 3 decreasing d values")
     if not np.all(np.diff(ds) < 0):
         raise ValueError("non-monotone sequence rejected")
-    R = surface.R
-    pref = constants.hbar**2 / (2 * constants.mass * R**2)
-    naive = pref * (l * (l + 1) if surface.kind is SurfaceKind.SPHERE else l * l)
+    naive = _naive_angular_energy(surface, l, constants)
     vals = np.array([
         effective_surface_energy(ShellProblem(surface, d, l, n_r, constants)) - naive
         for d in ds
@@ -201,18 +205,14 @@ def sweep_table(surface: SurfaceSpec, l_values, d_values,
     shift is the surface energy minus the naive angular energy, the quantity
     whose d -> 0 limit is the curvature shift.
     """
-    cells = [(d, l) for l in l_values for d in d_values]
-
-    def one(cell):
-        d, l = cell
-        p = ShellProblem(surface, d, l, n_r, constants)
-        e_raw = float(radial_spectrum(p, n)[n - 1])
-        e_box = box_energy(p, n)
-        e_surface = e_raw - e_box
-        R = surface.R
-        pref = constants.hbar**2 / (2 * constants.mass * R**2)
-        naive = pref * (l * (l + 1) if surface.kind is SurfaceKind.SPHERE else l * l)
-        return {"d": d, "l": l, "E_raw": e_raw, "E_box": e_box,
-                "E_surface": e_surface, "shift": e_surface - naive}
-
-    return [one(cell) for cell in cells]
+    rows = []
+    for l in l_values:
+        naive = _naive_angular_energy(surface, l, constants)
+        for d in d_values:
+            p = ShellProblem(surface, d, l, n_r, constants)
+            e_raw = float(radial_spectrum(p, n)[n - 1])
+            e_box = box_energy(p, n)
+            e_surface = e_raw - e_box
+            rows.append({"d": d, "l": l, "E_raw": e_raw, "E_box": e_box,
+                         "E_surface": e_surface, "shift": e_surface - naive})
+    return rows

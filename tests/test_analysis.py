@@ -13,7 +13,7 @@ from surfband.analysis import (
 from surfband.discretize import OperatorMatrix, build_grid, weighted_norm
 from surfband.fields import ABFlux, GaugeFunction, UniformAxial
 from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
-from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian, magnetic_cylinder
+from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
 
 
 def ring_builder(grid, **kw):
@@ -172,7 +172,7 @@ class TestGaugeCovariance:
         ev = {}
         for phi in (0.3 * c.flux_quantum, 1.3 * c.flux_quantum):
             req = HamiltonianRequest(g.surface, g, ABFlux(Phi=phi))
-            ev[phi] = spectrum(magnetic_cylinder(req)).eigenvalues
+            ev[phi] = spectrum(build_hamiltonian(req)).eigenvalues
         vals = list(ev.values())
         assert np.abs(vals[0] - vals[1]).max() < 1e-10
 
@@ -214,7 +214,7 @@ class TestAnalyticReferences:
         alpha = 0.3
         c = PhysicalConstants()
         req = HamiltonianRequest(g.surface, g, ABFlux(Phi=alpha * c.flux_quantum))
-        ev_grid = spectrum(magnetic_cylinder(req)).eigenvalues
+        ev_grid = spectrum(build_hamiltonian(req)).eigenvalues
         sym = ring_symbol_spectrum(n, 1.0, alpha)
         np.testing.assert_allclose(ev_grid, sym, atol=1e-11)
         ls = np.arange(-n // 4, n // 4 + 1)

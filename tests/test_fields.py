@@ -64,6 +64,19 @@ class TestMagneticField:
         B = magnetic_field_of(spec, surf, (g.coords1[2], g.coords2[3]))
         np.testing.assert_allclose(B, 0.0, atol=1e-12)
 
+    def test_sampled_field_only_at_grid_nodes(self):
+        surf = cylinder(1.0, 1.0)
+        g = build_grid(surf, 8, 8)
+        rng = np.random.default_rng(5)
+        spec = Sampled(grid=g, a1=rng.uniform(-1, 1, (8, 8)), a2=rng.uniform(-1, 1, (8, 8)))
+        for point in ((0.1234, 0.05), (0.1234, 99.0)):
+            with pytest.raises(ValueError, match="grid nodes"):
+                eval_potential(spec, surf, point)
+            with pytest.raises(ValueError, match="grid nodes"):
+                magnetic_field_of(spec, surf, point)
+        B = magnetic_field_of(spec, surf, (g.coords1[2], g.coords2[5]))
+        assert B == tuple(float(b[2, 5]) for b in sample_magnetic_field(spec, g))
+
     def test_sphere_uniform_axial_components(self):
         th = 0.8
         Br, Bth, Bph = magnetic_field_of(UniformAxial(B=1.5), sphere(1.0), (th, 0.0))
@@ -104,6 +117,15 @@ class TestSurfaceGradient:
         g = build_grid(ring(1.0), 16)
         with pytest.raises(ValueError, match="multivalued"):
             GaugeFunction.from_callable(lambda t, z: t, g)
+
+    def test_multivalued_past_the_first_seam_nodes_rejected(self):
+        # each function agrees across the seam at the first four seam nodes only
+        g = build_grid(cylinder(1.0, 1.0), 8, 8)
+        with pytest.raises(ValueError, match="multivalued"):
+            GaugeFunction.from_callable(lambda t, z: t * max(z - g.coords2[3], 0.0), g)
+        g = build_grid(sphere(1.0), 8, 8)
+        with pytest.raises(ValueError, match="multivalued"):
+            GaugeFunction.from_callable(lambda t, p: p * max(t - g.coords1[3], 0.0), g)
 
 
 class TestAddGauge:

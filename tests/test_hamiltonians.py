@@ -8,15 +8,9 @@ from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
 from surfband.hamiltonians import (
     HamiltonianRequest,
     build_hamiltonian,
-    free_cylinder,
-    free_ring,
-    free_sphere,
     hermitian_radial_momentum,
     link_operator,
-    magnetic_cylinder,
-    magnetic_sphere,
     open_radial_grid,
-    pragmatic_cylinder,
     radial_flux_laplacian,
     zeeman_block,
 )
@@ -62,18 +56,18 @@ class TestLinkOperator:
 
 class TestFreeRing:
     def test_ground_level_exact(self):
-        ev = spectrum(free_ring(ring_req()), 1).eigenvalues
+        ev = spectrum(build_hamiltonian(ring_req()), 1).eigenvalues
         assert abs(ev[0] + 0.125) < 1e-12
 
     def test_first_pair_degenerate_near_0375(self):
-        ev = spectrum(free_ring(ring_req(64)), 3).eigenvalues
+        ev = spectrum(build_hamiltonian(ring_req(64)), 3).eigenvalues
         assert abs(ev[1] - ev[2]) < 1e-12
         assert abs(ev[1] - 0.375) < 1e-3
 
     def test_shift_against_naive_laplacian(self):
         # the whole spectrum sits exactly -hbar^2/(8mR^2) below the bare ring Laplacian
         req = ring_req(32, R=2.0)
-        H = free_ring(req)
+        H = build_hamiltonian(req)
         from surfband.discretize import periodic_second_derivative
 
         naive = -0.5 * periodic_second_derivative(req.grid, 0).toarray() / 4.0
@@ -81,8 +75,8 @@ class TestFreeRing:
         np.testing.assert_allclose(shift, -1 / 32 * np.eye(32), atol=1e-14)
 
     def test_order4_extends_accuracy(self):
-        ev2 = spectrum(free_ring(ring_req(32)), 3).eigenvalues
-        ev4 = spectrum(free_ring(ring_req(32, order=4)), 3).eigenvalues
+        ev2 = spectrum(build_hamiltonian(ring_req(32)), 3).eigenvalues
+        ev4 = spectrum(build_hamiltonian(ring_req(32, order=4)), 3).eigenvalues
         assert abs(ev4[1] - 0.375) < abs(ev2[1] - 0.375) / 10
 
 
@@ -91,13 +85,13 @@ class TestFreeCylinder:
         # L = pi makes the lowest z mode energy cancel the curvature shift
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 32, 32)
-        ev = spectrum(free_cylinder(HamiltonianRequest(surf, g)), 1).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 1).eigenvalues
         assert abs(ev[0]) < 2e-4
 
     def test_separable_spectrum(self):
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 32, 32)
-        ev = spectrum(free_cylinder(HamiltonianRequest(surf, g)), 6).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 6).eigenvalues
         exact = sorted(l * l / 2 + n * n / 8 - 0.125
                        for l in range(-3, 4) for n in range(1, 5))[:6]
         np.testing.assert_allclose(ev, exact, atol=5e-3)
@@ -105,12 +99,12 @@ class TestFreeCylinder:
     def test_weighted_hermitian(self):
         surf = cylinder(1.0, 1.0)
         g = build_grid(surf, 12, 12)
-        assert hermiticity_residual(free_cylinder(HamiltonianRequest(surf, g))) <= 1e-12
+        assert hermiticity_residual(build_hamiltonian(HamiltonianRequest(surf, g))) <= 1e-12
 
     def test_pm_degeneracy(self):
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 16, 8)
-        ev = spectrum(free_cylinder(HamiltonianRequest(surf, g)), 8).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 8).eigenvalues
         # (l = +-1, n = 1) pair from theta reflection symmetry
         assert abs(ev[2] - ev[3]) < 1e-12
         assert ev[3] == pytest.approx(0.5, abs=2e-2)
@@ -120,26 +114,26 @@ class TestFreeSphere:
     def test_constant_mode_exactly_zero(self):
         surf = sphere(1.0)
         g = build_grid(surf, 16, 16)
-        ev = spectrum(free_sphere(HamiltonianRequest(surf, g)), 1).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 1).eigenvalues
         assert abs(ev[0]) < 1e-11
 
     def test_l1_cluster(self):
         surf = sphere(1.0)
         g = build_grid(surf, 32, 32)
-        ev = spectrum(free_sphere(HamiltonianRequest(surf, g)), 4).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 4).eigenvalues
         np.testing.assert_allclose(ev[1:4], 1.0, atol=5e-3)
 
     def test_order4_clusters_with_multiplicity(self):
         surf = sphere(1.0)
         g = build_grid(surf, 32, 32)
-        ev = spectrum(free_sphere(HamiltonianRequest(surf, g, order=4)), 16).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g, order=4)), 16).eigenvalues
         exact = np.array([l * (l + 1) / 2 for l in range(4) for _ in range(2 * l + 1)])
         np.testing.assert_allclose(ev, exact, atol=2e-2)
 
     def test_radius_scaling(self):
         surf = sphere(2.0)
         g = build_grid(surf, 24, 24)
-        ev = spectrum(free_sphere(HamiltonianRequest(surf, g)), 4).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 4).eigenvalues
         np.testing.assert_allclose(ev[1:4], 1.0 / 4.0, atol=5e-3)
 
 
@@ -147,25 +141,25 @@ class TestMagneticCylinder:
     def test_zero_field_matches_free_entrywise(self):
         for coupling in ("peierls", "expanded"):
             req = ring_req(32, field=ABFlux(Phi=0.0), coupling=coupling)
-            H = magnetic_cylinder(req)
-            H0 = free_ring(ring_req(32))
+            H = build_hamiltonian(req)
+            H0 = build_hamiltonian(ring_req(32))
             np.testing.assert_allclose(H.toarray(), H0.toarray(), atol=1e-13)
 
     def test_landau_level_exact_at_matching_l(self):
         # B = 2, R = 1: the l = 1 mode sits exactly at the curvature shift
         req = ring_req(64, field=UniformAxial(B=2.0))
-        ev = spectrum(magnetic_cylinder(req), 1).eigenvalues
+        ev = spectrum(build_hamiltonian(req), 1).eigenvalues
         assert abs(ev[0] + 0.125) < 1e-10
 
     def test_ab_half_quantum_degeneracy(self):
         c = PhysicalConstants()
         req = ring_req(64, field=ABFlux(Phi=c.flux_quantum / 2))
-        ev = spectrum(magnetic_cylinder(req), 2).eigenvalues
+        ev = spectrum(build_hamiltonian(req), 2).eigenvalues
         assert abs(ev[0] - ev[1]) < 1e-10
 
     def test_correct_variant_never_references_radial_component(self):
-        base = magnetic_cylinder(ring_req(24, field=UniformAxial(B=1.0)))
-        poisoned = magnetic_cylinder(
+        base = build_hamiltonian(ring_req(24, field=UniformAxial(B=1.0)))
+        poisoned = build_hamiltonian(
             ring_req(24, field=UniformAxial(B=1.0, radial_component=37.0,
                                             radial_derivative=-4.0)))
         assert np.array_equal(base.toarray(), poisoned.toarray())
@@ -174,7 +168,7 @@ class TestMagneticCylinder:
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 12, 10)
         for coupling in ("peierls", "expanded"):
-            H = magnetic_cylinder(HamiltonianRequest(surf, g, UniformAxial(B=1.0),
+            H = build_hamiltonian(HamiltonianRequest(surf, g, UniformAxial(B=1.0),
                                                      coupling=coupling))
             assert hermiticity_residual(H) <= 1e-12
 
@@ -183,7 +177,7 @@ class TestMagneticCylinder:
         g = build_grid(surf, 24, 16)
         evs = {}
         for coupling in ("peierls", "expanded"):
-            H = magnetic_cylinder(HamiltonianRequest(surf, g, UniformAxial(B=1.0),
+            H = build_hamiltonian(HamiltonianRequest(surf, g, UniformAxial(B=1.0),
                                                      coupling=coupling))
             evs[coupling] = spectrum(H, 6).eigenvalues
         np.testing.assert_allclose(evs["peierls"], evs["expanded"], atol=5e-3)
@@ -197,8 +191,8 @@ class TestSampledFieldPaths:
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 12, 10)
         fld = UniformAxial(B=1.3)
-        Ha = magnetic_cylinder(HamiltonianRequest(surf, g, fld))
-        Hs = magnetic_cylinder(HamiltonianRequest(surf, g, materialize(fld, g)))
+        Ha = build_hamiltonian(HamiltonianRequest(surf, g, fld))
+        Hs = build_hamiltonian(HamiltonianRequest(surf, g, materialize(fld, g)))
         np.testing.assert_allclose(Ha.toarray(), Hs.toarray(), atol=1e-14)
 
     def test_constant_axial_component_is_pure_gauge(self):
@@ -208,8 +202,8 @@ class TestSampledFieldPaths:
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 12, 14)
         fld = Sampled(grid=g, a1=np.zeros((12, 14)), a2=np.full((12, 14), 0.7))
-        ev = spectrum(magnetic_cylinder(HamiltonianRequest(surf, g, fld)), 8).eigenvalues
-        ev0 = spectrum(free_cylinder(HamiltonianRequest(surf, g)), 8).eigenvalues
+        ev = spectrum(build_hamiltonian(HamiltonianRequest(surf, g, fld)), 8).eigenvalues
+        ev0 = spectrum(build_hamiltonian(HamiltonianRequest(surf, g)), 8).eigenvalues
         np.testing.assert_allclose(ev, ev0, atol=1e-12)
 
     def test_csv_field_builds_hermitian_operator(self, tmp_path):
@@ -226,7 +220,7 @@ class TestSampledFieldPaths:
 
         fld = load_sampled_csv(path, g)
         for coupling in ("peierls", "expanded"):
-            H = magnetic_cylinder(HamiltonianRequest(surf, g, fld, coupling=coupling))
+            H = build_hamiltonian(HamiltonianRequest(surf, g, fld, coupling=coupling))
             assert hermiticity_residual(H) <= 1e-12
 
 
@@ -234,14 +228,14 @@ class TestMagneticSphere:
     def test_zero_field_matches_free(self):
         surf = sphere(1.0)
         g = build_grid(surf, 16, 16)
-        H = magnetic_sphere(HamiltonianRequest(surf, g, ABFlux(Phi=0.0)))
-        H0 = free_sphere(HamiltonianRequest(surf, g))
+        H = build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.0)))
+        H0 = build_hamiltonian(HamiltonianRequest(surf, g))
         np.testing.assert_allclose(H.toarray(), H0.toarray(), atol=1e-13)
 
     def test_uniform_axial_real_spectrum_and_hermitian(self):
         surf = sphere(1.0)
         g = build_grid(surf, 20, 20)
-        H = magnetic_sphere(HamiltonianRequest(surf, g, UniformAxial(B=1.0)))
+        H = build_hamiltonian(HamiltonianRequest(surf, g, UniformAxial(B=1.0)))
         assert hermiticity_residual(H) <= 1e-12
         rep = spectrum(H, 8)
         assert np.isrealobj(rep.eigenvalues)
@@ -252,7 +246,7 @@ class TestMagneticSphere:
         surf = sphere(1.0)
         g = build_grid(surf, 16, 16)
         lam = GaugeFunction.from_callable(lambda t, p: np.cos(t), g)
-        builder = lambda f: magnetic_sphere(HamiltonianRequest(surf, g, f))
+        builder = lambda f: build_hamiltonian(HamiltonianRequest(surf, g, f))
         assert spectrum_gauge_invariance(UniformAxial(B=1.0), lam, builder, 10, g) < 1e-10
 
 
@@ -262,7 +256,7 @@ class TestPragmaticCylinder:
 
         a = 0.8
         req = ring_req(32, field=ABFlux(Phi=0.0, radial_component=a), variant="pragmatic")
-        H = pragmatic_cylinder(req)
+        H = build_hamiltonian(req)
         anti, norm = antihermitian_part(H)
         # i (hbar e / 2m) a / R on the diagonal, nothing else
         np.testing.assert_allclose(np.diag(anti.toarray()), 1j * a / 2, atol=1e-15)
@@ -279,7 +273,7 @@ class TestPragmaticCylinder:
         ar = 0.6 * np.cos(g.coords1).reshape(32, 1)
         req = HamiltonianRequest(surf, g, ABFlux(Phi=0.0, radial_component=ar),
                                  variant="pragmatic")
-        anti, _ = antihermitian_part(pragmatic_cylinder(req))
+        anti, _ = antihermitian_part(build_hamiltonian(req))
         np.testing.assert_allclose(np.diag(anti.toarray()), 1j * 0.3 * np.cos(g.coords1),
                                    atol=1e-15)
 
@@ -288,20 +282,20 @@ class TestPragmaticCylinder:
 
         req = ring_req(16, field=ABFlux(Phi=0.0, radial_component=1.0,
                                         radial_derivative=0.5), variant="pragmatic")
-        anti, norm = antihermitian_part(pragmatic_cylinder(req))
+        anti, norm = antihermitian_part(build_hamiltonian(req))
         np.testing.assert_allclose(np.diag(anti.toarray()), 1j * 0.75, atol=1e-15)
 
     def test_zero_field_misses_curvature_shift_exactly(self):
         req = ring_req(32, field=ABFlux(Phi=0.0), variant="pragmatic")
-        Hp = pragmatic_cylinder(req)
-        H0 = free_ring(ring_req(32))
+        Hp = build_hamiltonian(req)
+        H0 = build_hamiltonian(ring_req(32))
         np.testing.assert_allclose(Hp.toarray() - H0.toarray(), 0.125 * np.eye(32), atol=1e-15)
 
     def test_hermitian_when_radial_component_vanishes(self):
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 12, 10)
         req = HamiltonianRequest(surf, g, UniformAxial(B=1.0), variant="pragmatic")
-        assert hermiticity_residual(pragmatic_cylinder(req)) <= 1e-12
+        assert hermiticity_residual(build_hamiltonian(req)) <= 1e-12
 
     def test_expanded_correct_differs_by_shift_entrywise(self):
         # with A_r = 0 the pragmatic operator and the expanded correct one
@@ -309,8 +303,8 @@ class TestPragmaticCylinder:
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 12, 10)
         fld = UniformAxial(B=1.5)
-        Hp = pragmatic_cylinder(HamiltonianRequest(surf, g, fld, variant="pragmatic"))
-        Hc = magnetic_cylinder(HamiltonianRequest(surf, g, fld, coupling="expanded"))
+        Hp = build_hamiltonian(HamiltonianRequest(surf, g, fld, variant="pragmatic"))
+        Hc = build_hamiltonian(HamiltonianRequest(surf, g, fld, coupling="expanded"))
         np.testing.assert_allclose(Hp.toarray() - Hc.toarray(), 0.125 * np.eye(g.size),
                                    atol=1e-15)
 
@@ -318,7 +312,7 @@ class TestPragmaticCylinder:
         surf = sphere(1.0)
         g = build_grid(surf, 8, 8)
         with pytest.raises(ValueError):
-            pragmatic_cylinder(HamiltonianRequest(surf, g, ABFlux(Phi=0.0),
+            build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.0),
                                                   variant="pragmatic"))
 
 
@@ -405,16 +399,45 @@ class TestRadialOperatorIdentities:
             assert defects[1] < defects[0] / 3.0
 
 
+_TABLE_GRIDS = {"ring": (ring(1.0), 8, 1), "cylinder": (cylinder(1.0, 1.0), 6, 6),
+                "sphere": (sphere(1.0), 6, 8), "sphere-odd-n2": (sphere(1.0), 5, 7)}
+
+
+def _supported(surface, has_field, variant, order):
+    """The documented table of supported requests."""
+    if variant == "pragmatic" and (not has_field or surface.startswith("sphere")):
+        return False
+    return order == 2 or not (has_field or surface in ("cylinder", "sphere-odd-n2"))
+
+
+@pytest.mark.parametrize("spin", [False, True])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("coupling", ["peierls", "expanded"])
+@pytest.mark.parametrize("variant", ["correct", "pragmatic"])
+@pytest.mark.parametrize("has_field", [False, True])
+@pytest.mark.parametrize("surface", sorted(_TABLE_GRIDS))
+def test_validation_table(surface, has_field, variant, coupling, order, spin):
+    surf, n1, n2 = _TABLE_GRIDS[surface]
+    g = build_grid(surf, n1, n2)
+    fld = UniformAxial(B=0.7) if has_field else None
+    kw = dict(spin=spin, variant=variant, coupling=coupling, order=order)
+    if not _supported(surface, has_field, variant, order):
+        with pytest.raises(ValueError):
+            HamiltonianRequest(surf, g, fld, **kw)
+        return
+    H = build_hamiltonian(HamiltonianRequest(surf, g, fld, **kw))
+    name = "H_free" if fld is None else "H_correct" if variant == "correct" else "H_pragmatic"
+    assert H.label.startswith(name + "[") and H.dim == g.size * (2 if spin else 1)
+    if variant == "correct":
+        assert hermiticity_residual(H) <= 1e-12 * np.abs(H.entries.data).max()
+
+
 class TestRequestValidationAndDispatch:
     def test_pragmatic_requires_field(self):
         surf = ring(1.0)
         g = build_grid(surf, 8)
         with pytest.raises(ValueError, match="requires a field"):
             HamiltonianRequest(surf, g, None, variant="pragmatic")
-
-    def test_free_builders_reject_fields(self):
-        with pytest.raises(ValueError):
-            free_ring(ring_req(8, field=ABFlux(Phi=1.0)))
 
     def test_dispatch(self):
         surf = sphere(1.0)
@@ -426,7 +449,7 @@ class TestRequestValidationAndDispatch:
 
     def test_magnetic_builders_order2_only(self):
         with pytest.raises(ValueError, match="order 2"):
-            magnetic_cylinder(ring_req(8, field=UniformAxial(B=1.0), order=4))
+            build_hamiltonian(ring_req(8, field=UniformAxial(B=1.0), order=4))
 
     def test_grid_surface_mismatch(self):
         g = build_grid(ring(1.0), 8)
