@@ -13,6 +13,7 @@ file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -65,7 +66,9 @@ class RunConfig:
         return [float(x) for x in self.d_list.split(",") if x.strip()]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later parse."""
     p = argparse.ArgumentParser(prog="surfband",
                                 description="surface Hamiltonian spectra, Hermiticity and "
                                             "gauge diagnostics, thin-layer confinement runs")
@@ -107,6 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="comma list of layer widths, decreasing")
             sp.add_argument("--l", type=int, default=None)
             sp.add_argument("--n-r", dest="n_r", type=int, default=None)
+        if name == "thin-layer":
             sp.add_argument("--n-levels", dest="n_levels", type=int, default=None)
     return p
 
@@ -144,9 +148,14 @@ def parse_config(argv=None) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _type_hints() -> dict:
+    return typing.get_type_hints(RunConfig)
+
+
 def _check_file_values(file_vals: dict, parser: argparse.ArgumentParser):
     """Each value has its RunConfig field's type (int passes for float) and a listed choice."""
-    hints = typing.get_type_hints(RunConfig)
+    hints = _type_hints()
     for key, value in file_vals.items():
         allowed = typing.get_args(hints[key]) or (hints[key],)
         if float in allowed:
@@ -159,7 +168,7 @@ def _check_file_values(file_vals: dict, parser: argparse.ArgumentParser):
 
 
 def _validate(cfg: RunConfig, parser: argparse.ArgumentParser):
-    for key, hint in typing.get_type_hints(RunConfig).items():
+    for key, hint in _type_hints().items():
         if hint is float and not math.isfinite(getattr(cfg, key)):
             parser.error(f"{key} must be finite")
     if cfg.R <= 0:
@@ -183,6 +192,8 @@ def _validate(cfg: RunConfig, parser: argparse.ArgumentParser):
             parser.error("--d needs at least 3 strictly decreasing values")
         if cfg.n_r < 50:
             parser.error("--n-r must be at least 50")
+        if cfg.subcommand == "thin-layer" and not 1 <= cfg.n_levels <= cfg.n_r:
+            parser.error("--n-levels must be between 1 and --n-r")
 
 
 def _surface(cfg: RunConfig) -> SurfaceSpec:

@@ -177,12 +177,12 @@ def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.n
         theta = np.broadcast_to(grid.coords1[:, None], shape)
         a1, a2 = _analytic_components(spec, grid.surface, theta)
     for lam in spec.gauges:
-        g1, g2 = surface_gradient(lam, grid.surface, grid)
+        g1, g2 = surface_gradient(lam, grid)
         a1, a2 = a1 + g1, a2 + g2
     return a1, a2
 
 
-def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point, grid: Grid = None) -> tuple:
+def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
     """curl A in the local curvilinear frame: (B_r, B_theta, B_z) or (B_r, B_theta, B_phi).
 
     Analytic specs use closed forms.  Sampled specs use the grid stencils
@@ -199,11 +199,10 @@ def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point, grid: G
         if surface.kind is SurfaceKind.SPHERE and abs(np.sin(float(point[0]))) < 1e-12:
             raise ValueError("singular potential at pole")
         return (0.0, 0.0, 0.0)
-    g = spec.grid if isinstance(spec, Sampled) else grid
-    if g is None:
-        raise ValueError("sampled fields need their grid to evaluate curl")
-    j, k = _node_of(g, point)
-    B1, B2, B3 = sample_magnetic_field(spec, g)
+    if not isinstance(spec, Sampled):
+        raise TypeError(f"{type(spec).__name__} has no closed-form curl and no grid")
+    j, k = _node_of(spec.grid, point)
+    B1, B2, B3 = sample_magnetic_field(spec, spec.grid)
     return (float(B1[j, k]), float(B2[j, k]), float(B3[j, k]))
 
 
@@ -253,8 +252,7 @@ def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray,
     return _curl_of_samples(grid, a1, a2, ar)
 
 
-def surface_gradient(lam: GaugeFunction, surface: SurfaceSpec,
-                     grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def surface_gradient(lam: GaugeFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Tangential gradient of a gauge function, physical components.
 
     Uses the operator assembly's stencils, except that the cylinder z wall

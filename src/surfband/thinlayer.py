@@ -8,12 +8,17 @@ d -> 0 extrapolation far below the requested 1e-6:
 * the known free-box symbol defect of the transverse mode is subtracted, so
   the reported energies are calibrated against the continuum box exactly
   when the shell is flat;
-* eigenvalues are polished with an extended-precision Rayleigh quotient,
-  which removes the dense-solver floor eps * ||H|| ~ eps / h^2.
+* eigenvalues are the extended-precision Rayleigh quotient of the
+  eigenvector, written so that the O(1/h^2) stencil terms never cancel.
+
+The tridiagonal shell matrix is never formed densely: each level is
+bracketed and bisected with Sturm counts and its eigenvector found by
+inverse iteration, in O(n_r) time and memory per level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -66,26 +71,27 @@ def _liouville_potential(p: ShellProblem, r: np.ndarray) -> np.ndarray:
     return (c.hbar**2 / (2 * c.mass)) * (p.l**2 - 0.25) / r**2
 
 
+def _box_symbol(n: int, h: float, d: float) -> np.longdouble:
+    """(4/h^2) sin^2(n pi h / 2d): the discrete transverse box symbol for mode n.
+
+    Times hbar^2/2m it is the exact n-th eigenvalue of the constant-potential
+    Liouville matrix (d = n_r h), and the discrete counterpart of (n pi/d)^2.
+    """
+    kl = np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(d)
+    hl = np.longdouble(h)
+    return (4 / (hl * hl)) * np.sin(kl * hl / 2) ** 2
+
+
 def _box_symbol_defect(p: ShellProblem, n: int, h: float) -> float:
     """Continuum-minus-discrete transverse box energy for mode n (exact)."""
     c = p.constants
     kl = np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(p.d)
-    hl = np.longdouble(h)
-    disc = (4 / (hl * hl)) * np.sin(kl * hl / 2) ** 2
     pref = c.hbar**2 / (2 * c.mass)
-    return float(pref * (kl * kl - disc))
+    return float(pref * (kl * kl - _box_symbol(n, h, p.d)))
 
 
-def radial_spectrum(p: ShellProblem, n_levels: int = 1, compensated: bool = True) -> np.ndarray:
-    """Lowest shell energies, defect-corrected against the continuum box.
-
-    Solves the Liouville form, refines each eigenvalue with a long-double
-    Rayleigh quotient, then adds the known transverse symbol defect so the
-    flat-shell limit reproduces hbar^2 pi^2 n^2 / (2 m d^2) to round-off.
-    compensated=False returns the raw discrete eigenvalues.
-    """
-    if n_levels < 1 or n_levels > p.n_r:
-        raise ValueError("n_levels out of range")
+def _liouville_tridiagonal(p: ShellProblem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(main, off, h) of the symmetric tridiagonal Liouville-form shell matrix."""
     r, h = p.nodes()
     c = p.constants
     kcoef = c.hbar**2 / (2 * c.mass)
@@ -93,17 +99,126 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1, compensated: bool = True
     main[0] += kcoef / h**2
     main[-1] += kcoef / h**2
     off = np.full(p.n_r - 1, -kcoef / h**2)
-    T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    try:
-        _, vec = np.linalg.eigh(T)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"radial eigensolve failed for {p}") from exc
-    Tld = T.astype(np.longdouble)
+    return main, off, h
+
+
+def _sturm_count(main: list, off2: list, x: float, pivmin: float) -> int:
+    """Eigenvalues of T below x: the negative pivots of the LDL^T factorization of T - xI.
+
+    off2[j] is the squared coupling of node j to node j - 1 (off2[0] = 0).
+    A pivot smaller than pivmin in magnitude counts as negative and is
+    replaced by -pivmin, as in LAPACK's dstebz, so the recurrence never
+    divides by zero.
+    """
+    count, piv = 0, 1.0
+    for a, e2 in zip(main, off2):
+        piv = (a - x) - e2 / piv
+        if piv < pivmin:
+            if piv > -pivmin:
+                piv = -pivmin
+            count += 1
+    return count
+
+
+def _inverse_iteration(main: list, off: list, sigma: float, v: np.ndarray,
+                       tiny: float) -> np.ndarray:
+    """Eigenvector of T nearest the shift sigma: three LDL^T solves of (T - sigma I) x = v.
+
+    Pivots smaller than tiny in magnitude are raised to +-tiny (LAPACK's
+    dstein perturbs them the same way), so a shift on an eigenvalue is safe.
+    With sigma bisected to 1e-6 relative, each solve shrinks every other
+    eigencomponent by about 1e-6 lambda / gap; two solves already matched
+    dense eigh to round-off in the tests, the third is margin.
+    """
+    d, l = [], []
+    piv = main[0] - sigma
+    for a, e in zip(main[1:], off):
+        piv = math.copysign(max(abs(piv), tiny), piv)
+        d.append(piv)
+        l.append(e / piv)
+        piv = (a - sigma) - l[-1] * e
+    d.append(math.copysign(max(abs(piv), tiny), piv))
+    n = len(d)
+    x = v.tolist()
+    for _ in range(3):
+        z = x[0]
+        x[0] = z / d[0]
+        for j in range(1, n):  # L z = x, then x = D^-1 z
+            z = x[j] - l[j - 1] * z
+            x[j] = z / d[j]
+        for j in range(n - 2, -1, -1):  # L^T x = D^-1 z
+            x[j] -= l[j] * x[j + 1]
+        scale = max(map(abs, x))
+        if not math.isfinite(scale):
+            raise RuntimeError("radial inverse iteration overflowed")
+        x = [xj / scale for xj in x]
+    return np.array(x)
+
+
+def _rayleigh_quotient(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
+    """v^T T v / v^T v in long double, for the tridiagonal T = (main, off).
+
+    Written as sum_j (main_j + off_{j-1} + off_j) v_j^2 - sum_j off_j (v_{j+1} - v_j)^2,
+    so the large stencil terms are never cancelled: the rounding error is a
+    few long-double ulps of the result, whatever the ratio ||T|| / lambda.
+    """
+    u = v.astype(np.longdouble)
+    e = off.astype(np.longdouble)
+    diag = main.astype(np.longdouble)
+    diag[:-1] += e
+    diag[1:] += e
+    num = diag @ (u * u) - e @ np.diff(u) ** 2
+    return float(num / (u @ u))
+
+
+def radial_spectrum(p: ShellProblem, n_levels: int = 1, compensated: bool = True) -> np.ndarray:
+    """Lowest shell energies, defect-corrected against the continuum box.
+
+    Each level of the Liouville-form tridiagonal T is found in O(n_r) time
+    and memory: Weyl's inequality brackets level i between mu_i + min V and
+    mu_i + max V (mu_i the exact constant-potential eigenvalue, V the
+    potential diagonal), the Sturm count certifies and then bisects that
+    bracket, inverse iteration at the bisected shift gives the eigenvector,
+    and a long-double Rayleigh quotient gives the eigenvalue.  The known
+    transverse symbol defect is then added so the flat-shell limit
+    reproduces hbar^2 pi^2 n^2 / (2 m d^2) to round-off.
+    compensated=False returns the raw discrete eigenvalues.
+    """
+    if n_levels < 1 or n_levels > p.n_r:
+        raise ValueError("n_levels out of range")
+    main, off, h = _liouville_tridiagonal(p)
+    c = p.constants
+    kcoef = c.hbar**2 / (2 * c.mass)
+    # Weyl: T is the constant-potential matrix plus diag(V), whose exact
+    # eigenvalues mu_i are the box symbol, so level i lies in mu_i + [min V, max V]
+    v = _liouville_potential(p, p.nodes()[0])
+    vmin, vmax = float(v.min()), float(v.max())
+    # plain floats: numpy scalars would slow the scalar recurrences several-fold
+    eps = float(np.finfo(float).eps)
+    norm = float(np.abs(main).max() + 2 * np.abs(off).max())
+    pad = 8 * eps * norm
+    main_l, off_l = main.tolist(), off.tolist()
+    off2 = [0.0] + (off * off).tolist()
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
+    nodes = (np.arange(p.n_r) + 0.5) / p.n_r
     out = np.empty(n_levels)
     for i in range(n_levels):
-        v = vec[:, i].astype(np.longdouble)
-        lam = (v @ (Tld @ v)) / (v @ v)
-        out[i] = float(lam)
+        mu = float(kcoef * _box_symbol(i + 1, h, p.d))
+        lo, hi = mu + vmin - pad, mu + vmax + pad
+        if not _sturm_count(main_l, off2, lo, pivmin) <= i < _sturm_count(main_l, off2, hi, pivmin):
+            raise RuntimeError(f"radial level {i} escaped its Weyl bracket for {p}")
+        while hi - lo > 1e-6 * max(abs(lo), abs(hi)) + 2 * pad:
+            mid = 0.5 * (lo + hi)
+            if _sturm_count(main_l, off2, mid, pivmin) > i:
+                hi = mid
+            else:
+                lo = mid
+        start = np.sin((i + 1) * np.pi * nodes)  # level i of the constant-potential matrix
+        vec = _inverse_iteration(main_l, off_l, 0.5 * (lo + hi), start, eps * norm)
+        lam = _rayleigh_quotient(main, off, vec)
+        if not lo - pad <= lam <= hi + pad:
+            raise RuntimeError(f"radial level {i} left its bisection bracket for {p}")
+        out[i] = lam
         if compensated:
             out[i] += _box_symbol_defect(p, i + 1, h)
     return out

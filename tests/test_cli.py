@@ -74,6 +74,31 @@ class TestParseConfig:
             parse_config(["thin-layer", *flags])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["thin-layer", "--n-levels", "0"],
+                                      ["thin-layer", "--n-levels", "300"],
+                                      ["gke", "--n-levels", "3"]])
+    def test_n_levels_outside_thin_layer_range_exits_2(self, argv):
+        # thin-layer takes 1..n_r levels; gke reports one limit and has no such flag
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+
+    def test_consecutive_parses_are_independent(self, tmp_path):
+        # the parser is built once per process and shared by every call
+        first = parse_config(["thin-layer", "--surface", "sphere", "--l", "2", "--n-levels", "3"])
+        second = parse_config(["gke", "--R", "2"])
+        third = parse_config(["spectrum", "--n", "12", "--k", "4"])
+        assert (first.subcommand, first.surface, first.l, first.n_levels) == ("thin-layer", "sphere", 2, 3)
+        assert (second.subcommand, second.surface, second.R, second.l, second.n_levels) == \
+            ("gke", "ring", 2.0, 0, 1)
+        assert (third.subcommand, third.n1, third.n2, third.k, third.R) == ("spectrum", 12, 12, 4, 1.0)
+        cfile = tmp_path / "bad.json"
+        cfile.write_text(json.dumps({"n1": "abc"}))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["spectrum", "--config", str(cfile)])
+        assert exc.value.code == 2
+        assert parse_config(["spectrum"]) == parse_config(["spectrum"])
+
 
 class TestRun:
     def test_gke_prints_shift(self, tmp_path, capsys):
@@ -197,3 +222,17 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["thin-layer", "--surface", "cylinder", "--l", "1", "--d", "0.1,0.05"],
+                                  ["gke", "--surface", "sphere", "--l", "1"]])
+def test_thin_layer_runs_leave_scipy_unloaded(argv, tmp_path):
+    # the radial solve is numpy-only: importing scipy.linalg would raise the
+    # peak RSS of a thin-layer run by tens of MiB
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, surfband.cli; "
+            f"assert surfband.cli.main({argv + ['--output', str(tmp_path / 'r.json')]!r}) == 0; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

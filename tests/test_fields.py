@@ -90,7 +90,7 @@ class TestSurfaceGradient:
         surf = ring(1.0)
         g = build_grid(surf, 16)
         lam = GaugeFunction.from_callable(lambda t, z: 2.5, g)
-        g1, g2 = surface_gradient(lam, surf, g)
+        g1, g2 = surface_gradient(lam, g)
         np.testing.assert_allclose(g1, 0, atol=1e-14)
         np.testing.assert_allclose(g2, 0, atol=1e-14)
 
@@ -100,7 +100,7 @@ class TestSurfaceGradient:
         for n in (32, 64):
             g = build_grid(surf, n)
             lam = GaugeFunction.from_callable(lambda t, z: np.sin(t), g)
-            g1, _ = surface_gradient(lam, surf, g)
+            g1, _ = surface_gradient(lam, g)
             errs.append(np.abs(g1.ravel() - np.cos(g.coords1)).max())
         assert errs[1] < errs[0] / 3.2  # second order
         assert errs[0] < 1e-2
@@ -109,7 +109,7 @@ class TestSurfaceGradient:
         surf = cylinder(1.0, 2.0)
         g = build_grid(surf, 6, 10)
         lam = GaugeFunction.from_callable(lambda t, z: z, g)
-        g1, g2 = surface_gradient(lam, surf, g)
+        g1, g2 = surface_gradient(lam, g)
         np.testing.assert_allclose(g2, 1.0, atol=1e-12)
         np.testing.assert_allclose(g1, 0.0, atol=1e-12)
 

@@ -1,6 +1,10 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from surfband import thinlayer
 from surfband.analysis import spectrum
 from surfband.discretize import hermiticity_residual
 from surfband.geometry import cylinder, ring, sphere
@@ -52,6 +56,68 @@ class TestRadialSpectrum:
     def test_min_resolution_enforced(self):
         with pytest.raises(ValueError):
             ShellProblem(cylinder(1.0, 1.0), 0.1, 0, n_r=10)
+
+
+def _dense_reference(p: ShellProblem, n_levels: int) -> np.ndarray:
+    """The lowest levels from dense eigh of the same tridiagonal, then the same polish."""
+    main, off, h = thinlayer._liouville_tridiagonal(p)
+    _, vec = np.linalg.eigh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
+    return np.array([thinlayer._rayleigh_quotient(main, off, vec[:, i])
+                     + thinlayer._box_symbol_defect(p, i + 1, h) for i in range(n_levels)])
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n_r, cases", [(50, 12), (256, 12), (1000, 3)])
+    @pytest.mark.parametrize("surf", [cylinder(1.0, 1.0), sphere(1.0)], ids=["cylinder", "sphere"])
+    def test_matches_dense_eigh(self, surf, n_r, cases):
+        rng = np.random.default_rng(n_r)
+        for _ in range(cases):
+            d = rng.uniform(0.005, 1.5) * surf.R
+            l, n_levels = int(rng.integers(0, 9)), int(rng.integers(1, 7))
+            p = ShellProblem(surf, d, l, n_r)
+            np.testing.assert_allclose(radial_spectrum(p, n_levels), _dense_reference(p, n_levels),
+                                       rtol=1e-15, atol=0)
+
+    def test_zero_width_bracket(self):
+        # sphere, l = 0: V = 0, so each Weyl bracket is a point and the
+        # inverse-iteration shift sits on the eigenvalue
+        p = ShellProblem(sphere(1.0), 0.1, 0)
+        ev = radial_spectrum(p, 4)
+        np.testing.assert_allclose(ev, _dense_reference(p, 4), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ev, [box_energy(p, n) for n in (1, 2, 3, 4)], rtol=1e-15)
+
+    def test_memory_is_linear_in_n_r(self):
+        # a dense 20000 x 20000 matrix would need 3.2 GB
+        p = ShellProblem(cylinder(1.0, 1.0), 0.1, 1, 20000)
+        tracemalloc.start()
+        try:
+            ev = radial_spectrum(p, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert abs(ev[0] - radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)[0]) < 1e-3
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_rayleigh_quotient_keeps_long_double_accuracy(self, l):
+        # at n_r = 4000 the O(1/h^2) stencil terms are ~10^6 times lambda; a
+        # plain long-double v^T (T v) lost 8-9 ulps of the double result here
+        p = ShellProblem(cylinder(1.0, 1.0), 0.1, l, 4000)
+        main, off, _ = thinlayer._liouville_tridiagonal(p)
+        sigma = float(radial_spectrum(p, 1, compensated=False)[0])
+        start = np.sin(np.pi * (np.arange(p.n_r) + 0.5) / p.n_r)
+        v = thinlayer._inverse_iteration(main.tolist(), off.tolist(), sigma, start, 1e-3)
+        m, e, u = ([Fraction(x) for x in arr.tolist()] for arr in (main, off, v))
+        num = sum(mi * ui * ui for mi, ui in zip(m, u)) + 2 * sum(
+            ei * a * b for ei, a, b in zip(e, u, u[1:]))
+        exact = float(num / sum(ui * ui for ui in u))
+        assert abs(thinlayer._rayleigh_quotient(main, off, v) - exact) <= np.spacing(exact)
+
+    def test_failed_bracket_raises(self, monkeypatch):
+        # a bracket that misses its level is an error, never a silent fallback
+        monkeypatch.setattr(thinlayer, "_box_symbol", lambda n, h, d: np.longdouble(0))
+        with pytest.raises(RuntimeError, match="Weyl bracket"):
+            radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)
 
 
 class TestFluxOperator:
