@@ -16,9 +16,6 @@ from .discretize import (
     OperatorMatrix,
     build_grid,
     hermiticity_residual,
-    multiplication_operator,
-    periodic_derivative,
-    periodic_second_derivative,
     weighted_adjoint,
     weighted_inner,
     weighted_norm,
@@ -35,7 +32,6 @@ from .fields import (
     magnetic_field_of,
     materialize,
     surface_gradient,
-    zero_field,
 )
 from .hamiltonians import (
     HamiltonianRequest,

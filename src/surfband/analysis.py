@@ -9,7 +9,7 @@ import numpy as np
 from .discretize import (
     Grid,
     OperatorMatrix,
-    check_dense_fits,
+    check_fits,
     hermiticity_residual,
     max_abs,
     weighted_norm,
@@ -44,10 +44,6 @@ class SpectrumReport:
     solver: str = ""
     dim: int = 0
     nnz: int = 0
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.isrealobj(self.eigenvalues) or np.all(self.eigenvalues.imag == 0))
 
     def eigenvalue_pairs(self) -> list[tuple[float, float]]:
         ev = np.asarray(self.eigenvalues)
@@ -84,7 +80,7 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
     solver = choose_solver(n, k, resid <= max(HERMITIAN_TOL, 1e-12 * scale))
     try:
         if solver == "dense-eig":
-            check_dense_fits(n, 16, copies=3)
+            check_fits(3 * n * n * 16, f"dense {n}x{n} operator work")
             A = op.toarray()
             if want_vectors:
                 ev, vec = np.linalg.eig(A)
@@ -100,7 +96,7 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
             if solver == "sparse-shift-invert":
                 ev, vec = _shift_invert(S, k, sqw, scale, want_vectors, op.label)
             else:
-                check_dense_fits(n, S.dtype.itemsize, copies=3)
+                check_fits(3 * n * n * S.dtype.itemsize, f"dense {n}x{n} operator work")
                 if want_vectors:
                     ev, vec = np.linalg.eigh(S.toarray())
                 else:

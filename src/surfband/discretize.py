@@ -14,9 +14,11 @@ import numpy as np
 
 from .geometry import SurfaceKind, SurfaceSpec
 
-# 4th-order centered first/second derivative coefficients (offsets -2..2)
-_D1_O4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2_O4 = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
+# Assembly memory per grid node, rounded up: the tracemalloc peak of one
+# build_hamiltonian over the node count is 1,167 B for the heaviest request
+# (spin cylinder, uniform field, expanded coupling; the spin order-4 sphere
+# needs 1,125 B), alike at 4,096, 16,384 and 65,536 nodes.
+ASSEMBLY_BYTES_PER_NODE = 1200
 
 
 @dataclass(frozen=True)
@@ -59,18 +61,21 @@ def build_grid(surface: SurfaceSpec, n1: int, n2: int = 1) -> Grid:
     """Grid with periodic azimuthal nodes, half-offset polar/z nodes.
 
     Half offsets keep sphere nodes away from the poles and cylinder nodes
-    away from the Dirichlet walls at z = +-L.  Ring grids ignore n2.
+    away from the Dirichlet walls at z = +-L.  Ring grids ignore n2.  A grid
+    whose operator assembly would not fit in memory raises ValueError.
     """
     if n1 < 3:
         raise ValueError(f"grid too small: n1={n1} < 3")
+    if surface.kind is not SurfaceKind.RING and n2 < 3:
+        raise ValueError(f"grid too small: n2={n2} < 3")
+    nodes = n1 * (1 if surface.kind is SurfaceKind.RING else n2)
+    check_fits(nodes * ASSEMBLY_BYTES_PER_NODE, f"assembling a {nodes}-node grid operator")
     R = surface.R
     if surface.kind is SurfaceKind.RING:
         h1 = 2 * np.pi / n1
         th = np.arange(n1) * h1
         w = np.full(n1, R * h1)
         return Grid(surface, n1, 1, th, np.zeros(1), w)
-    if n2 < 3:
-        raise ValueError(f"grid too small: n2={n2} < 3")
     if surface.kind is SurfaceKind.CYLINDER:
         h1 = 2 * np.pi / n1
         h2 = 2 * surface.L / n2
@@ -90,16 +95,15 @@ def build_grid(surface: SurfaceSpec, n1: int, n2: int = 1) -> Grid:
 
 
 def dense_memory_limit() -> int:
-    """Largest dense allocation surfband makes: a quarter of physical memory."""
+    """Largest allocation surfband plans, dense or not: a quarter of physical memory."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
 
 
-def check_dense_fits(n: int, itemsize: int, copies: int = 1) -> None:
-    """Raise ValueError before allocating `copies` dense n x n arrays that would not fit."""
-    need = copies * n * n * itemsize
+def check_fits(nbytes: int, what: str) -> None:
+    """Raise ValueError before an allocation of nbytes that would not fit in memory."""
     limit = dense_memory_limit()
-    if need > limit:
-        raise ValueError(f"dense {n}x{n} operator work needs {need / 2**30:.1f} GiB, above the "
+    if nbytes > limit:
+        raise ValueError(f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
                          f"{limit / 2**30:.1f} GiB limit (a quarter of physical memory)")
 
 
@@ -140,7 +144,8 @@ class OperatorMatrix:
 
     def toarray(self) -> np.ndarray:
         """Dense copy; ValueError instead of an allocation that would not fit in memory."""
-        check_dense_fits(self.dim, self.entries.dtype.itemsize)
+        n = self.dim
+        check_fits(n * n * self.entries.dtype.itemsize, f"dense {n}x{n} operator")
         return self.entries.toarray()
 
     def full_weights(self) -> np.ndarray:
@@ -181,18 +186,6 @@ def hermiticity_residual(op: OperatorMatrix) -> float:
     return max_abs(op.entries - weighted_transpose(op.entries, op.full_weights()))
 
 
-def multiplication_operator(f, grid: Grid, label: str = "mult") -> OperatorMatrix:
-    """Diagonal operator of samples f (flat or (n1, n2) shaped)."""
-    import scipy.sparse as sp
-
-    vals = np.asarray(f, dtype=complex).ravel()
-    if vals.size != grid.size:
-        raise ValueError(f"sample count {vals.size} != grid size {grid.size}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite samples rejected")
-    return OperatorMatrix(sp.diags_array(vals), grid.weights, 1, label)
-
-
 def sparse_from(n: int, rows, cols, vals):
     """n x n CSR array from COO triples; duplicate entries are summed."""
     import scipy.sparse as sp
@@ -214,26 +207,8 @@ def _stencil_matrix(n: int, offsets, coefs, periodic: bool):
     return sparse_from(n, rows, cols, vals)
 
 
-def _periodic_d1(n: int, h: float, order: int):
-    if order == 2:
-        return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), True)
-    return _stencil_matrix(n, range(-2, 3), _D1_O4 / h, True)
-
-
-def _periodic_d2(n: int, h: float, order: int):
-    if order == 2:
-        return _stencil_matrix(n, (-1, 0, 1), np.array([1.0, -2.0, 1.0]) / h**2, True)
-    return _stencil_matrix(n, range(-2, 3), _D2_O4 / h**2, True)
-
-
-def _dirichlet_fold_d2(n: int, h: float):
-    """Second derivative on half-offset nodes with walls half a step outside.
-
-    Ghost values are the odd reflection across the wall (u_ghost = -u_edge),
-    which pins u = 0 exactly at the wall and keeps the matrix symmetric.
-    """
-    A = _stencil_matrix(n, (-1, 0, 1), np.array([1.0, -2.0, 1.0]) / h**2, False)
-    return A + sparse_from(n, [0, n - 1], [0, n - 1], [-1.0 / h**2, -1.0 / h**2])
+def _periodic_d1(n: int, h: float):
+    return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), True)
 
 
 def _dirichlet_d1(n: int, h: float):
@@ -313,68 +288,9 @@ def tangential_gradient(grid: Grid, z_d1) -> tuple:
     kind = grid.surface.kind
     if kind is SurfaceKind.SPHERE:
         inv_rs = 1.0 / (R * np.repeat(np.sin(grid.coords1), grid.n2))
-        Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2, 2), grid.n1)
+        Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2), grid.n1)
         return _sphere_polar_d1(grid.n1, grid.n2, grid.h1) / R, sp.diags_array(inv_rs) @ Dph
     if kind is SurfaceKind.RING:
-        return _periodic_d1(grid.n1, grid.h1, 2) / R, None
-    return (_kron_axis1(_periodic_d1(grid.n1, grid.h1, 2), grid.n2) / R,
+        return _periodic_d1(grid.n1, grid.h1) / R, None
+    return (_kron_axis1(_periodic_d1(grid.n1, grid.h1), grid.n2) / R,
             _kron_axis2(z_d1(grid.n2, grid.h2), grid.n1))
-
-
-def periodic_derivative(grid: Grid, axis: int, order: int = 2) -> OperatorMatrix:
-    """First-derivative matrix along a grid axis.
-
-    Periodic axes get centered wraparound stencils; the cylinder z axis gets
-    the truncated centered stencil (exactly skew, consistent with functions
-    vanishing at the walls); the sphere polar axis uses pole crossing.
-    """
-    if order not in (2, 4):
-        raise ValueError("stencil order must be 2 or 4")
-    kind = grid.surface.kind
-    if axis == 0:
-        if kind is SurfaceKind.SPHERE:
-            if order != 2:
-                raise ValueError("sphere polar derivative supports order 2 only")
-            A = _sphere_polar_d1(grid.n1, grid.n2, grid.h1)
-            return OperatorMatrix(A, grid.weights, 1, "d/dtheta[sphere]")
-        D = _periodic_d1(grid.n1, grid.h1, order)
-        A = D if kind is SurfaceKind.RING else _kron_axis1(D, grid.n2)
-        return OperatorMatrix(A, grid.weights, 1, "d/dtheta")
-    if axis == 1:
-        if kind is SurfaceKind.RING:
-            raise ValueError("ring has a single axis")
-        if kind is SurfaceKind.CYLINDER:
-            if order != 2:
-                raise ValueError("z-axis derivative supports order 2 only")
-            A = _kron_axis2(_dirichlet_d1(grid.n2, grid.h2), grid.n1)
-            return OperatorMatrix(A, grid.weights, 1, "d/dz")
-        D = _periodic_d1(grid.n2, grid.h2, order)
-        return OperatorMatrix(_kron_axis2(D, grid.n1), grid.weights, 1, "d/dphi")
-    raise ValueError(f"axis must be 0 or 1, got {axis}")
-
-
-def periodic_second_derivative(grid: Grid, axis: int, order: int = 2) -> OperatorMatrix:
-    """Second-derivative matrix along a grid axis (see periodic_derivative)."""
-    if order not in (2, 4):
-        raise ValueError("stencil order must be 2 or 4")
-    kind = grid.surface.kind
-    if axis == 0:
-        if kind is SurfaceKind.SPHERE:
-            raise ValueError(
-                "the sphere polar second derivative is assembled in divergence "
-                "form by build_hamiltonian"
-            )
-        D = _periodic_d2(grid.n1, grid.h1, order)
-        A = D if kind is SurfaceKind.RING else _kron_axis1(D, grid.n2)
-        return OperatorMatrix(A, grid.weights, 1, "d2/dtheta2")
-    if axis == 1:
-        if kind is SurfaceKind.RING:
-            raise ValueError("ring has a single axis")
-        if kind is SurfaceKind.CYLINDER:
-            if order != 2:
-                raise ValueError("z-axis second derivative supports order 2 only")
-            A = _kron_axis2(_dirichlet_fold_d2(grid.n2, grid.h2), grid.n1)
-            return OperatorMatrix(A, grid.weights, 1, "d2/dz2")
-        D = _periodic_d2(grid.n2, grid.h2, order)
-        return OperatorMatrix(_kron_axis2(D, grid.n1), grid.weights, 1, "d2/dphi2")
-    raise ValueError(f"axis must be 0 or 1, got {axis}")

@@ -94,10 +94,6 @@ class Sampled(GaugeFieldSpec):
                 raise ValueError(f"non-finite samples in {name}")
 
 
-def zero_field() -> ABFlux:
-    return ABFlux(Phi=0.0)
-
-
 def _radial_samples(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """On-surface A_r and dA_r/dr samples, zero where unspecified."""
     shape = (grid.n1, grid.n2)
@@ -132,6 +128,20 @@ def _analytic_components(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
             return zero, spec.Phi / (2 * np.pi * R * s)
         return zero + spec.Phi / (2 * np.pi * R), zero
     raise TypeError(f"not an analytic field spec: {type(spec).__name__}")
+
+
+def _analytic_curl(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
+    """(B_r, B_theta, B_z or B_phi) of an analytic base at theta (a scalar or an array)."""
+    zero = np.zeros_like(theta, dtype=float)
+    if isinstance(spec, UniformAxial):
+        if surface.kind is SurfaceKind.SPHERE:
+            return spec.B * np.cos(theta), -spec.B * np.sin(theta), zero
+        return zero, zero.copy(), np.full_like(zero, spec.B)
+    if isinstance(spec, ABFlux):
+        if surface.kind is SurfaceKind.SPHERE and np.any(np.abs(np.sin(theta)) < 1e-12):
+            raise ValueError("singular potential at pole")
+        return zero, zero.copy(), zero.copy()
+    raise TypeError(f"{type(spec).__name__} has no closed-form curl and no grid")
 
 
 def eval_potential(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
@@ -190,17 +200,8 @@ def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tupl
     derivatives that cannot be formed from surface data are taken from the
     supplied dA_r/dr samples or dropped.  Attached gauges have no curl.
     """
-    if isinstance(spec, UniformAxial):
-        if surface.kind is SurfaceKind.SPHERE:
-            th = float(point[0])
-            return (spec.B * np.cos(th), -spec.B * np.sin(th), 0.0)
-        return (0.0, 0.0, spec.B)
-    if isinstance(spec, ABFlux):
-        if surface.kind is SurfaceKind.SPHERE and abs(np.sin(float(point[0]))) < 1e-12:
-            raise ValueError("singular potential at pole")
-        return (0.0, 0.0, 0.0)
     if not isinstance(spec, Sampled):
-        raise TypeError(f"{type(spec).__name__} has no closed-form curl and no grid")
+        return tuple(float(b) for b in _analytic_curl(spec, surface, float(point[0])))
     j, k = _node_of(spec.grid, point)
     B1, B2, B3 = sample_magnetic_field(spec, spec.grid)
     return (float(B1[j, k]), float(B2[j, k]), float(B3[j, k]))
@@ -236,17 +237,9 @@ def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray,
     Attached gauges are gradients, which have no curl, so only the base
     enters and B does not depend on the gauge.
     """
-    surface = grid.surface
-    shape = (grid.n1, grid.n2)
-    if isinstance(spec, UniformAxial):
-        if surface.kind is SurfaceKind.SPHERE:
-            th = grid.coords1[:, None]
-            return (spec.B * np.cos(th) * np.ones(shape),
-                    -spec.B * np.sin(th) * np.ones(shape),
-                    np.zeros(shape))
-        return (np.zeros(shape), np.zeros(shape), np.full(shape, spec.B))
-    if isinstance(spec, ABFlux):
-        return (np.zeros(shape), np.zeros(shape), np.zeros(shape))
+    if not isinstance(spec, Sampled):
+        theta = np.broadcast_to(grid.coords1[:, None], (grid.n1, grid.n2))
+        return _analytic_curl(spec, grid.surface, theta)
     a1, a2 = sample_potential(replace(spec, gauges=()), grid)
     ar, _dar = _radial_samples(spec, grid)
     return _curl_of_samples(grid, a1, a2, ar)

@@ -24,15 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fields_mod
-from .discretize import (
-    _D1_O4,
-    Grid,
-    OperatorMatrix,
-    _dirichlet_d1,
-    _stencil_matrix,
-    tangential_gradient,
-    weighted_transpose,
-)
+from .discretize import Grid, OperatorMatrix, _dirichlet_d1, tangential_gradient, weighted_transpose
 from .fields import GaugeFieldSpec, link_integrals, sample_potential
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
 
@@ -329,7 +321,7 @@ def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
 # spin
 # ---------------------------------------------------------------------------
 
-def zeeman_block(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid,
+def zeeman_block(field: GaugeFieldSpec, grid: Grid,
                  c: PhysicalConstants = PhysicalConstants()) -> OperatorMatrix:
     """-(e hbar/2m) sigma.B over the grid, a Hermitian 2x2 spin structure.
 
@@ -338,17 +330,17 @@ def zeeman_block(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid,
     """
     import scipy.sparse as sp
 
-    Bx, By, Bz = _cartesian_field(field, surface, grid)
+    Bx, By, Bz = _cartesian_field(field, grid)
     pref = -(c.charge * c.hbar / (2 * c.mass))
     H = sum(pref * sp.kron(sig, sp.diags_array(B.ravel()))
             for B, sig in zip((Bx, By, Bz), PAULI))
     return OperatorMatrix(H, grid.weights, 2, "zeeman")
 
 
-def _cartesian_field(field: GaugeFieldSpec, surface: SurfaceSpec, grid: Grid):
+def _cartesian_field(field: GaugeFieldSpec, grid: Grid):
     B1, B2, B3 = fields_mod.sample_magnetic_field(field, grid)
     th = grid.coords1[:, None]
-    if surface.kind is SurfaceKind.SPHERE:
+    if grid.surface.kind is SurfaceKind.SPHERE:
         ph = grid.coords2[None, :]
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
@@ -376,7 +368,7 @@ def _finish(req: HamiltonianRequest, H, weights: np.ndarray, name: str) -> Opera
         return OperatorMatrix(H, weights, 1, label)
     full = sp.kron(sp.eye_array(2), H)
     if req.field is not None:
-        full = full + zeeman_block(req.field, req.surface, req.grid, req.constants).entries
+        full = full + zeeman_block(req.field, req.grid, req.constants).entries
     return OperatorMatrix(full, weights, 2, label)
 
 
@@ -392,14 +384,7 @@ def open_radial_grid(r0: float, r1: float, n: int) -> tuple[np.ndarray, float]:
     return r, float(r[1] - r[0])
 
 
-def _open_centered_d1(n: int, h: float, order: int):
-    if order == 2:
-        return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), False)
-    return _stencil_matrix(n, range(-2, 3), _D1_O4 / h, False)
-
-
 def hermitian_radial_momentum(r: np.ndarray, h: float, kind: str = "cylinder",
-                              order: int = 2,
                               c: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
     """-i hbar (d/dr + 1/2r) for the cylinder measure, -i hbar (d/dr + 1/r) for the sphere.
 
@@ -409,7 +394,7 @@ def hermitian_radial_momentum(r: np.ndarray, h: float, kind: str = "cylinder",
     """
     import scipy.sparse as sp
 
-    D = _open_centered_d1(len(r), h, order)
+    D = _dirichlet_d1(len(r), h)
     if kind == "cylinder":
         corr = 0.5 / r
     elif kind == "sphere":
@@ -420,11 +405,10 @@ def hermitian_radial_momentum(r: np.ndarray, h: float, kind: str = "cylinder",
 
 
 def radial_flux_laplacian(r: np.ndarray, h: float, kind: str = "cylinder",
-                          order: int = 2,
                           c: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
     """-hbar^2 (1/r^s) d/dr (r^s d/dr) as a product of centered stencils (s=1, 2); dense."""
     import scipy.sparse as sp
 
     s = 1 if kind == "cylinder" else 2
-    D = _open_centered_d1(len(r), h, order)
+    D = _dirichlet_d1(len(r), h)
     return (-c.hbar**2 * (sp.diags_array(1.0 / r**s) @ D @ sp.diags_array(r**s) @ D)).toarray()

@@ -291,6 +291,7 @@ def gke_extrapolate(surface: SurfaceSpec, l: int, d_sequence,
 
     Returns (limit, empirical_order).  The limit reproduces the curvature
     energy shift: -hbar^2/(8 m R^2) on the cylinder/ring, 0 on the sphere.
+    The order is NaN when no two successive residuals rise above round-off.
     """
     ds = np.asarray(list(d_sequence), dtype=float)
     if len(ds) < 3:
@@ -298,16 +299,15 @@ def gke_extrapolate(surface: SurfaceSpec, l: int, d_sequence,
     if not np.all(np.diff(ds) < 0):
         raise ValueError("non-monotone sequence rejected")
     naive = _naive_angular_energy(surface, l, constants)
-    vals = np.array([
-        effective_surface_energy(ShellProblem(surface, d, l, n_r, constants)) - naive
-        for d in ds
-    ])
+    problems = [ShellProblem(surface, d, l, n_r, constants) for d in ds]
+    vals = np.array([effective_surface_energy(p) - naive for p in problems])
     limit = _neville_limit(ds, vals)
     resid = np.abs(vals - limit)
-    orders = []
-    for i in range(len(ds) - 1):
-        if resid[i] > 0 and resid[i + 1] > 0:
-            orders.append(np.log(resid[i] / resid[i + 1]) / np.log(ds[i] / ds[i + 1]))
+    # E_surface = E_raw - E_box cancels O(E_box) terms, so below this floor a
+    # residual is round-off and an order fitted to it would be noise
+    fit = resid > n_r * np.finfo(float).eps * np.array([box_energy(p) for p in problems])
+    orders = [np.log(resid[i] / resid[i + 1]) / np.log(ds[i] / ds[i + 1])
+              for i in range(len(ds) - 1) if fit[i] and fit[i + 1]]
     order = float(np.mean(orders)) if orders else float("nan")
     return limit, order
 

@@ -177,6 +177,40 @@ class TestRun:
         assert rep["diagnostics"]["empirical_order"] is None
         assert rep["diagnostics"]["limit"] == 0.0
 
+    def test_gke_order_at_round_off_is_null(self, tmp_path):
+        # default --d: the surface energies are exact up to round-off, so no order is fitted
+        out = tmp_path / "g.json"
+        assert run(parse_config(["gke", "--surface", "sphere", "--l", "0",
+                                 "--output", str(out)])) == 0
+        rep = json.loads(out.read_text())
+        assert rep["diagnostics"]["empirical_order"] is None
+        assert abs(rep["diagnostics"]["limit"]) < 1e-10
+
+    def test_oversized_grid_exits_1_before_allocating(self, tmp_path, capsys):
+        import time
+        import tracemalloc
+
+        from surfband.discretize import ASSEMBLY_BYTES_PER_NODE, dense_memory_limit
+
+        if dense_memory_limit() >= 20000**2 * ASSEMBLY_BYTES_PER_NODE:
+            pytest.skip("enough memory to assemble a 4e8-node grid")
+        out = tmp_path / "big.json"
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = run(parse_config(["spectrum", "--surface", "cylinder", "--n", "20000",
+                                     "--k", "4", "--output", str(out)]))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+        assert not out.exists()
+        assert elapsed < 1.0
+        assert peak < 2**20  # the node weights alone would be 3.2 GB
+
     def test_spectrum_reports_solver(self, tmp_path):
         out = tmp_path / "s.json"
         run(parse_config(["spectrum", "--surface", "ring", "--n1", "16", "--k", "2",

@@ -3,15 +3,15 @@ import pytest
 
 from surfband.discretize import (
     OperatorMatrix,
+    _dirichlet_d1,
     build_grid,
     hermiticity_residual,
-    multiplication_operator,
-    periodic_derivative,
-    periodic_second_derivative,
+    tangential_gradient,
     weighted_adjoint,
     weighted_inner,
 )
-from surfband.geometry import cylinder, ring, sphere
+from surfband.geometry import PhysicalConstants, cylinder, geometric_kinetic_energy, ring, sphere
+from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
 
 
 class TestBuildGrid:
@@ -49,25 +49,38 @@ class TestBuildGrid:
             build_grid(sphere(1.0), 8, 2)
 
 
+# mass 1/2 makes hbar^2/(2 m R^2) = 1, so the free ring operator is exactly
+# E_gke - d2/dtheta2 and each stencil symbol is checked at its own scale
+UNIT_KINETIC = PhysicalConstants(mass=0.5)
+
+
+def free_operator(surf, n1, n2=1, order=2):
+    g = build_grid(surf, n1, n2)
+    return g, build_hamiltonian(HamiltonianRequest(surf, g, order=order, constants=UNIT_KINETIC))
+
+
 class TestStencils:
+    KAPPA = UNIT_KINETIC.hbar**2 / (2 * UNIT_KINETIC.mass)  # R = 1
+    GKE = geometric_kinetic_energy(ring(1.0), UNIT_KINETIC)
+
     def test_second_derivative_kills_constants(self):
-        g = build_grid(ring(1.0), 16)
-        D2 = periodic_second_derivative(g, 0).toarray()
-        np.testing.assert_allclose(np.abs(D2 @ np.ones(16)), 0, atol=1e-12)
+        _, H = free_operator(ring(1.0), 16)
+        out = H.toarray() @ np.ones(16) - self.GKE
+        np.testing.assert_allclose(np.abs(out / self.KAPPA), 0, atol=1e-12)
 
     def test_theta_mode_symbol(self):
         # oracle: discrete Fourier symbol -2(1 - cos(2 pi/16))/h^2 for e^{i theta}
         n = 16
-        g = build_grid(ring(1.0), n)
+        g, H = free_operator(ring(1.0), n)
         h = 2 * np.pi / n
         mode = np.exp(1j * g.coords1)
-        out = periodic_second_derivative(g, 0).entries @ mode
+        out = H.entries @ mode
         symbol = -2 * (1 - np.cos(h)) / h**2
-        np.testing.assert_allclose(out, symbol * mode, atol=1e-12)
+        np.testing.assert_allclose(out, (self.GKE - self.KAPPA * symbol) * mode, atol=1e-12)
 
     def test_z_derivative_exact_on_linear(self):
         g = build_grid(cylinder(1.0, 1.0), 4, 12)
-        D = periodic_derivative(g, 1).entries
+        D = tangential_gradient(g, _dirichlet_d1)[1]
         z = np.tile(g.coords2, 4)
         out = (D @ z).reshape(4, 12)
         # centered difference is exact on linears at interior nodes
@@ -75,50 +88,27 @@ class TestStencils:
 
     def test_fourth_order_symbol(self):
         n = 32
-        g = build_grid(ring(1.0), n)
+        g, H = free_operator(ring(1.0), n, order=4)
         h = 2 * np.pi / n
         mode = np.exp(3j * g.coords1)
-        out = periodic_second_derivative(g, 0, order=4).entries @ mode
+        out = H.entries @ mode
         symbol = (-(4 / 3) * 2 * (1 - np.cos(3 * h)) + (1 / 12) * 2 * (1 - np.cos(6 * h))) / h**2
-        np.testing.assert_allclose(out, symbol * mode, atol=1e-11)
+        np.testing.assert_allclose(out, (self.GKE - self.KAPPA * symbol) * mode, atol=1e-11)
 
     def test_second_derivative_symmetric(self):
-        g = build_grid(cylinder(1.0, 1.0), 6, 8)
-        for axis in (0, 1):
-            A = periodic_second_derivative(g, axis).toarray()
-            assert np.abs(A - A.T).max() == 0.0
-
-    def test_sphere_polar_second_derivative_reserved(self):
-        g = build_grid(sphere(1.0), 8, 8)
-        with pytest.raises(ValueError):
-            periodic_second_derivative(g, 0)
+        # both axes of the free cylinder: periodic theta and the odd-reflected z walls
+        _, H = free_operator(cylinder(1.0, 1.0), 6, 8)
+        A = H.toarray()
+        assert np.abs(A - A.T).max() == 0.0
 
 
-class TestMultiplicationOperator:
-    def test_identity(self):
-        g = build_grid(ring(1.0), 8)
-        op = multiplication_operator(np.ones(8), g)
-        np.testing.assert_array_equal(op.toarray(), np.eye(8))
-
-    def test_sphere_sin_diagonal(self):
-        g = build_grid(sphere(1.0), 4, 4)
-        f = np.repeat(np.sin(g.coords1), 4)
-        op = multiplication_operator(f, g)
-        np.testing.assert_array_equal(np.diag(op.toarray()), f.astype(complex))
-
-    def test_diagonals_commute(self):
-        g = build_grid(ring(1.0), 12)
-        rng = np.random.default_rng(3)
-        a = multiplication_operator(rng.standard_normal(12), g).toarray()
-        b = multiplication_operator(rng.standard_normal(12), g).toarray()
-        assert np.abs(a @ b - b @ a).max() == 0.0
-
+class TestOperatorMatrix:
     def test_nonfinite_rejected(self):
         g = build_grid(ring(1.0), 8)
-        bad = np.ones(8)
-        bad[3] = np.nan
-        with pytest.raises(ValueError):
-            multiplication_operator(bad, g)
+        bad = np.eye(8)
+        bad[3, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            OperatorMatrix(bad, g.weights, 1, "bad")
 
 
 class TestWeightedAdjoint:
@@ -219,14 +209,15 @@ class TestSparseStencils:
 
     @pytest.mark.parametrize("n,periodic", [(3, True), (4, True), (9, True), (9, False)])
     def test_stencil_matrix_matches_loop(self, n, periodic):
-        from surfband.discretize import _D2_O4, _stencil_matrix
+        from surfband.discretize import _stencil_matrix
 
+        coefs = [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]
         ref = np.zeros((n, n))
-        for o, c in zip(range(-2, 3), _D2_O4):
+        for o, c in zip(range(-2, 3), coefs):
             for j in range(n):
                 if periodic:
                     ref[j, (j + o) % n] += c
                 elif 0 <= j + o < n:
                     ref[j, j + o] += c
-        A = _stencil_matrix(n, range(-2, 3), _D2_O4, periodic).toarray()
+        A = _stencil_matrix(n, range(-2, 3), coefs, periodic).toarray()
         np.testing.assert_allclose(A, ref, rtol=0, atol=1e-15)

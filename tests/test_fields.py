@@ -16,7 +16,6 @@ from surfband.fields import (
     sample_magnetic_field,
     sample_potential,
     surface_gradient,
-    zero_field,
 )
 from surfband.geometry import cylinder, ring, sphere
 
@@ -85,6 +84,19 @@ class TestMagneticField:
         assert Bph == 0.0
 
 
+    @pytest.mark.parametrize("surf", [ring(1.0), cylinder(1.3, 1.0), sphere(0.7)],
+                             ids=["ring", "cylinder", "sphere"])
+    @pytest.mark.parametrize("spec", [UniformAxial(B=1.5), ABFlux(Phi=2.0)], ids=["B", "AB"])
+    def test_grid_curl_is_point_curl_at_every_node(self, surf, spec):
+        g = build_grid(surf, 6, 4)
+        B = sample_magnetic_field(spec, g)
+        assert all(b.shape == (g.n1, g.n2) for b in B)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(B) for b in B[i + 1:])
+        for j, k in np.ndindex(g.n1, g.n2):
+            point = (g.coords1[j], g.coords2[k])
+            assert magnetic_field_of(spec, surf, point) == tuple(float(b[j, k]) for b in B)
+
+
 class TestSurfaceGradient:
     def test_constant_gives_zero(self):
         surf = ring(1.0)
@@ -133,7 +145,7 @@ class TestAddGauge:
         surf = ring(1.0)
         g = build_grid(surf, 16)
         lam = GaugeFunction.from_callable(lambda t, z: 1.0, g)
-        shifted = add_gauge(zero_field(), lam, g)
+        shifted = add_gauge(ABFlux(Phi=0.0), lam, g)
         np.testing.assert_allclose(sample_potential(shifted, g)[0], 0, atol=1e-14)
 
     def test_curl_grad_vanishes(self):
@@ -177,8 +189,8 @@ class TestAddGauge:
         rng = np.random.default_rng(11)
         lam_a = GaugeFunction(rng.standard_normal((24, 1)), "a")
         lam_b = GaugeFunction(rng.standard_normal((24, 1)), "b")
-        ab = add_gauge(add_gauge(zero_field(), lam_a, g), lam_b, g)
-        ba = add_gauge(add_gauge(zero_field(), lam_b, g), lam_a, g)
+        ab = add_gauge(add_gauge(ABFlux(Phi=0.0), lam_a, g), lam_b, g)
+        ba = add_gauge(add_gauge(ABFlux(Phi=0.0), lam_b, g), lam_a, g)
         np.testing.assert_allclose(sample_potential(ab, g)[0], sample_potential(ba, g)[0], atol=1e-13)
 
 

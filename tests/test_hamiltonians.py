@@ -68,9 +68,10 @@ class TestFreeRing:
         # the whole spectrum sits exactly -hbar^2/(8mR^2) below the bare ring Laplacian
         req = ring_req(32, R=2.0)
         H = build_hamiltonian(req)
-        from surfband.discretize import periodic_second_derivative
-
-        naive = -0.5 * periodic_second_derivative(req.grid, 0).toarray() / 4.0
+        h = 2 * np.pi / 32
+        eye = np.eye(32)
+        d2 = (np.roll(eye, 1, axis=1) - 2 * eye + np.roll(eye, -1, axis=1)) / h**2  # circulant
+        naive = -0.5 * d2 / 4.0
         shift = H.toarray() - naive
         np.testing.assert_allclose(shift, -1 / 32 * np.eye(32), atol=1e-14)
 
@@ -320,20 +321,28 @@ class TestZeeman:
     def test_uniform_field_eigenvalues(self):
         surf = ring(1.0)
         g = build_grid(surf, 8)
-        zb = zeeman_block(UniformAxial(B=1.0), surf, g)
+        zb = zeeman_block(UniformAxial(B=1.0), g)
         ev = np.linalg.eigvalsh(zb.toarray())
         np.testing.assert_allclose(ev, [-0.5] * 8 + [0.5] * 8, atol=1e-14)
+
+    @pytest.mark.parametrize("surf", [ring(1.0), cylinder(1.0, 1.0), sphere(1.0)],
+                             ids=["ring", "cylinder", "sphere"])
+    def test_uniform_axial_field_is_sigma_z_everywhere(self, surf):
+        # B along the fixed z axis: the local frame must rotate back to sigma_z at every node
+        g = build_grid(surf, 6, 4)
+        zb = zeeman_block(UniformAxial(B=2.0), g).toarray()
+        np.testing.assert_allclose(zb, -np.kron(np.diag([1.0, -1.0]), np.eye(g.size)), atol=1e-14)
 
     def test_zero_field_zero_block(self):
         surf = ring(1.0)
         g = build_grid(surf, 8)
-        zb = zeeman_block(UniformAxial(B=0.0), surf, g)
+        zb = zeeman_block(UniformAxial(B=0.0), g)
         assert np.abs(zb.toarray()).max() == 0.0
 
     def test_traceless(self):
         surf = sphere(1.0)
         g = build_grid(surf, 8, 8)
-        zb = zeeman_block(UniformAxial(B=2.0), surf, g)
+        zb = zeeman_block(UniformAxial(B=2.0), g)
         assert abs(np.trace(zb.toarray())) < 1e-12
 
     def test_spin_splitting_exact(self):

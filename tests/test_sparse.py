@@ -133,6 +133,16 @@ def test_toarray_refuses_oversized_dense(monkeypatch):
         op.toarray()
 
 
+def test_build_grid_refuses_an_operator_that_would_not_fit(monkeypatch):
+    import surfband.discretize as disc
+
+    surf = cylinder(1.0, np.pi)
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 64 * disc.ASSEMBLY_BYTES_PER_NODE)
+    assert build_grid(surf, 8, 8).size == 64
+    with pytest.raises(ValueError, match="65-node grid operator .* limit"):
+        build_grid(surf, 13, 5)
+
+
 @pytest.mark.skipif(dense_memory_limit() >= 3 * 16384**2 * 8,
                     reason="enough memory for the dense 16384-level solve")
 def test_dense_request_above_memory_bound_exits_1(tmp_path, capsys):

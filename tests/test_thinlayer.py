@@ -163,6 +163,13 @@ class TestGkeExtrapolate:
         assert abs(limit + 0.125) < 1e-6
         assert 1.5 < order < 2.5
 
+    @pytest.mark.parametrize("surf,l", [(cylinder(1.0, 1.0), 0), (cylinder(1.0, 1.0), 1),
+                                        (cylinder(1.0, 1.0), 2), (sphere(1.0), 1), (sphere(1.0), 2)],
+                             ids=["cylinder-0", "cylinder-1", "cylinder-2", "sphere-1", "sphere-2"])
+    def test_order_above_round_off_is_second(self, surf, l):
+        _, order = gke_extrapolate(surf, l, self.DS)
+        assert 1.7 <= order <= 2.3
+
     def test_sphere_limit_is_zero(self):
         limit, _ = gke_extrapolate(sphere(1.0), 1, self.DS)
         assert abs(limit) < 1e-6
