@@ -32,8 +32,13 @@ class SpectrumReport:
 
     Hermitian operators give real ascending eigenvalues; non-Hermitian input
     is reported as complex, sorted by real part then imaginary part.  solver
-    names the path taken (dense-eigh, dense-eig or sparse-shift-invert); dim
-    and nnz describe the operator it was given.
+    names the path taken: dense-eigh or sparse-shift-invert for Hermitian
+    input, shifted-dense-eigh or shifted-sparse-shift-invert for input whose
+    anti-Hermitian part is a scalar ic I, dense-eig for any other input.  dim
+    and nnz describe the operator it was given.  eigen_residual is
+    max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator,
+    set whenever the path produced eigenvectors (the sparse paths, or
+    want_vectors=True), else None.
     """
 
     eigenvalues: np.ndarray
@@ -44,6 +49,7 @@ class SpectrumReport:
     solver: str = ""
     dim: int = 0
     nnz: int = 0
+    eigen_residual: float | None = None
 
     def eigenvalue_pairs(self) -> list[tuple[float, float]]:
         ev = np.asarray(self.eigenvalues)
@@ -65,9 +71,12 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
 
     Operators within HERMITIAN_TOL of self-adjoint are symmetrized as
     W^(1/2) H W^(-1/2) and solved with a self-adjoint eigensolver (dense, or
-    shift-invert ARPACK for k << dim); anything else goes through the dense
-    general complex solver.  Dense paths refuse operators too large for
-    memory with ValueError.
+    shift-invert ARPACK for k << dim).  An operator whose anti-Hermitian part
+    is ic I within the same tolerance (the pragmatic operator with a uniform
+    A_r) is normal: its Hermitian part is solved the same way and ic is added
+    to the eigenvalues, on the path shifted-<solver>.  Anything else goes
+    through the dense general complex solver.  Dense paths refuse operators
+    too large for memory with ValueError.
     """
     n = op.dim
     if k is None:
@@ -77,7 +86,10 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
     resid = hermiticity_residual(op)
     # absolute tolerance for O(1) operators, relative floor for stiff ones
     scale = max_abs(op.entries) or 1.0
-    solver = choose_solver(n, k, resid <= max(HERMITIAN_TOL, 1e-12 * scale))
+    tol = max(HERMITIAN_TOL, 1e-12 * scale)
+    hermitian = resid <= tol
+    shift = None if hermitian else _imaginary_shift(op, tol)
+    solver = choose_solver(n, k, hermitian or shift is not None)
     try:
         if solver == "dense-eig":
             check_fits(3 * n * n * 16, f"dense {n}x{n} operator work")
@@ -92,9 +104,10 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
                 vec = None
         else:
             sqw = np.sqrt(op.full_weights())
+            # the Hermitian part of H: an anti-Hermitian ic I drops out here
             S = _symmetrized(op.entries, sqw)
             if solver == "sparse-shift-invert":
-                ev, vec = _shift_invert(S, k, sqw, scale, want_vectors, op.label)
+                ev, vec = _shift_invert(S, k, sqw, scale, op.label)
             else:
                 check_fits(3 * n * n * S.dtype.itemsize, f"dense {n}x{n} operator work")
                 if want_vectors:
@@ -103,12 +116,33 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
                     ev, vec = np.linalg.eigvalsh(S.toarray()), None
             if vec is not None:
                 vec = vec.astype(complex) / sqw[:, None]
+            if shift is not None:
+                ev, solver = ev + 1j * shift, f"shifted-{solver}"
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for operator {op.label!r}: {exc}") from exc
     ev = ev[:k]
+    residual = None
     if vec is not None:
         vec = vec[:, :k]
-    return SpectrumReport(ev, resid, op.label, parameters or {}, vec, solver, n, op.nnz)
+        w = op.full_weights()[:, None]
+        r2 = (w * np.abs(op.entries @ vec - vec * ev) ** 2).sum(axis=0)
+        residual = float(np.sqrt(r2 / (w * np.abs(vec) ** 2).sum(axis=0)).max() / scale)
+    return SpectrumReport(ev, resid, op.label, parameters or {},
+                          vec if want_vectors else None, solver, n, op.nnz, residual)
+
+
+def _imaginary_shift(op: OperatorMatrix, tol: float) -> float | None:
+    """c when op - ic I passes the Hermitian test (residual <= tol), else None.
+
+    c is one diagonal entry's imaginary part, not a mean, so the levels of
+    the shifted solve carry Im E = c exactly.  O(nnz), on the stored entries.
+    """
+    import scipy.sparse as sp
+
+    c = float(op.entries[0, 0].imag)
+    diff = (op.entries - weighted_transpose(op.entries, op.full_weights())
+            - 2j * c * sp.eye_array(op.dim, format="csr"))
+    return c if max_abs(diff) <= tol else None
 
 
 def _symmetrized(A, sqw: np.ndarray):
@@ -146,7 +180,7 @@ def _factor(S, sigma: float):
     return lu, int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, want_vectors: bool, label: str):
+def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     """Lowest k eigenpairs of sparse Hermitian S by ARPACK in shift-invert mode.
 
     The shift sigma starts below the Rayleigh quotient rho of the weighted
@@ -227,7 +261,7 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, want_vectors: bool, 
             continue
         missing = below - int(np.count_nonzero(ev < above))
         if missing <= 0:
-            return ev[:k], vec[:, :k] if want_vectors else None
+            return ev[:k], vec[:, :k]
         more, more_vec = lowest(min(missing, n - 1 - len(ev)), vec)
         ev, vec = np.concatenate([ev, more]), np.hstack([vec, more_vec])
     raise RuntimeError(f"the lowest {k} levels of {label!r} could not be certified")

@@ -321,7 +321,8 @@ def run(cfg: RunConfig) -> int:
             rep = analysis.spectrum(op, min(cfg.k, op.dim))
             eigenvalues = list(rep.eigenvalues)
             residual = rep.hermiticity_residual
-            diagnostics = {"operator_label": rep.operator_label, "solver": rep.solver}
+            diagnostics = {"operator_label": rep.operator_label, "solver": rep.solver,
+                           "eigen_residual": rep.eigen_residual}
             e0 = rep.eigenvalues[0]
             summary = f"E0 = {np.real(e0):.6g}"
             if abs(np.imag(e0)) > 0:

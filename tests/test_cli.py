@@ -215,7 +215,20 @@ class TestRun:
         out = tmp_path / "s.json"
         run(parse_config(["spectrum", "--surface", "ring", "--n1", "16", "--k", "2",
                           "--output", str(out)]))
-        assert json.loads(out.read_text())["diagnostics"]["solver"] == "dense-eigh"
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["solver"] == "dense-eigh"
+        assert diagnostics["eigen_residual"] is None  # eigvalsh: no vectors to check
+
+    def test_pragmatic_spectrum_takes_the_shifted_sparse_path(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(parse_config(["spectrum", "--surface", "cylinder", "--n", "32", "--k", "16",
+                                 "--variant", "pragmatic", "--field", "ab-flux", "--phi", "0.3",
+                                 "--A-r", "0.7", "--dA-r-dr", "0.3", "--output", str(out)])) == 0
+        rep = json.loads(out.read_text())
+        assert rep["diagnostics"]["solver"] == "shifted-sparse-shift-invert"
+        assert rep["diagnostics"]["eigen_residual"] <= 1e-12
+        assert {im for _, im in rep["eigenvalues"]} == {0.5 * (0.7 + 0.3)}
+        assert [re for re, _ in rep["eigenvalues"]] == sorted(re for re, _ in rep["eigenvalues"])
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "r.json"
@@ -225,17 +238,32 @@ class TestRun:
         assert out.exists()
 
 
+def _reports_of_two_runs(args, path):
+    outs = []
+    for _ in range(2):
+        assert main(list(args)) == 0
+        outs.append(path.read_bytes())
+    return outs
+
+
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):
         path = tmp_path / "report.json"
         args = ["spectrum", "--surface", "cylinder", "--R", "1", "--n", "16",
                 "--field", "uniform-axial", "--B", "1", "--k", "8",
                 "--output", str(path)]
-        outs = []
-        for _ in range(2):
-            assert main(list(args)) == 0
-            outs.append(path.read_bytes())
+        outs = _reports_of_two_runs(args, path)
         assert outs[0] == outs[1]
+
+    def test_shifted_sparse_report_identical_bytes(self, tmp_path):
+        # ARPACK on the shifted path, and a numeric eigen_residual
+        path = tmp_path / "report.json"
+        args = ["spectrum", "--surface", "cylinder", "--R", "1", "--n", "32",
+                "--variant", "pragmatic", "--field", "ab-flux", "--phi", "0.3",
+                "--A-r", "0.7", "--k", "16", "--output", str(path)]
+        outs = _reports_of_two_runs(args, path)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["diagnostics"]["eigen_residual"] is not None
 
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "s.json"

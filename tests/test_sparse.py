@@ -1,4 +1,4 @@
-"""The sparse shift-invert path against the dense reference it replaces."""
+"""The sparse shift-invert and shifted paths against the dense references they replace."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from surfband import analysis
 from surfband.analysis import choose_solver, spectrum
 from surfband.discretize import OperatorMatrix, build_grid, dense_memory_limit, weighted_norm
-from surfband.fields import UniformAxial
-from surfband.geometry import cylinder, sphere
+from surfband.fields import ABFlux, Sampled, UniformAxial
+from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
 from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
 
 # every acceptance grid whose solve takes the sparse path
@@ -34,6 +34,7 @@ def _multiplicities(ev, tol=1e-9):
 def _check_against_dense(H, rep, k):
     dense = spectrum(H)  # k = dim: the dense reference
     assert dense.solver == "dense-eigh"
+    assert dense.eigen_residual is None  # eigvalsh gives no vectors to check
     ref = dense.eigenvalues[:k]
     bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
     assert np.abs(rep.eigenvalues - ref).max() <= bound
@@ -48,6 +49,7 @@ def test_sparse_matches_dense_on_acceptance_grids(name):
     assert rep.solver == "sparse-shift-invert"
     assert (rep.dim, rep.nnz) == (H.dim, H.nnz)
     assert np.isrealobj(rep.eigenvalues)
+    assert rep.eigen_residual <= 1e-12
     _check_against_dense(H, rep, k)
     again = spectrum(H, k)
     assert np.array_equal(rep.eigenvalues, again.eigenvalues)
@@ -162,3 +164,107 @@ def test_dense_request_above_memory_bound_exits_1(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
     assert not out.exists()
     assert peak < 256 * 2**20  # the dense operator alone would be 2 GiB
+
+
+# pragmatic operators with a uniform A_r: their anti-Hermitian part is i c I
+SHIFTED_CASES = {
+    "ring-64-ab-flux": ("ring", 64, "ab-flux"),
+    "ring-600-uniform-axial": ("ring", 600, "uniform-axial"),
+    "cylinder-12x10-sampled": ("cylinder", (12, 10), "sampled"),
+    "cylinder-16x12-uniform-axial": ("cylinder", (16, 12), "uniform-axial"),
+    "cylinder-24x24-ab-flux": ("cylinder", (24, 24), "ab-flux"),
+    "cylinder-24x24-sampled": ("cylinder", (24, 24), "sampled"),
+}
+
+
+def _pragmatic(kind, n, base, seed, radial=None):
+    """A seeded pragmatic operator; A_r and dA_r/dr are uniform unless radial is given."""
+    rng = np.random.default_rng(seed)
+    R = float(rng.uniform(0.8, 1.25))
+    surf = ring(R) if kind == "ring" else cylinder(R, float(rng.uniform(1, 4)))
+    g = build_grid(surf, *np.atleast_1d(n))
+    a_r, da_r = radial if radial is not None else rng.uniform(0.2, 1.0, 2)
+    strength = float(rng.uniform(-2, 2))
+    kw = dict(radial_component=a_r, radial_derivative=da_r)
+    if base == "sampled":
+        shape = (g.n1, g.n2)
+        field = Sampled(grid=g, a1=strength * rng.uniform(-1, 1, shape),
+                        a2=strength * rng.uniform(-1, 1, shape), **kw)
+    elif base == "uniform-axial":
+        field = UniformAxial(B=strength, **kw)
+    else:
+        field = ABFlux(Phi=strength, **kw)
+    return build_hamiltonian(HamiltonianRequest(surf, g, field, variant="pragmatic")), R, a_r, da_r
+
+
+def _by_real_part(ev):
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+def _circulant_spectrum(H):
+    """Exact eigenvalues of a circulant operator: the DFT of its first row.
+
+    Phases are reduced mod n before the exponential, so each level carries
+    only the round-off of its three stencil terms.
+    """
+    row = H.entries[[0], :].toarray()[0]
+    j = np.arange(H.dim)
+    return _by_real_part(np.array([row @ np.exp(2j * np.pi * (l * j % H.dim) / H.dim)
+                                   for l in range(H.dim)]))
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_CASES))
+def test_shifted_path_matches_dense_eig(name):
+    kind = SHIFTED_CASES[name][0]
+    H, R, a_r, da_r = _pragmatic(*SHIFTED_CASES[name], seed=sorted(SHIFTED_CASES).index(name))
+    c = PhysicalConstants()
+    im = (c.hbar * c.charge / (2 * c.mass)) * (a_r / R + da_r)  # as the builder forms it
+    bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
+    # (reference, levels it is trusted for): at the top of the stiff 600-node
+    # ring spectrum dense eig is itself off by 1.4e-10 (bound 6.1e-11), so the
+    # whole ring spectrum is checked against the exact circulant symbol
+    refs = [(_by_real_part(np.linalg.eig(H.toarray())[0]),
+             H.dim if kind == "cylinder" else max(1, H.dim // 16))]
+    if kind == "ring":
+        refs.append((_circulant_spectrum(H), H.dim))
+    w = H.full_weights()
+    for k in sorted({max(1, H.dim // 16), H.dim}):
+        rep = spectrum(H, k, want_vectors=True)
+        values_only = spectrum(H, k)
+        assert rep.solver == values_only.solver == "shifted-" + choose_solver(H.dim, k, True)
+        for ev in (rep.eigenvalues, values_only.eigenvalues):
+            for ref, trusted in refs:
+                m = min(k, trusted)
+                assert np.abs(ev[:m] - ref[:m]).max() <= bound
+                assert _multiplicities(ev[:m].real) == _multiplicities(ref[:m].real)
+            assert np.all(ev.imag == im)
+        for lam, v in zip(rep.eigenvalues, rep.eigenvectors.T):
+            assert abs(weighted_norm(v, w) - 1.0) < 1e-10
+            assert weighted_norm(H.entries @ v - lam * v, w) <= 1e-9
+        assert rep.eigen_residual <= 1e-12
+
+
+def test_varying_radial_component_stays_on_dense_eig():
+    a_r = np.random.default_rng(5).uniform(0.2, 1.0, 120)
+    H, *_ = _pragmatic("cylinder", (12, 10), "ab-flux", 5, radial=(a_r, 0.3))
+    rep = spectrum(H, 8, want_vectors=True)
+    assert rep.solver == "dense-eig"
+    assert rep.eigen_residual <= 1e-12
+    assert spectrum(H, 8).eigen_residual is None
+
+
+def test_shifted_path_lifts_the_dense_guard(monkeypatch):
+    import surfband.discretize as disc
+
+    # above the 32x32 grid guard (1.2 MB), below what dense eig of N = 1024 needs (48 MiB)
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 8 * 2**20)
+    H, *_ = _pragmatic("cylinder", (32, 32), "ab-flux", 7)
+    rep = spectrum(H, 16)
+    assert rep.solver == "shifted-sparse-shift-invert"
+    assert rep.eigen_residual <= 1e-12
+    with pytest.raises(ValueError, match="limit"):
+        spectrum(H)  # shifted-dense-eigh still needs the dense matrix
+    varying, *_ = _pragmatic("cylinder", (32, 32), "ab-flux", 7,
+                             radial=(np.linspace(0.2, 1.0, 1024), 0.3))
+    with pytest.raises(ValueError, match="limit"):
+        spectrum(varying, 16)  # dense-eig, as before
