@@ -16,7 +16,6 @@ from .discretize import (
     OperatorMatrix,
     build_grid,
     hermiticity_residual,
-    weighted_adjoint,
     weighted_inner,
     weighted_norm,
 )
@@ -27,9 +26,7 @@ from .fields import (
     Sampled,
     UniformAxial,
     add_gauge,
-    eval_potential,
     load_sampled_csv,
-    magnetic_field_of,
     materialize,
     surface_gradient,
 )

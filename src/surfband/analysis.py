@@ -51,10 +51,6 @@ class SpectrumReport:
     nnz: int = 0
     eigen_residual: float | None = None
 
-    def eigenvalue_pairs(self) -> list[tuple[float, float]]:
-        ev = np.asarray(self.eigenvalues)
-        return [(float(np.real(x)), float(np.imag(x))) for x in ev]
-
 
 def choose_solver(n: int, k: int, hermitian: bool) -> str:
     """The eigensolver path for k of n levels; depends on the input only."""
@@ -69,14 +65,16 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
              parameters: dict | None = None) -> SpectrumReport:
     """Lowest-k eigenpairs of an operator in its weighted inner product.
 
-    Operators within HERMITIAN_TOL of self-adjoint are symmetrized as
-    W^(1/2) H W^(-1/2) and solved with a self-adjoint eigensolver (dense, or
-    shift-invert ARPACK for k << dim).  An operator whose anti-Hermitian part
-    is ic I within the same tolerance (the pragmatic operator with a uniform
-    A_r) is normal: its Hermitian part is solved the same way and ic is added
-    to the eigenvalues, on the path shifted-<solver>.  Anything else goes
-    through the dense general complex solver.  Dense paths refuse operators
-    too large for memory with ValueError.
+    c = Im H[0, 0] is read first.  When c = 0, operators within
+    HERMITIAN_TOL of self-adjoint are symmetrized as W^(1/2) H W^(-1/2) and
+    solved with a self-adjoint eigensolver (dense, or shift-invert ARPACK
+    for k << dim).  When c != 0, however small, an operator whose
+    anti-Hermitian part is ic I within the same tolerance (the pragmatic
+    operator with a uniform A_r) is normal: its Hermitian part is solved the
+    same way and ic is added to the eigenvalues, on the path
+    shifted-<solver>.  Anything else goes through the dense general complex
+    solver.  Dense paths refuse operators too large for memory with
+    ValueError.
     """
     n = op.dim
     if k is None:
@@ -87,9 +85,11 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
     # absolute tolerance for O(1) operators, relative floor for stiff ones
     scale = max_abs(op.entries) or 1.0
     tol = max(HERMITIAN_TOL, 1e-12 * scale)
-    hermitian = resid <= tol
-    shift = None if hermitian else _imaginary_shift(op, tol)
-    solver = choose_solver(n, k, hermitian or shift is not None)
+    # c is one diagonal entry's imaginary part, not a mean, so the levels of
+    # the shifted solve carry Im E = c exactly; c = 0 means plain Hermitian
+    c = float(op.entries[0, 0].imag)
+    shift = c if (resid if c == 0.0 else _shifted_residual(op, c)) <= tol else None
+    solver = choose_solver(n, k, shift is not None)
     try:
         if solver == "dense-eig":
             check_fits(3 * n * n * 16, f"dense {n}x{n} operator work")
@@ -98,6 +98,8 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
                 ev, vec = np.linalg.eig(A)
                 order = np.lexsort((ev.imag, ev.real))
                 ev, vec = ev[order], vec[:, order]
+                # unit W-norm, as on the Hermitian paths
+                vec = vec / np.sqrt(op.full_weights() @ np.abs(vec) ** 2)
             else:
                 ev = np.linalg.eigvals(A)
                 ev = ev[np.lexsort((ev.imag, ev.real))]
@@ -116,7 +118,7 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
                     ev, vec = np.linalg.eigvalsh(S.toarray()), None
             if vec is not None:
                 vec = vec.astype(complex) / sqw[:, None]
-            if shift is not None:
+            if shift:
                 ev, solver = ev + 1j * shift, f"shifted-{solver}"
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for operator {op.label!r}: {exc}") from exc
@@ -131,18 +133,12 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
                           vec if want_vectors else None, solver, n, op.nnz, residual)
 
 
-def _imaginary_shift(op: OperatorMatrix, tol: float) -> float | None:
-    """c when op - ic I passes the Hermitian test (residual <= tol), else None.
-
-    c is one diagonal entry's imaginary part, not a mean, so the levels of
-    the shifted solve carry Im E = c exactly.  O(nnz), on the stored entries.
-    """
+def _shifted_residual(op: OperatorMatrix, c: float) -> float:
+    """The Hermiticity residual of op - ic I; O(nnz), on the stored entries."""
     import scipy.sparse as sp
 
-    c = float(op.entries[0, 0].imag)
-    diff = (op.entries - weighted_transpose(op.entries, op.full_weights())
-            - 2j * c * sp.eye_array(op.dim, format="csr"))
-    return c if max_abs(diff) <= tol else None
+    return max_abs(op.entries - weighted_transpose(op.entries, op.full_weights())
+                   - 2j * c * sp.eye_array(op.dim, format="csr"))
 
 
 def _symmetrized(A, sqw: np.ndarray):

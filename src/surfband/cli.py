@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import asdict, dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from . import analysis, fields, thinlayer
 from .discretize import build_grid, hermiticity_residual, weighted_norm
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec
 from .hamiltonians import HamiltonianRequest, build_hamiltonian
-
-SUBCOMMANDS = ("spectrum", "hermiticity", "gauge-check", "thin-layer", "gke")
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,29 @@ class RunConfig:
         return [float(x) for x in self.d_list.split(",") if x.strip()]
 
 
+# the flag of each RunConfig key; its type comes from RunConfig, its choices from _CHOICES
+_FLAGS = {
+    "surface": "--surface", "R": "--R", "L": "--L", "n1": "--n1", "n2": "--n2",
+    "order": "--order", "coupling": "--coupling", "variant": "--variant", "spin": "--spin",
+    "field": "--field", "B": "--B", "phi": "--phi", "a_r": "--A-r", "da_r_dr": "--dA-r-dr",
+    "k": "--k", "lam": "--lam", "lam_amp": "--lam-amp", "exact_gauge": "--resampled",
+    "d_list": "--d", "l": "--l", "n_r": "--n-r", "n_levels": "--n-levels", "hbar": "--hbar",
+    "mass": "--mass", "charge": "--charge", "output": "--output", "format": "--format",
+}
+_HELP = {"a_r": "constant on-surface A_r (pragmatic variant)",
+         "d_list": "comma list of layer widths, decreasing"}
+_COMMON = ("surface", "R", "hbar", "mass", "output", "format")
+_GRID = ("L", "n1", "n2", "order", "coupling", "spin", "field", "B", "phi", "charge")
+# the keys each subcommand reads, and so takes as flags; a --config file may set any key
+_SUBCOMMAND_KEYS = {
+    "spectrum": _COMMON + _GRID + ("variant", "a_r", "da_r_dr", "k"),
+    "hermiticity": _COMMON + _GRID + ("variant", "a_r", "da_r_dr"),
+    "gauge-check": _COMMON + _GRID + ("k", "lam", "lam_amp", "exact_gauge"),
+    "thin-layer": _COMMON + ("d_list", "l", "n_r", "n_levels"),
+    "gke": _COMMON + ("d_list", "l", "n_r"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later parse."""
@@ -73,45 +94,22 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="surface Hamiltonian spectra, Hermiticity and "
                                             "gauge diagnostics, thin-layer confinement runs")
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    hints = _type_hints()
+    defaults = {f.name: f.default for f in dc_fields(RunConfig)}
+    for name, keys in _SUBCOMMAND_KEYS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the report's config block")
-        sp.add_argument("--surface", choices=_CHOICES["surface"], default=None)
-        sp.add_argument("--R", type=float, default=None)
-        sp.add_argument("--L", type=float, default=None)
-        sp.add_argument("--n", type=int, default=None, help="sets both grid counts")
-        sp.add_argument("--n1", type=int, default=None)
-        sp.add_argument("--n2", type=int, default=None)
-        sp.add_argument("--order", type=int, choices=_CHOICES["order"], default=None)
-        sp.add_argument("--coupling", choices=_CHOICES["coupling"], default=None)
-        sp.add_argument("--spin", action="store_true", default=None)
-        sp.add_argument("--field", choices=_CHOICES["field"], default=None)
-        sp.add_argument("--B", type=float, default=None)
-        sp.add_argument("--phi", type=float, default=None)
-        sp.add_argument("--A-r", dest="a_r", type=float, default=None,
-                        help="constant on-surface A_r (pragmatic variant)")
-        sp.add_argument("--dA-r-dr", dest="da_r_dr", type=float, default=None)
-        sp.add_argument("--hbar", type=float, default=None)
-        sp.add_argument("--mass", type=float, default=None)
-        sp.add_argument("--charge", type=float, default=None)
-        sp.add_argument("--output", type=str, default=None)
-        sp.add_argument("--format", choices=_CHOICES["format"], default=None)
-        if name in ("spectrum", "hermiticity"):
-            sp.add_argument("--variant", choices=_CHOICES["variant"], default=None)
-        if name in ("spectrum", "gauge-check"):
-            sp.add_argument("--k", type=int, default=None)
-        if name == "gauge-check":
-            sp.add_argument("--lam", choices=_CHOICES["lam"], default=None)
-            sp.add_argument("--lam-amp", dest="lam_amp", type=float, default=None)
-            sp.add_argument("--resampled", dest="exact_gauge", action="store_false", default=None)
-        if name in ("thin-layer", "gke"):
-            sp.add_argument("--d", dest="d_list", type=str, default=None,
-                            help="comma list of layer widths, decreasing")
-            sp.add_argument("--l", type=int, default=None)
-            sp.add_argument("--n-r", dest="n_r", type=int, default=None)
-        if name == "thin-layer":
-            sp.add_argument("--n-levels", dest="n_levels", type=int, default=None)
+        if "n1" in keys:
+            sp.add_argument("--n", type=int, default=None, help="sets both grid counts")
+        for key in keys:
+            if hints[key] is bool:  # a switch that flips the default
+                sp.add_argument(_FLAGS[key], dest=key, default=None,
+                                action="store_false" if defaults[key] else "store_true")
+            else:
+                sp.add_argument(_FLAGS[key], dest=key, default=None, help=_HELP.get(key),
+                                type=hints[key] if hints[key] in (int, float) else None,
+                                choices=_CHOICES.get(key))
     return p
 
 
@@ -314,10 +312,11 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.subcommand in ("spectrum", "hermiticity", "gauge-check"):
             grid = build_grid(surface, cfg.n1, 1 if cfg.surface == "ring" else cfg.n2)
-            req = HamiltonianRequest(surface, grid, _field(cfg), cfg.spin, constants,
-                                     cfg.variant, cfg.coupling, cfg.order)
+        if cfg.subcommand in ("spectrum", "hermiticity"):
+            op = build_hamiltonian(HamiltonianRequest(surface, grid, _field(cfg), cfg.spin,
+                                                      constants, cfg.variant, cfg.coupling,
+                                                      cfg.order))
         if cfg.subcommand == "spectrum":
-            op = build_hamiltonian(req)
             rep = analysis.spectrum(op, min(cfg.k, op.dim))
             eigenvalues = list(rep.eigenvalues)
             residual = rep.hermiticity_residual
@@ -328,16 +327,15 @@ def run(cfg: RunConfig) -> int:
             if abs(np.imag(e0)) > 0:
                 summary += f" {np.imag(e0):+.6g}i"
         elif cfg.subcommand == "hermiticity":
-            op = build_hamiltonian(req)
             residual = hermiticity_residual(op)
             _, anti_norm = analysis.antihermitian_part(op)
             diagnostics = {"antihermitian_max": anti_norm, "operator_label": op.label}
             summary = (f"antihermitian_max = {anti_norm:.6g}; "
                        f"hermiticity_residual = {residual:.6g}")
         elif cfg.subcommand == "gauge-check":
-            base = _field(cfg) or fields.UniformAxial(B=cfg.B)
+            # the correct operator never reads A_r, so the base is built without it
+            base = _field(replace(cfg, a_r=0.0, da_r_dr=0.0)) or fields.UniformAxial(B=cfg.B)
             lam_fn = _LAM_PRESETS[cfg.lam](cfg.lam_amp)
-            grid = req.grid
             lam = fields.GaugeFunction.from_callable(lam_fn, grid, cfg.lam)
             builder = lambda f: build_hamiltonian(
                 HamiltonianRequest(surface, grid, f, cfg.spin, constants,

@@ -175,12 +175,6 @@ def weighted_transpose(A, w: np.ndarray):
     return sp.csr_array((T.data * (w[T.col] / w[T.row]), (T.row, T.col)), shape=A.shape)
 
 
-def weighted_adjoint(op: OperatorMatrix) -> OperatorMatrix:
-    """W^-1 A^H W on the stored entries only."""
-    adj = weighted_transpose(op.entries, op.full_weights())
-    return OperatorMatrix(adj, op.weights, op.spin_dim, f"adjoint({op.label})")
-
-
 def hermiticity_residual(op: OperatorMatrix) -> float:
     """max |A - W^-1 A^H W|: zero iff A is self-adjoint under its measure."""
     return max_abs(op.entries - weighted_transpose(op.entries, op.full_weights()))
@@ -226,37 +220,24 @@ def _open_d1(n: int, h: float):
     return sparse_from(n, rows, cols, vals)
 
 
-def _sphere_polar_d1(n1: int, n2: int, h: float):
-    """Centered polar derivative of a scalar with pole crossing (theta -> -theta, phi -> phi+pi).
+def _polar_node(p, k, n1: int, n2: int):
+    """Flat sphere node index of polar index p and azimuth index k, crossing a pole.
 
-    Falls back to one-sided rows when n2 is odd.
+    A polar index past a pole (p < 0 or p >= n1) reflects (theta -> -theta)
+    to -1 - p or 2 n1 - 1 - p, and its azimuth turns by pi, k -> k + n2/2,
+    which is a node only for even n2.
     """
-    half = n2 // 2
+    crossed = (p < 0) | (p >= n1)
+    p = np.where(p < 0, -1 - p, np.where(p >= n1, 2 * n1 - 1 - p, p))
+    return p * n2 + np.where(crossed, (k + n2 // 2) % n2, k)
+
+
+def _sphere_polar_d1(n1: int, n2: int, h: float):
+    """Centered polar derivative of a scalar with pole crossing; even n2 only."""
     j, k = np.divmod(np.arange(n1 * n2), n2)
-    if 2 * half == n2:
-        rows, cols, vals = [], [], []
-        for o, cc in ((1, 0.5 / h), (-1, -0.5 / h)):
-            jj = j + o
-            crossed = (jj < 0) | (jj >= n1)
-            jj = np.where(jj < 0, -1 - jj, np.where(jj >= n1, 2 * n1 - 1 - jj, jj))
-            rows.append(j * n2 + k)
-            cols.append(jj * n2 + np.where(crossed, (k + half) % n2, k))
-            vals.append(np.full(j.size, cc))
-        return sparse_from(n1 * n2, np.concatenate(rows), np.concatenate(cols),
-                           np.concatenate(vals))
-    # one-sided 2nd-order rows at the first and last polar rings
-    row = j * n2 + k
-    inner = (j > 0) & (j < n1 - 1)
-    first, last = j == 0, j == n1 - 1
-    rows = [row[inner], row[inner]]
-    cols = [row[inner] + n2, row[inner] - n2]
-    vals = [np.full(inner.sum(), 0.5 / h), np.full(inner.sum(), -0.5 / h)]
-    for sel, step, sign in ((first, n2, -1.0), (last, -n2, 1.0)):
-        for m, cc in enumerate((1.5, -2.0, 0.5)):
-            rows.append(row[sel])
-            cols.append(row[sel] + m * step)
-            vals.append(np.full(sel.sum(), sign * cc / h))
-    return sparse_from(n1 * n2, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    cols = np.concatenate([_polar_node(j + 1, k, n1, n2), _polar_node(j - 1, k, n1, n2)])
+    return sparse_from(n1 * n2, np.tile(np.arange(n1 * n2), 2), cols,
+                       np.repeat([0.5 / h, -0.5 / h], n1 * n2))
 
 
 def _kron_axis1(block, n2: int):
@@ -276,11 +257,12 @@ def tangential_gradient(grid: Grid, z_d1) -> tuple:
 
     G1 = (1/R) d/dtheta on every surface.  G2 is d/dz on the cylinder,
     (1/(R sin theta)) d/dphi on the sphere and None on the ring.  Interior
-    rows are centered second order; sphere polar rows cross the pole (see
-    _sphere_polar_d1 for odd n2).  z_d1
-    builds the cylinder z stencil: _open_d1 (one-sided wall rows) for field
-    and gauge data, which need not vanish at the walls, or _dirichlet_d1
-    (truncated, exactly skew) for operators.
+    rows are centered second order.  Sphere polar rows cross the pole for
+    even n2; for odd n2 no node lies across the pole, and the first and last
+    rings take one-sided rows (_open_d1).  z_d1 builds the cylinder z
+    stencil: _open_d1 (one-sided wall rows) for field and gauge data, which
+    need not vanish at the walls, or _dirichlet_d1 (truncated, exactly skew)
+    for operators.
     """
     import scipy.sparse as sp
 
@@ -289,7 +271,9 @@ def tangential_gradient(grid: Grid, z_d1) -> tuple:
     if kind is SurfaceKind.SPHERE:
         inv_rs = 1.0 / (R * np.repeat(np.sin(grid.coords1), grid.n2))
         Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2), grid.n1)
-        return _sphere_polar_d1(grid.n1, grid.n2, grid.h1) / R, sp.diags_array(inv_rs) @ Dph
+        polar = (_sphere_polar_d1(grid.n1, grid.n2, grid.h1) if grid.n2 % 2 == 0
+                 else _kron_axis1(_open_d1(grid.n1, grid.h1), grid.n2))
+        return polar / R, sp.diags_array(inv_rs) @ Dph
     if kind is SurfaceKind.RING:
         return _periodic_d1(grid.n1, grid.h1) / R, None
     return (_kron_axis1(_periodic_d1(grid.n1, grid.h1), grid.n2) / R,

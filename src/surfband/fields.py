@@ -110,7 +110,7 @@ def _radial_samples(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.nd
 
 
 def _analytic_components(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
-    """(A_1, A_2) of an analytic base at theta (a scalar or an array).
+    """(A_1, A_2) of an analytic base at the node coordinates theta (an array).
 
     Neither analytic field depends on the second coordinate.
     """
@@ -131,7 +131,7 @@ def _analytic_components(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
 
 
 def _analytic_curl(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
-    """(B_r, B_theta, B_z or B_phi) of an analytic base at theta (a scalar or an array)."""
+    """(B_r, B_theta, B_z or B_phi) of an analytic base at the node coordinates theta (an array)."""
     zero = np.zeros_like(theta, dtype=float)
     if isinstance(spec, UniformAxial):
         if surface.kind is SurfaceKind.SPHERE:
@@ -141,35 +141,7 @@ def _analytic_curl(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
         if surface.kind is SurfaceKind.SPHERE and np.any(np.abs(np.sin(theta)) < 1e-12):
             raise ValueError("singular potential at pole")
         return zero, zero.copy(), zero.copy()
-    raise TypeError(f"{type(spec).__name__} has no closed-form curl and no grid")
-
-
-def eval_potential(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
-    """Tangential components at a surface point; appends A_r when defined.
-
-    point = (theta,) on the ring, (theta, z) on the cylinder,
-    (theta, phi) on the sphere.  Sampled fields require a grid node.  A
-    gauge-shifted analytic field has no grid to take the gradient on:
-    sample it with sample_potential instead.
-    """
-    if isinstance(spec, Sampled):
-        j, k = _node_of(spec.grid, point)
-        a1, a2 = sample_potential(spec, spec.grid)
-        out = (float(a1[j, k]), float(a2[j, k]))
-    elif spec.gauges:
-        raise ValueError("a gauge-shifted analytic field has no grid; "
-                         "evaluate it at the nodes with sample_potential(field, grid)")
-    else:
-        out = tuple(float(a) for a in _analytic_components(spec, surface, float(point[0])))
-    if spec.radial_component is not None:
-        ar = np.asarray(spec.radial_component, dtype=float)
-        if ar.ndim == 0:
-            return (*out, float(ar))
-        # array-valued A_r needs a grid to index; only meaningful for Sampled
-        if isinstance(spec, Sampled):
-            return (*out, float(ar.reshape(spec.grid.n1, spec.grid.n2)[j, k]))
-        raise ValueError("array-valued A_r requires a Sampled field")
-    return out
+    raise TypeError(f"not an analytic field spec: {type(spec).__name__}")
 
 
 def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -190,21 +162,6 @@ def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.n
         g1, g2 = surface_gradient(lam, grid)
         a1, a2 = a1 + g1, a2 + g2
     return a1, a2
-
-
-def magnetic_field_of(spec: GaugeFieldSpec, surface: SurfaceSpec, point) -> tuple:
-    """curl A in the local curvilinear frame: (B_r, B_theta, B_z) or (B_r, B_theta, B_phi).
-
-    Analytic specs use closed forms.  Sampled specs use the grid stencils
-    and, like eval_potential, take only grid nodes as points; radial
-    derivatives that cannot be formed from surface data are taken from the
-    supplied dA_r/dr samples or dropped.  Attached gauges have no curl.
-    """
-    if not isinstance(spec, Sampled):
-        return tuple(float(b) for b in _analytic_curl(spec, surface, float(point[0])))
-    j, k = _node_of(spec.grid, point)
-    B1, B2, B3 = sample_magnetic_field(spec, spec.grid)
-    return (float(B1[j, k]), float(B2[j, k]), float(B3[j, k]))
 
 
 def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
@@ -327,16 +284,6 @@ def _node_index(coords: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     ok = (idx >= 0) & (idx < len(coords))
     idx = np.where(ok, idx, 0)
     return np.where(ok & (np.abs(coords[idx] - x) <= 1e-8), idx, -1)
-
-
-def _node_of(grid: Grid, point) -> tuple[int, int]:
-    """(j, k) of the grid node at a surface point; ValueError when the point is not a node."""
-    c2 = float(point[1]) if len(point) > 1 else 0.0
-    j = int(_node_index(grid.coords1, grid.h1, float(point[0])))
-    k = int(_node_index(grid.coords2, grid.h2, c2)) if grid.n2 > 1 else 0
-    if j < 0 or k < 0:
-        raise ValueError("sampled field can only be evaluated at grid nodes")
-    return j, k
 
 
 def load_sampled_csv(path, grid: Grid) -> Sampled:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fields_mod
-from .discretize import Grid, OperatorMatrix, _dirichlet_d1, tangential_gradient, weighted_transpose
+from .discretize import (Grid, OperatorMatrix, _dirichlet_d1, _polar_node, tangential_gradient,
+                         weighted_transpose)
 from .fields import GaugeFieldSpec, link_integrals, sample_potential
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
 
@@ -216,11 +217,7 @@ def _sphere_theta(grid: Grid, kappa: float, order: int, phases=None):
     stld[n1 - 1] += h / 12
     f, k = np.meshgrid(np.arange(1, n1), np.arange(n2), indexing="ij")
     coef = np.array([1.0, -27.0, 27.0, -1.0]) / (24 * h)
-    pts = []
-    for p in (f - 2, f - 1, f, f + 1):
-        crossed = (p < 0) | (p >= n1)
-        p = np.where(p < 0, -1 - p, np.where(p >= n1, 2 * n1 - 1 - p, p))
-        pts.append(p * n2 + np.where(crossed, (k + n2 // 2) % n2, k))
+    pts = [_polar_node(p, k, n1, n2) for p in (f - 2, f - 1, f, f + 1)]
     s = stld[f]
     i, j, c = [], [], []
     for a in range(4):

@@ -68,9 +68,8 @@ class TestSpectrum:
         rep = spectrum(H, 2, parameters={"R": 1.0})
         assert "ring" in rep.operator_label
         assert rep.parameters == {"R": 1.0}
-        pairs = rep.eigenvalue_pairs()
-        assert pairs[0][0] == pytest.approx(-0.125, abs=1e-12)
-        assert pairs[0][1] == 0.0
+        assert not np.iscomplexobj(rep.eigenvalues)
+        assert rep.eigenvalues[0] == pytest.approx(-0.125, abs=1e-12)
 
     def test_nonhermitian_sorted_by_real_then_imag(self):
         g = build_grid(ring(1.0), 4)

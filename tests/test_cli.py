@@ -100,6 +100,80 @@ class TestParseConfig:
         assert parse_config(["spectrum"]) == parse_config(["spectrum"])
 
 
+# flags that thin-layer, gke and gauge-check do not read, and so do not take
+_GRID_FLAGS = ("--L", "--n", "--n1", "--n2", "--order", "--coupling", "--spin", "--field",
+               "--B", "--phi", "--charge", "--A-r", "--dA-r-dr")
+REMOVED = ([("thin-layer", f) for f in _GRID_FLAGS] + [("gke", f) for f in _GRID_FLAGS]
+           + [("gauge-check", "--A-r"), ("gauge-check", "--dA-r-dr")])
+# a value for each kept flag and the RunConfig field it sets
+KEPT = {"--surface": ("sphere", "surface", "sphere"), "--R": ("2.5", "R", 2.5),
+        "--L": ("1.5", "L", 1.5), "--n": ("7", "n1", 7), "--n1": ("7", "n1", 7),
+        "--n2": ("9", "n2", 9), "--order": ("4", "order", 4),
+        "--coupling": ("expanded", "coupling", "expanded"),
+        "--variant": ("pragmatic", "variant", "pragmatic"), "--spin": (None, "spin", True),
+        "--field": ("ab-flux", "field", "ab-flux"), "--B": ("2.5", "B", 2.5),
+        "--phi": ("0.5", "phi", 0.5), "--A-r": ("0.5", "a_r", 0.5),
+        "--dA-r-dr": ("0.5", "da_r_dr", 0.5), "--k": ("7", "k", 7),
+        "--lam": ("sin-theta", "lam", "sin-theta"), "--lam-amp": ("0.5", "lam_amp", 0.5),
+        "--resampled": (None, "exact_gauge", False),
+        "--d": ("0.2,0.1,0.05", "d_list", "0.2,0.1,0.05"), "--l": ("3", "l", 3),
+        "--n-r": ("300", "n_r", 300), "--n-levels": ("2", "n_levels", 2),
+        "--hbar": ("2.5", "hbar", 2.5), "--mass": ("2.5", "mass", 2.5),
+        "--charge": ("2.5", "charge", 2.5), "--output": ("x.json", "output", "x.json"),
+        "--format": ("csv", "format", "csv")}
+SUBCOMMAND_FLAGS = {
+    "spectrum": set(KEPT) - {"--lam", "--lam-amp", "--resampled", "--d", "--l", "--n-r",
+                             "--n-levels"},
+    "hermiticity": set(KEPT) - {"--k", "--lam", "--lam-amp", "--resampled", "--d", "--l",
+                                "--n-r", "--n-levels"},
+    "gauge-check": set(KEPT) - {"--variant", "--A-r", "--dA-r-dr", "--d", "--l", "--n-r",
+                                "--n-levels"},
+    "thin-layer": {"--surface", "--R", "--hbar", "--mass", "--output", "--format", "--d", "--l",
+                   "--n-r", "--n-levels"},
+    "gke": {"--surface", "--R", "--hbar", "--mass", "--output", "--format", "--d", "--l", "--n-r"},
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("subcommand, flag", REMOVED)
+    def test_flag_a_subcommand_does_not_read_exits_2(self, subcommand, flag):
+        value = [] if flag == "--spin" else ["3"]
+        with pytest.raises(SystemExit) as exc:
+            parse_config([subcommand, flag, *value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand, flag", [(s, f) for s, flags in SUBCOMMAND_FLAGS.items()
+                                                  for f in sorted(flags)])
+    def test_kept_flag_sets_its_key(self, subcommand, flag):
+        value, key, expected = KEPT[flag]
+        cfg = parse_config([subcommand, flag, *([] if value is None else [value])])
+        assert getattr(cfg, key) == expected
+        if flag == "--n":
+            assert cfg.n2 == 7
+
+    def test_option_count(self):
+        from surfband.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions if a.choices and "gke" in a.choices)
+        options = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+                   for name, sp in sub.choices.items()}
+        assert options == {name: flags | {"--config"} for name, flags in SUBCOMMAND_FLAGS.items()}
+        assert sum(map(len, options.values())) == 86
+
+    @pytest.mark.parametrize("subcommand", ["thin-layer", "gke"])
+    def test_spectrum_config_block_is_accepted(self, tmp_path, subcommand):
+        # a report's config block names every key, read by its subcommand or not
+        report = tmp_path / "s.json"
+        assert main(["spectrum", "--surface", "cylinder", "--n", "8", "--k", "2", "--spin",
+                     "--field", "uniform-axial", "--B", "2", "--output", str(report)]) == 0
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(json.loads(report.read_text())["config"]))
+        cfg = parse_config([subcommand, "--config", str(cfile),
+                            "--output", str(tmp_path / "t.json")])
+        assert (cfg.subcommand, cfg.surface, cfg.n1, cfg.B) == (subcommand, "cylinder", 8, 2.0)
+        assert run(cfg) == 0
+
+
 class TestRun:
     def test_gke_prints_shift(self, tmp_path, capsys):
         cfg = parse_config(["gke", "--surface", "cylinder", "--R", "1",
@@ -122,6 +196,18 @@ class TestRun:
         assert run(cfg) == 0
         report = json.loads((tmp_path / "g.json").read_text())
         assert report["diagnostics"]["gauge_residual"] <= 1e-12
+
+    def test_gauge_check_ignores_a_config_a_r(self, tmp_path):
+        # the correct operator never reads A_r, so a config file's a_r changes nothing
+        reports = []
+        for extra in ({}, {"a_r": 1.0, "da_r_dr": 0.5}):
+            cfile = tmp_path / "c.json"
+            cfile.write_text(json.dumps({"surface": "cylinder", "n1": 8, "n2": 8, **extra}))
+            out = tmp_path / f"g{len(reports)}.json"
+            assert main(["gauge-check", "--config", str(cfile), "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
+        assert "field=UniformAxial" in reports[1]["diagnostics"]["operator_label"]
 
     def test_spectrum_report_schema(self, tmp_path):
         out = tmp_path / "s.json"

@@ -7,8 +7,8 @@ from surfband.discretize import (
     build_grid,
     hermiticity_residual,
     tangential_gradient,
-    weighted_adjoint,
     weighted_inner,
+    weighted_transpose,
 )
 from surfband.geometry import PhysicalConstants, cylinder, geometric_kinetic_energy, ring, sphere
 from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
@@ -121,19 +121,21 @@ class TestWeightedAdjoint:
     def test_identity_self_adjoint(self):
         g = build_grid(ring(1.0), 8)
         op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, 1, "id")
-        np.testing.assert_array_equal(weighted_adjoint(op).toarray(), np.eye(8))
+        adj = weighted_transpose(op.entries, op.weights)
+        np.testing.assert_array_equal(adj.toarray(), np.eye(8))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_involution(self, seed):
         op = self._random_op(seed)
-        twice = weighted_adjoint(weighted_adjoint(op))
+        twice = weighted_transpose(weighted_transpose(op.entries, op.weights), op.weights)
         np.testing.assert_allclose(twice.toarray(), op.toarray(), atol=1e-13)
 
     def test_anti_hermitian_diagonal(self):
         g = build_grid(ring(1.0), 8)
         d = np.linspace(1, 2, 8)
         op = OperatorMatrix(1j * np.diag(d), g.weights, 1, "i diag")
-        np.testing.assert_allclose(weighted_adjoint(op).toarray(), -1j * np.diag(d), atol=1e-15)
+        adj = weighted_transpose(op.entries, op.weights)
+        np.testing.assert_allclose(adj.toarray(), -1j * np.diag(d), atol=1e-15)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_adjoint_pairing_on_random_vectors(self, seed):
@@ -142,7 +144,7 @@ class TestWeightedAdjoint:
         u = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         lhs = weighted_inner(u, op.entries @ v, op.weights)
-        rhs = weighted_inner(weighted_adjoint(op).entries @ u, v, op.weights)
+        rhs = weighted_inner(weighted_transpose(op.entries, op.weights) @ u, v, op.weights)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -201,11 +203,11 @@ class TestSparseStencils:
 
     @pytest.mark.parametrize("n1,n2", [(6, 8), (5, 7), (3, 4)])
     def test_sphere_polar_d1_matches_loop(self, n1, n2):
-        from surfband.discretize import _sphere_polar_d1
-
-        h = np.pi / n1
-        A = _sphere_polar_d1(n1, n2, h).toarray()
-        np.testing.assert_array_equal(A, self._polar_d1_loop(n1, n2, h))
+        # the polar rows of the unit-sphere gradient: pole crossing for even
+        # n2, one-sided end rows for odd n2
+        g = build_grid(sphere(1.0), n1, n2)
+        A = tangential_gradient(g, _dirichlet_d1)[0].toarray()
+        np.testing.assert_array_equal(A, self._polar_d1_loop(n1, n2, g.h1))
 
     @pytest.mark.parametrize("n,periodic", [(3, True), (4, True), (9, True), (9, False)])
     def test_stencil_matrix_matches_loop(self, n, periodic):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,8 @@ from surfband.fields import (
     Sampled,
     UniformAxial,
     add_gauge,
-    eval_potential,
     link_integrals,
     load_sampled_csv,
-    magnetic_field_of,
     materialize,
     sample_magnetic_field,
     sample_potential,
@@ -20,69 +20,73 @@ from surfband.fields import (
 from surfband.geometry import cylinder, ring, sphere
 
 
+def _node_samples(spec, surf, n1=6, n2=4):
+    """sample_potential of spec on a small grid of surf, with the grid."""
+    g = build_grid(surf, n1, n2)
+    return g, sample_potential(spec, g)
+
+
 class TestEvalPotential:
     def test_uniform_axial_cylinder(self):
         # A_theta = B R / 2 from the curl in cylindrical coordinates
-        surf = cylinder(1.0, 1.0)
-        for th in (0.0, 1.0, 4.0):
-            a1, a2 = eval_potential(UniformAxial(B=2.0), surf, (th, 0.3))
-            assert a1 == pytest.approx(1.0) and a2 == 0.0
+        _, (a1, a2) = _node_samples(UniformAxial(B=2.0), cylinder(1.0, 1.0))
+        np.testing.assert_allclose(a1, 1.0, rtol=1e-15)
+        assert not a2.any()
 
     def test_uniform_axial_sphere_equator(self):
-        a1, a2 = eval_potential(UniformAxial(B=1.0), sphere(1.0), (np.pi / 2, 0.0))
-        assert a1 == 0.0 and a2 == pytest.approx(0.5)
+        # theta = pi/2 is a node of an odd polar count
+        g, (a1, a2) = _node_samples(UniformAxial(B=1.0), sphere(1.0), n1=5)
+        assert g.coords1[2] == pytest.approx(np.pi / 2)
+        assert not a1.any()
+        np.testing.assert_allclose(a2[2], 0.5, rtol=1e-15)
+        np.testing.assert_allclose(a2, 0.5 * np.sin(g.coords1)[:, None] * np.ones(4), rtol=1e-15)
 
     def test_zero_flux_is_zero(self):
-        comps = eval_potential(ABFlux(Phi=0.0), ring(1.0), (0.7,))
-        assert all(c == 0.0 for c in comps)
+        _, comps = _node_samples(ABFlux(Phi=0.0), ring(1.0))
+        assert not any(c.any() for c in comps)
 
     def test_ab_flux_value(self):
-        a1, _ = eval_potential(ABFlux(Phi=2 * np.pi), ring(2.0), (0.0,))
-        assert a1 == pytest.approx(1.0 / 2.0)
+        _, (a1, _) = _node_samples(ABFlux(Phi=2 * np.pi), ring(2.0))
+        np.testing.assert_allclose(a1, 1.0 / 2.0, rtol=1e-15)
 
     def test_sphere_pole_singular(self):
+        # build_grid keeps sphere nodes off the poles; a grid with a node on one is refused
+        g = build_grid(sphere(1.0), 4, 4)
+        g = replace(g, coords1=g.coords1 - g.coords1[0])
         with pytest.raises(ValueError, match="singular potential at pole"):
-            eval_potential(ABFlux(Phi=1.0), sphere(1.0), (0.0, 0.0))
+            sample_potential(ABFlux(Phi=1.0), g)
 
     def test_radial_component_appended(self):
-        out = eval_potential(ABFlux(Phi=0.0, radial_component=0.4), ring(1.0), (0.0,))
-        assert out[-1] == pytest.approx(0.4)
+        # A_r rides along with the tangential samples and is not one of them
+        g = build_grid(ring(1.0), 8)
+        spec = materialize(ABFlux(Phi=0.0, radial_component=0.4), g)
+        assert spec.radial_component == 0.4
+        assert not spec.a1.any() and not spec.a2.any()
 
 
 class TestMagneticField:
     def test_uniform_axial_curl(self):
-        assert magnetic_field_of(UniformAxial(B=2.0), cylinder(1.0, 1.0), (0.0, 0.0)) == (0.0, 0.0, 2.0)
+        B = sample_magnetic_field(UniformAxial(B=2.0), build_grid(cylinder(1.0, 1.0), 6, 4))
+        assert not B[0].any() and not B[1].any()
+        assert np.all(B[2] == 2.0)
 
     def test_ab_flux_pure_gauge(self):
-        assert magnetic_field_of(ABFlux(Phi=3.0), ring(1.0), (1.0,)) == (0.0, 0.0, 0.0)
+        B = sample_magnetic_field(ABFlux(Phi=3.0), build_grid(ring(1.0), 8))
+        assert not any(b.any() for b in B)
 
     def test_sampled_constant_axial_curl_free(self):
         surf = cylinder(1.0, 1.0)
         g = build_grid(surf, 8, 8)
         spec = Sampled(grid=g, a1=np.zeros((8, 8)), a2=np.full((8, 8), 1.3))
-        B = magnetic_field_of(spec, surf, (g.coords1[2], g.coords2[3]))
-        np.testing.assert_allclose(B, 0.0, atol=1e-12)
-
-    def test_sampled_field_only_at_grid_nodes(self):
-        surf = cylinder(1.0, 1.0)
-        g = build_grid(surf, 8, 8)
-        rng = np.random.default_rng(5)
-        spec = Sampled(grid=g, a1=rng.uniform(-1, 1, (8, 8)), a2=rng.uniform(-1, 1, (8, 8)))
-        for point in ((0.1234, 0.05), (0.1234, 99.0)):
-            with pytest.raises(ValueError, match="grid nodes"):
-                eval_potential(spec, surf, point)
-            with pytest.raises(ValueError, match="grid nodes"):
-                magnetic_field_of(spec, surf, point)
-        B = magnetic_field_of(spec, surf, (g.coords1[2], g.coords2[5]))
-        assert B == tuple(float(b[2, 5]) for b in sample_magnetic_field(spec, g))
+        np.testing.assert_allclose(sample_magnetic_field(spec, g), 0.0, atol=1e-12)
 
     def test_sphere_uniform_axial_components(self):
-        th = 0.8
-        Br, Bth, Bph = magnetic_field_of(UniformAxial(B=1.5), sphere(1.0), (th, 0.0))
-        assert Br == pytest.approx(1.5 * np.cos(th))
-        assert Bth == pytest.approx(-1.5 * np.sin(th))
-        assert Bph == 0.0
-
+        g = build_grid(sphere(1.0), 6, 4)
+        Br, Bth, Bph = sample_magnetic_field(UniformAxial(B=1.5), g)
+        th = g.coords1[:, None]
+        np.testing.assert_allclose(Br, 1.5 * np.cos(th) * np.ones(4), rtol=1e-15)
+        np.testing.assert_allclose(Bth, -1.5 * np.sin(th) * np.ones(4), rtol=1e-15)
+        assert not Bph.any()
 
     @pytest.mark.parametrize("surf", [ring(1.0), cylinder(1.3, 1.0), sphere(0.7)],
                              ids=["ring", "cylinder", "sphere"])
@@ -93,8 +97,14 @@ class TestMagneticField:
         assert all(b.shape == (g.n1, g.n2) for b in B)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(B) for b in B[i + 1:])
         for j, k in np.ndindex(g.n1, g.n2):
-            point = (g.coords1[j], g.coords2[k])
-            assert magnetic_field_of(spec, surf, point) == tuple(float(b[j, k]) for b in B)
+            th = g.coords1[j]
+            if isinstance(spec, ABFlux):
+                point = (0.0, 0.0, 0.0)
+            elif surf.kind.value == "sphere":
+                point = (spec.B * np.cos(th), -spec.B * np.sin(th), 0.0)
+            else:
+                point = (0.0, 0.0, spec.B)
+            assert tuple(float(b[j, k]) for b in B) == point
 
 
 class TestSurfaceGradient:
@@ -229,20 +239,15 @@ class TestSampledEvaluation:
         g = build_grid(ring(1.0), 8)
         vals = np.arange(8.0).reshape(8, 1)
         spec = Sampled(grid=g, a1=vals, a2=np.zeros((8, 1)))
-        a1, a2 = eval_potential(spec, g.surface, (g.coords1[3],))
-        assert a1 == 3.0 and a2 == 0.0
+        a1, a2 = sample_potential(spec, g)
+        assert a1[3, 0] == 3.0 and a2[3, 0] == 0.0
 
     def test_gauged_analytic_field_needs_a_grid(self):
+        # a gauge-shifted analytic field is the base plus the stencil gradient on the grid
         g = build_grid(ring(1.0), 8)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t), g)
-        with pytest.raises(ValueError, match="sample_potential"):
-            eval_potential(add_gauge(UniformAxial(B=1.0), lam, g), g.surface, (g.coords1[3],))
-
-    def test_eval_off_node_rejected(self):
-        g = build_grid(ring(1.0), 8)
-        spec = Sampled(grid=g, a1=np.zeros((8, 1)), a2=np.zeros((8, 1)))
-        with pytest.raises(ValueError, match="grid node"):
-            eval_potential(spec, g.surface, (0.1234,))
+        a1, _ = sample_potential(add_gauge(UniformAxial(B=1.0), lam, g), g)
+        np.testing.assert_allclose(a1, 0.5 + surface_gradient(lam, g)[0], rtol=1e-15)
 
     def test_integer_flux_quanta_leave_spectrum(self):
         # n flux quanta are invisible to the ring spectrum, exactly

@@ -251,6 +251,33 @@ def test_varying_radial_component_stays_on_dense_eig():
     assert rep.solver == "dense-eig"
     assert rep.eigen_residual <= 1e-12
     assert spectrum(H, 8).eigen_residual is None
+    # the vectors have unit W-norm, as on every other path
+    w = H.full_weights()
+    assert all(abs(weighted_norm(v, w) - 1.0) <= 1e-12 for v in rep.eigenvectors.T)
+    # and the scale-free residual is that of eig's unit 2-norm vectors
+    ev, vec = np.linalg.eig(H.toarray())
+    order = np.lexsort((ev.imag, ev.real))[:8]
+    raw = max(weighted_norm(H.entries @ v - e * v, w) / weighted_norm(v, w)
+              for e, v in zip(ev[order], vec[:, order].T)) / np.abs(H.entries.data).max()
+    assert abs(rep.eigen_residual - raw) <= 1e-14
+
+
+def test_small_uniform_antihermitian_part_is_kept():
+    # c = (hbar e / 2m) dA_r/dr = 5e-12 lies below the Hermitian test's tolerance;
+    # it is read from the diagonal first, so the levels keep Im E = c
+    surf = cylinder(1.0, np.pi)
+    g = build_grid(surf, 12, 10)
+    H = build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.3, radial_derivative=1e-11),
+                                             variant="pragmatic"))
+    rep = spectrum(H, 6)
+    assert rep.hermiticity_residual <= analysis.HERMITIAN_TOL
+    assert rep.solver == "shifted-dense-eigh"
+    assert np.all(rep.eigenvalues.imag == 5e-12)
+    zero = build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.3, radial_derivative=0.0),
+                                                variant="pragmatic"))
+    rep0 = spectrum(zero, 6)
+    assert rep0.solver == "dense-eigh" and not np.iscomplexobj(rep0.eigenvalues)
+    np.testing.assert_array_equal(rep.eigenvalues.real, rep0.eigenvalues)
 
 
 def test_shifted_path_lifts_the_dense_guard(monkeypatch):
