@@ -1,7 +1,6 @@
 """Hermitian, gauge-covariant surface Hamiltonians on rings, cylinders and spheres."""
 
 from .geometry import (
-    CurvatureData,
     PhysicalConstants,
     SurfaceKind,
     SurfaceSpec,
@@ -49,7 +48,6 @@ from .analysis import (
 from .thinlayer import (
     ShellProblem,
     build_radial_operator,
-    effective_surface_energy,
     gke_extrapolate,
     radial_spectrum,
     sweep_table,

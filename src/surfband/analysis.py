@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     hermiticity_residual: float
     operator_label: str
-    parameters: dict = dc_field(default_factory=dict)
     eigenvectors: np.ndarray | None = None
     solver: str = ""
     dim: int = 0
@@ -61,8 +60,8 @@ def choose_solver(n: int, k: int, hermitian: bool) -> str:
     return "dense-eigh"
 
 
-def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = False,
-             parameters: dict | None = None) -> SpectrumReport:
+def spectrum(op: OperatorMatrix, k: int | None = None,
+             want_vectors: bool = False) -> SpectrumReport:
     """Lowest-k eigenpairs of an operator in its weighted inner product.
 
     c = Im H[0, 0] is read first.  When c = 0, operators within
@@ -129,8 +128,8 @@ def spectrum(op: OperatorMatrix, k: int | None = None, want_vectors: bool = Fals
         w = op.full_weights()[:, None]
         r2 = (w * np.abs(op.entries @ vec - vec * ev) ** 2).sum(axis=0)
         residual = float(np.sqrt(r2 / (w * np.abs(vec) ** 2).sum(axis=0)).max() / scale)
-    return SpectrumReport(ev, resid, op.label, parameters or {},
-                          vec if want_vectors else None, solver, n, op.nnz, residual)
+    return SpectrumReport(ev, resid, op.label, vec if want_vectors else None, solver, n,
+                          op.nnz, residual)
 
 
 def _shifted_residual(op: OperatorMatrix, c: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, fields, thinlayer
 from .discretize import build_grid, hermiticity_residual, weighted_norm
-from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec
+from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
 from .hamiltonians import HamiltonianRequest, build_hamiltonian
 
 
@@ -64,23 +64,17 @@ class RunConfig:
         return [float(x) for x in self.d_list.split(",") if x.strip()]
 
 
-# the flag of each RunConfig key; its type comes from RunConfig, its choices from _CHOICES
-_FLAGS = {
-    "surface": "--surface", "R": "--R", "L": "--L", "n1": "--n1", "n2": "--n2",
-    "order": "--order", "coupling": "--coupling", "variant": "--variant", "spin": "--spin",
-    "field": "--field", "B": "--B", "phi": "--phi", "a_r": "--A-r", "da_r_dr": "--dA-r-dr",
-    "k": "--k", "lam": "--lam", "lam_amp": "--lam-amp", "exact_gauge": "--resampled",
-    "d_list": "--d", "l": "--l", "n_r": "--n-r", "n_levels": "--n-levels", "hbar": "--hbar",
-    "mass": "--mass", "charge": "--charge", "output": "--output", "format": "--format",
-}
+# a RunConfig key's flag is "--" + the key with "_" as "-", except these; its type
+# comes from RunConfig, its choices from _CHOICES
+_FLAGS = {"a_r": "--A-r", "da_r_dr": "--dA-r-dr", "exact_gauge": "--resampled", "d_list": "--d"}
 _HELP = {"a_r": "constant on-surface A_r (pragmatic variant)",
          "d_list": "comma list of layer widths, decreasing"}
 _COMMON = ("surface", "R", "hbar", "mass", "output", "format")
-_GRID = ("L", "n1", "n2", "order", "coupling", "spin", "field", "B", "phi", "charge")
+_GRID = ("L", "n1", "n2", "coupling", "spin", "field", "B", "phi", "charge")
 # the keys each subcommand reads, and so takes as flags; a --config file may set any key
 _SUBCOMMAND_KEYS = {
-    "spectrum": _COMMON + _GRID + ("variant", "a_r", "da_r_dr", "k"),
-    "hermiticity": _COMMON + _GRID + ("variant", "a_r", "da_r_dr"),
+    "spectrum": _COMMON + _GRID + ("order", "variant", "a_r", "da_r_dr", "k"),
+    "hermiticity": _COMMON + _GRID + ("order", "variant", "a_r", "da_r_dr"),
     "gauge-check": _COMMON + _GRID + ("k", "lam", "lam_amp", "exact_gauge"),
     "thin-layer": _COMMON + ("d_list", "l", "n_r", "n_levels"),
     "gke": _COMMON + ("d_list", "l", "n_r"),
@@ -103,11 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if "n1" in keys:
             sp.add_argument("--n", type=int, default=None, help="sets both grid counts")
         for key in keys:
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
             if hints[key] is bool:  # a switch that flips the default
-                sp.add_argument(_FLAGS[key], dest=key, default=None,
+                sp.add_argument(flag, dest=key, default=None,
                                 action="store_false" if defaults[key] else "store_true")
             else:
-                sp.add_argument(_FLAGS[key], dest=key, default=None, help=_HELP.get(key),
+                sp.add_argument(flag, dest=key, default=None, help=_HELP.get(key),
                                 type=hints[key] if hints[key] in (int, float) else None,
                                 choices=_CHOICES.get(key))
     return p
@@ -173,12 +168,14 @@ def _validate(cfg: RunConfig, parser: argparse.ArgumentParser):
         parser.error("--R must be positive")
     if cfg.L <= 0:
         parser.error("--L must be positive")
-    if cfg.n1 < 3 or (cfg.surface != "ring" and cfg.n2 < 3):
-        parser.error("--n1/--n2 must be at least 3")
-    if cfg.k < 1:
-        parser.error("--k must be at least 1")
     if cfg.hbar <= 0 or cfg.mass <= 0:
         parser.error("--hbar and --mass must be positive")
+    # range checks of keys some subcommands ignore apply only where they are read
+    keys = _SUBCOMMAND_KEYS[cfg.subcommand]
+    if "n1" in keys and (cfg.n1 < 3 or (cfg.surface != "ring" and cfg.n2 < 3)):
+        parser.error("--n1/--n2 must be at least 3")
+    if "k" in keys and cfg.k < 1:
+        parser.error("--k must be at least 1")
     if cfg.subcommand in ("thin-layer", "gke"):
         try:
             ds = cfg.ds()
@@ -311,7 +308,7 @@ def run(cfg: RunConfig) -> int:
     diagnostics: dict = {}
     try:
         if cfg.subcommand in ("spectrum", "hermiticity", "gauge-check"):
-            grid = build_grid(surface, cfg.n1, 1 if cfg.surface == "ring" else cfg.n2)
+            grid = build_grid(surface, cfg.n1, cfg.n2)
         if cfg.subcommand in ("spectrum", "hermiticity"):
             op = build_hamiltonian(HamiltonianRequest(surface, grid, _field(cfg), cfg.spin,
                                                       constants, cfg.variant, cfg.coupling,
@@ -338,8 +335,7 @@ def run(cfg: RunConfig) -> int:
             lam_fn = _LAM_PRESETS[cfg.lam](cfg.lam_amp)
             lam = fields.GaugeFunction.from_callable(lam_fn, grid, cfg.lam)
             builder = lambda f: build_hamiltonian(
-                HamiltonianRequest(surface, grid, f, cfg.spin, constants,
-                                   "correct", cfg.coupling, cfg.order))
+                HamiltonianRequest(surface, grid, f, cfg.spin, constants, coupling=cfg.coupling))
             rng = np.random.default_rng(12345)
             psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
             if cfg.spin:
@@ -363,8 +359,6 @@ def run(cfg: RunConfig) -> int:
         else:  # gke
             limit, order = thinlayer.gke_extrapolate(surface, cfg.l, cfg.ds(),
                                                      constants, cfg.n_r)
-            from .geometry import geometric_kinetic_energy
-
             diagnostics = {"limit": limit, "empirical_order": order,
                            "closed_form": geometric_kinetic_energy(surface, constants)}
             summary = f"{limit:.6g}"

@@ -27,8 +27,9 @@ class Grid:
 
     coords1 is theta on every surface (azimuthal on ring/cylinder, polar on
     the sphere); coords2 is z (cylinder) or phi (sphere).  The flat node
-    index is j1 * n2 + j2.  Weights are per-node patch areas; they sum to the
-    exact surface area.
+    index is j1 * n2 + j2.  h1 and h2 are the node spacings in coords1 and
+    coords2 (h2 = 0 on the ring), set by build_grid.  Weights are per-node
+    patch areas; they sum to the exact surface area.
     """
 
     surface: SurfaceSpec
@@ -36,25 +37,13 @@ class Grid:
     n2: int
     coords1: np.ndarray
     coords2: np.ndarray
+    h1: float
+    h2: float
     weights: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.n1 * self.n2
-
-    @property
-    def h1(self) -> float:
-        if self.surface.kind is SurfaceKind.SPHERE:
-            return np.pi / self.n1
-        return 2 * np.pi / self.n1
-
-    @property
-    def h2(self) -> float:
-        if self.surface.kind is SurfaceKind.CYLINDER:
-            return 2 * self.surface.L / self.n2
-        if self.surface.kind is SurfaceKind.SPHERE:
-            return 2 * np.pi / self.n2
-        return 0.0
 
 
 def build_grid(surface: SurfaceSpec, n1: int, n2: int = 1) -> Grid:
@@ -64,34 +53,28 @@ def build_grid(surface: SurfaceSpec, n1: int, n2: int = 1) -> Grid:
     away from the Dirichlet walls at z = +-L.  Ring grids ignore n2.  A grid
     whose operator assembly would not fit in memory raises ValueError.
     """
+    ring = surface.kind is SurfaceKind.RING
     if n1 < 3:
         raise ValueError(f"grid too small: n1={n1} < 3")
-    if surface.kind is not SurfaceKind.RING and n2 < 3:
+    if not ring and n2 < 3:
         raise ValueError(f"grid too small: n2={n2} < 3")
-    nodes = n1 * (1 if surface.kind is SurfaceKind.RING else n2)
-    check_fits(nodes * ASSEMBLY_BYTES_PER_NODE, f"assembling a {nodes}-node grid operator")
+    n2 = 1 if ring else n2
+    check_fits(n1 * n2 * ASSEMBLY_BYTES_PER_NODE, f"assembling a {n1 * n2}-node grid operator")
     R = surface.R
-    if surface.kind is SurfaceKind.RING:
-        h1 = 2 * np.pi / n1
-        th = np.arange(n1) * h1
-        w = np.full(n1, R * h1)
-        return Grid(surface, n1, 1, th, np.zeros(1), w)
-    if surface.kind is SurfaceKind.CYLINDER:
-        h1 = 2 * np.pi / n1
-        h2 = 2 * surface.L / n2
-        th = np.arange(n1) * h1
-        z = -surface.L + (np.arange(n2) + 0.5) * h2
-        w = np.full(n1 * n2, R * h1 * h2)
-        return Grid(surface, n1, n2, th, z, w)
-    # sphere: theta = polar with half offset, phi periodic
-    h1 = np.pi / n1
-    h2 = 2 * np.pi / n2
-    th = (np.arange(n1) + 0.5) * h1
-    ph = np.arange(n2) * h2
-    # exact cell integral of sin(theta), so the weights sum to 4 pi R^2 exactly
-    wth = 2.0 * np.sin(h1 / 2) * np.sin(th)
-    w = (R**2 * h2 * np.repeat(wth, n2))
-    return Grid(surface, n1, n2, th, ph, w)
+    if surface.kind is SurfaceKind.SPHERE:
+        # theta = polar with half offset, phi periodic
+        h1, h2 = np.pi / n1, 2 * np.pi / n2
+        th = (np.arange(n1) + 0.5) * h1
+        # exact cell integral of sin(theta), so the weights sum to 4 pi R^2 exactly
+        w = R**2 * h2 * np.repeat(2.0 * np.sin(h1 / 2) * np.sin(th), n2)
+        return Grid(surface, n1, n2, th, np.arange(n2) * h2, h1, h2, w)
+    h1 = 2 * np.pi / n1
+    th = np.arange(n1) * h1
+    if ring:
+        return Grid(surface, n1, 1, th, np.zeros(1), h1, 0.0, np.full(n1, R * h1))
+    h2 = 2 * surface.L / n2
+    z = -surface.L + (np.arange(n2) + 0.5) * h2
+    return Grid(surface, n1, n2, th, z, h1, h2, np.full(n1 * n2, R * h1 * h2))
 
 
 def dense_memory_limit() -> int:
@@ -218,6 +201,21 @@ def _open_d1(n: int, h: float):
     vals = np.concatenate([np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h),
                            np.array([-1.5, 2.0, -0.5, 1.5, -2.0, 0.5]) / h])
     return sparse_from(n, rows, cols, vals)
+
+
+def _grid_links(grid: Grid, axis: int, offset: int = 1):
+    """(start, end) node indices of the links k -> k + offset along one grid axis.
+
+    Periodic axes (every azimuth) keep all n1 x n2 links; open axes (sphere
+    polar, cylinder z) keep only links inside the grid.
+    """
+    idx = np.arange(grid.size).reshape(grid.n1, grid.n2)
+    end = np.roll(idx, -offset, axis=axis)
+    periodic = (axis == 0) != (grid.surface.kind is SurfaceKind.SPHERE)
+    if periodic:
+        return idx, end
+    cut = (slice(None, -offset), slice(None)) if axis == 0 else (slice(None), slice(None, -offset))
+    return idx[cut], end[cut]
 
 
 def _polar_node(p, k, n1: int, n2: int):

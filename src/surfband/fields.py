@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import Grid, _open_d1, tangential_gradient
+from .discretize import Grid, _grid_links, _open_d1, tangential_gradient
 from .geometry import SurfaceKind, SurfaceSpec
 
 
@@ -239,35 +239,32 @@ def link_integrals(spec: GaugeFieldSpec, grid: Grid) -> dict:
 
     axis1: theta links j -> j+1 (wrapping on ring/cylinder; n1-1 rows on the
     sphere).  axis2: z links k -> k+1 (cylinder) or phi links (sphere, wraps).
-    The base's node samples are integrated by the trapezoid rule, and each
+    The links are those of discretize._grid_links, as for the hoppings.  The
+    base's node samples are integrated by the trapezoid rule, and each
     attached gauge adds its exact increment lambda(end) - lambda(start).  For
     UniformAxial and ABFlux the trapezoid rule is the exact line integral:
     the only nonzero component (A_theta on ring and cylinder, A_phi on the
     sphere) is constant along each link it runs along.
     """
-    surface = grid.surface
-    R = surface.R
-    kind = surface.kind
-    b1, b2 = sample_potential(replace(spec, gauges=()), grid)
-    if kind is SurfaceKind.SPHERE:
-        l1 = 0.5 * (b1[:-1, :] + b1[1:, :]) * R * grid.h1
-        arc = (R * np.sin(grid.coords1) * grid.h2)[:, None]
-        l2 = 0.5 * (b2 + np.roll(b2, -1, axis=1)) * arc
-    else:
-        l1 = 0.5 * (b1 + np.roll(b1, -1, axis=0)) * R * grid.h1
-        l2 = None if kind is SurfaceKind.RING else 0.5 * (b2[:, :-1] + b2[:, 1:]) * grid.h2
-    for lam in spec.gauges:
-        v = lam.grid_values(grid)
-        if kind is SurfaceKind.SPHERE:
-            l1 = l1 + (v[1:, :] - v[:-1, :])
-            l2 = l2 + (np.roll(v, -1, axis=1) - v)
+    R = grid.surface.R
+    kind = grid.surface.kind
+    ring = kind is SurfaceKind.RING
+    base = [b.ravel() for b in sample_potential(replace(spec, gauges=()), grid)]
+    gauges = [lam.grid_values(grid).ravel() for lam in spec.gauges]
+    links = {"axis1": None, "axis2": None}
+    for axis in (0,) if ring else (0, 1):
+        i, j = _grid_links(grid, axis)
+        l = 0.5 * (base[axis][i] + base[axis][j])
+        if axis == 0:
+            l = l * R * grid.h1
+        elif kind is SurfaceKind.SPHERE:
+            l = l * (R * np.sin(grid.coords1) * grid.h2)[:, None]
         else:
-            l1 = l1 + (np.roll(v, -1, axis=0) - v)
-            if kind is SurfaceKind.CYLINDER:
-                l2 = l2 + (v[:, 1:] - v[:, :-1])
-    if kind is SurfaceKind.RING:
-        l1 = l1.reshape(grid.n1)
-    return {"axis1": l1, "axis2": l2}
+            l = l * grid.h2
+        for v in gauges:
+            l = l + (v[j] - v[i])
+        links[f"axis{axis + 1}"] = l.reshape(grid.n1) if ring else l
+    return links
 
 
 def _is_number(text: str) -> bool:

@@ -30,16 +30,6 @@ class SurfaceSpec:
         if self.kind is SurfaceKind.CYLINDER and self.L <= 0:
             raise ValueError(f"cylinder half-length L must be positive, got {self.L}")
 
-    @property
-    def area(self) -> float:
-        import math
-
-        if self.kind is SurfaceKind.RING:
-            return 2 * math.pi * self.R
-        if self.kind is SurfaceKind.CYLINDER:
-            return 2 * math.pi * self.R * 2 * self.L
-        return 4 * math.pi * self.R**2
-
 
 def ring(R: float) -> SurfaceSpec:
     return SurfaceSpec(SurfaceKind.RING, R)
@@ -51,20 +41,6 @@ def cylinder(R: float, L: float) -> SurfaceSpec:
 
 def sphere(R: float) -> SurfaceSpec:
     return SurfaceSpec(SurfaceKind.SPHERE, R)
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    kappa1: float
-    kappa2: float
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.kappa1 + self.kappa2)
-
-    @property
-    def gaussian(self) -> float:
-        return self.kappa1 * self.kappa2
 
 
 @dataclass(frozen=True)
@@ -99,16 +75,11 @@ def principal_curvatures(surface: SurfaceSpec) -> tuple[float, float]:
     return (-1.0 / surface.R, 0.0)
 
 
-def curvatures(surface: SurfaceSpec) -> CurvatureData:
-    k1, k2 = principal_curvatures(surface)
-    return CurvatureData(k1, k2)
-
-
 def geometric_kinetic_energy(surface: SurfaceSpec, c: PhysicalConstants = PhysicalConstants()) -> float:
     """Curvature-induced scalar -(hbar^2/2m)(M^2 - K).
 
     M = (kappa1+kappa2)/2 and K = kappa1*kappa2, so this is -hbar^2/(8 m R^2)
     on the cylinder and ring and exactly zero on the sphere.
     """
-    data = curvatures(surface)
-    return -(c.hbar**2 / (2 * c.mass)) * (data.mean**2 - data.gaussian)
+    k1, k2 = principal_curvatures(surface)
+    return -(c.hbar**2 / (2 * c.mass)) * ((0.5 * (k1 + k2)) ** 2 - k1 * k2)

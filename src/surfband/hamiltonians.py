@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fields_mod
-from .discretize import (Grid, OperatorMatrix, _dirichlet_d1, _polar_node, tangential_gradient,
-                         weighted_transpose)
+from .discretize import (Grid, OperatorMatrix, _dirichlet_d1, _grid_links, _polar_node,
+                         tangential_gradient, weighted_transpose)
 from .fields import GaugeFieldSpec, link_integrals, sample_potential
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
 
@@ -122,23 +122,6 @@ def link_operator(n: int, i, j, c, phase=None, diag=None, row_scale=None):
     if row_scale is not None:
         data = data * row_scale[rows]
     return sp.csr_array((data, (rows, cols)), shape=(n, n))
-
-
-def _grid_links(grid: Grid, axis: int, offset: int = 1):
-    """(start, end) node indices of the links k -> k + offset along one grid axis.
-
-    Periodic axes (every azimuth) keep all n1 x n2 links; open axes (sphere
-    polar, cylinder z) keep only links inside the grid, so the arrays line up
-    with the per-link integrals of fields.link_integrals.
-    """
-    idx = np.arange(grid.size).reshape(grid.n1, grid.n2)
-    end = np.roll(idx, -offset, axis=axis)
-    kind = grid.surface.kind
-    periodic = (axis == 0) != (kind is SurfaceKind.SPHERE)
-    if periodic:
-        return idx, end
-    cut = (slice(None, -offset), slice(None)) if axis == 0 else (slice(None), slice(None, -offset))
-    return idx[cut], end[cut]
 
 
 def _periodic_links(grid: Grid, axis: int, c, order: int, phases=None, diag=None):

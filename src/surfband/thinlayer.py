@@ -171,7 +171,7 @@ def _rayleigh_quotient(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> floa
     return float(num / (u @ u))
 
 
-def radial_spectrum(p: ShellProblem, n_levels: int = 1, compensated: bool = True) -> np.ndarray:
+def radial_spectrum(p: ShellProblem, n_levels: int = 1) -> np.ndarray:
     """Lowest shell energies, defect-corrected against the continuum box.
 
     Each level of the Liouville-form tridiagonal T is found in O(n_r) time
@@ -182,7 +182,6 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1, compensated: bool = True
     and a long-double Rayleigh quotient gives the eigenvalue.  The known
     transverse symbol defect is then added so the flat-shell limit
     reproduces hbar^2 pi^2 n^2 / (2 m d^2) to round-off.
-    compensated=False returns the raw discrete eigenvalues.
     """
     if n_levels < 1 or n_levels > p.n_r:
         raise ValueError("n_levels out of range")
@@ -218,9 +217,7 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1, compensated: bool = True
         lam = _rayleigh_quotient(main, off, vec)
         if not lo - pad <= lam <= hi + pad:
             raise RuntimeError(f"radial level {i} left its bisection bracket for {p}")
-        out[i] = lam
-        if compensated:
-            out[i] += _box_symbol_defect(p, i + 1, h)
+        out[i] = lam + _box_symbol_defect(p, i + 1, h)
     return out
 
 
@@ -260,11 +257,6 @@ def box_energy(p: ShellProblem, n: int = 1) -> float:
     return float(c.hbar**2 * np.pi**2 * n**2 / (2 * c.mass * p.d**2))
 
 
-def effective_surface_energy(p: ShellProblem, n: int = 1) -> float:
-    """E_{n,l}(d) - hbar^2 pi^2 n^2/(2 m d^2): the surviving surface part."""
-    return float(radial_spectrum(p, n)[n - 1] - box_energy(p, n))
-
-
 def _naive_angular_energy(surface: SurfaceSpec, l: int, c: PhysicalConstants) -> float:
     """hbar^2 l(l+1)/(2 m R^2) on the sphere, hbar^2 l^2/(2 m R^2) on the ring/cylinder."""
     pref = c.hbar**2 / (2 * c.mass * surface.R**2)
@@ -298,14 +290,13 @@ def gke_extrapolate(surface: SurfaceSpec, l: int, d_sequence,
         raise ValueError("need at least 3 decreasing d values")
     if not np.all(np.diff(ds) < 0):
         raise ValueError("non-monotone sequence rejected")
-    naive = _naive_angular_energy(surface, l, constants)
-    problems = [ShellProblem(surface, d, l, n_r, constants) for d in ds]
-    vals = np.array([effective_surface_energy(p) - naive for p in problems])
+    rows = sweep_table(surface, [l], ds, constants, n_r)
+    vals = np.array([row["shift"] for row in rows])
     limit = _neville_limit(ds, vals)
     resid = np.abs(vals - limit)
     # E_surface = E_raw - E_box cancels O(E_box) terms, so below this floor a
     # residual is round-off and an order fitted to it would be noise
-    fit = resid > n_r * np.finfo(float).eps * np.array([box_energy(p) for p in problems])
+    fit = resid > n_r * np.finfo(float).eps * np.array([row["E_box"] for row in rows])
     orders = [np.log(resid[i] / resid[i + 1]) / np.log(ds[i] / ds[i + 1])
               for i in range(len(ds) - 1) if fit[i] and fit[i + 1]]
     order = float(np.mean(orders)) if orders else float("nan")

@@ -65,9 +65,8 @@ class TestSpectrum:
     def test_report_carries_label_and_pairs(self):
         g = build_grid(ring(1.0), 16)
         H = build_hamiltonian(HamiltonianRequest(g.surface, g))
-        rep = spectrum(H, 2, parameters={"R": 1.0})
+        rep = spectrum(H, 2)
         assert "ring" in rep.operator_label
-        assert rep.parameters == {"R": 1.0}
         assert not np.iscomplexobj(rep.eigenvalues)
         assert rep.eigenvalues[0] == pytest.approx(-0.125, abs=1e-12)
 

@@ -104,7 +104,7 @@ class TestParseConfig:
 _GRID_FLAGS = ("--L", "--n", "--n1", "--n2", "--order", "--coupling", "--spin", "--field",
                "--B", "--phi", "--charge", "--A-r", "--dA-r-dr")
 REMOVED = ([("thin-layer", f) for f in _GRID_FLAGS] + [("gke", f) for f in _GRID_FLAGS]
-           + [("gauge-check", "--A-r"), ("gauge-check", "--dA-r-dr")])
+           + [("gauge-check", "--A-r"), ("gauge-check", "--dA-r-dr"), ("gauge-check", "--order")])
 # a value for each kept flag and the RunConfig field it sets
 KEPT = {"--surface": ("sphere", "surface", "sphere"), "--R": ("2.5", "R", 2.5),
         "--L": ("1.5", "L", 1.5), "--n": ("7", "n1", 7), "--n1": ("7", "n1", 7),
@@ -126,8 +126,8 @@ SUBCOMMAND_FLAGS = {
                              "--n-levels"},
     "hermiticity": set(KEPT) - {"--k", "--lam", "--lam-amp", "--resampled", "--d", "--l",
                                 "--n-r", "--n-levels"},
-    "gauge-check": set(KEPT) - {"--variant", "--A-r", "--dA-r-dr", "--d", "--l", "--n-r",
-                                "--n-levels"},
+    "gauge-check": set(KEPT) - {"--order", "--variant", "--A-r", "--dA-r-dr", "--d", "--l",
+                                "--n-r", "--n-levels"},
     "thin-layer": {"--surface", "--R", "--hbar", "--mass", "--output", "--format", "--d", "--l",
                    "--n-r", "--n-levels"},
     "gke": {"--surface", "--R", "--hbar", "--mass", "--output", "--format", "--d", "--l", "--n-r"},
@@ -158,7 +158,7 @@ class TestFlagTable:
         options = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, sp in sub.choices.items()}
         assert options == {name: flags | {"--config"} for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(map(len, options.values())) == 86
+        assert sum(map(len, options.values())) == 85
 
     @pytest.mark.parametrize("subcommand", ["thin-layer", "gke"])
     def test_spectrum_config_block_is_accepted(self, tmp_path, subcommand):
@@ -208,6 +208,29 @@ class TestRun:
             reports.append(json.loads(out.read_text()))
         assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
         assert "field=UniformAxial" in reports[1]["diagnostics"]["operator_label"]
+
+    def test_gauge_check_ignores_a_config_order(self, tmp_path):
+        # gauge-check always has a field, and field operators are order 2 only
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"surface": "sphere", "n1": 8, "n2": 8, "order": 4}))
+        assert main(["gauge-check", "--config", str(cfile),
+                     "--output", str(tmp_path / "g.json")]) == 0
+
+    @pytest.mark.parametrize("subcommand", ["thin-layer", "gke"])
+    @pytest.mark.parametrize("extra", [{"n1": 2}, {"k": 0}])
+    def test_config_keys_a_subcommand_does_not_read_pass(self, tmp_path, subcommand, extra):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(extra))
+        [(key, value)] = extra.items()
+        assert getattr(parse_config([subcommand, "--config", str(cfile)]), key) == value
+
+    @pytest.mark.parametrize("extra", [{"n1": 2}, {"k": 0}])
+    def test_config_keys_spectrum_reads_are_checked(self, tmp_path, extra):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(extra))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["spectrum", "--config", str(cfile)])
+        assert exc.value.code == 2
 
     def test_spectrum_report_schema(self, tmp_path):
         out = tmp_path / "s.json"

@@ -12,7 +12,6 @@ from surfband.thinlayer import (
     ShellProblem,
     box_energy,
     build_radial_operator,
-    effective_surface_energy,
     gke_extrapolate,
     radial_spectrum,
     sweep_table,
@@ -30,14 +29,13 @@ class TestRadialSpectrum:
     def test_cylinder_surface_energy_value(self):
         # u = sqrt(r) psi gives V_eff = (l^2 - 1/4)/2r^2, so l=0 at d -> 0
         # leaves exactly the curvature shift
-        p = ShellProblem(cylinder(1.0, 1.0), 0.01, 0)
-        val = effective_surface_energy(p)
-        assert abs(val + 0.125) < 1e-4
+        [row] = sweep_table(cylinder(1.0, 1.0), [0], [0.01])
+        assert abs(row["E_surface"] + 0.125) < 1e-4
 
     def test_sphere_surface_energy_vanishes(self):
         # u = r psi removes every curvature term
-        p = ShellProblem(sphere(1.0), 0.01, 0)
-        assert abs(effective_surface_energy(p)) < 1e-4
+        [row] = sweep_table(sphere(1.0), [0], [0.01])
+        assert abs(row["E_surface"]) < 1e-4
 
     def test_levels_increase_with_n(self):
         p = ShellProblem(cylinder(1.0, 1.0), 0.2, 1)
@@ -104,7 +102,7 @@ class TestTridiagonalSolve:
         # plain long-double v^T (T v) lost 8-9 ulps of the double result here
         p = ShellProblem(cylinder(1.0, 1.0), 0.1, l, 4000)
         main, off, _ = thinlayer._liouville_tridiagonal(p)
-        sigma = float(radial_spectrum(p, 1, compensated=False)[0])
+        sigma = float(radial_spectrum(p, 1)[0] - thinlayer._box_symbol_defect(p, 1, p.nodes()[1]))
         start = np.sin(np.pi * (np.arange(p.n_r) + 0.5) / p.n_r)
         v = thinlayer._inverse_iteration(main.tolist(), off.tolist(), sigma, start, 1e-3)
         m, e, u = ([Fraction(x) for x in arr.tolist()] for arr in (main, off, v))
@@ -150,7 +148,9 @@ class TestFluxOperator:
         for n_r in (100, 200):
             p = ShellProblem(surf, 0.2, 1, n_r)
             ev_flux = np.real(spectrum(build_radial_operator(p), 3).eigenvalues)
-            ev_liou = radial_spectrum(p, 3, compensated=False)
+            h = p.nodes()[1]
+            ev_liou = radial_spectrum(p, 3) - [thinlayer._box_symbol_defect(p, n, h)
+                                               for n in (1, 2, 3)]
             diffs.append(np.abs(ev_flux - ev_liou).max())
         assert diffs[1] < diffs[0] / 3.0
 
@@ -199,15 +199,15 @@ class TestGkeExtrapolate:
 class TestEffectiveSurfaceEnergy:
     def test_cylinder_l1_sequence_approaches_three_eighths(self):
         # (l^2 - 1/4)/2 at R = 1, l = 1 -> 0.375
-        vals = [effective_surface_energy(ShellProblem(cylinder(1.0, 1.0), d, 1))
-                for d in (0.1, 0.05, 0.025)]
+        rows = sweep_table(cylinder(1.0, 1.0), [1], [0.1, 0.05, 0.025])
+        vals = [row["E_surface"] for row in rows]
         errs = [abs(v - 0.375) for v in vals]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-3
 
     def test_sphere_l1_approaches_one(self):
-        v = effective_surface_energy(ShellProblem(sphere(1.0), 0.01, 1))
-        assert abs(v - 1.0) < 1e-4
+        [row] = sweep_table(sphere(1.0), [1], [0.01])
+        assert abs(row["E_surface"] - 1.0) < 1e-4
 
 
 class TestSweepTable:
