@@ -73,7 +73,7 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     same way and ic is added to the eigenvalues, on the path
     shifted-<solver>.  Anything else goes through the dense general complex
     solver.  Dense paths refuse operators too large for memory with
-    ValueError.
+    MemoryError.
     """
     n = op.dim
     if k is None:
@@ -269,14 +269,6 @@ def antihermitian_part(op: OperatorMatrix) -> tuple[OperatorMatrix, float]:
             max_abs(anti))
 
 
-def _phase_operator(lam: GaugeFunction, grid: Grid, c: PhysicalConstants,
-                    spin_dim: int) -> np.ndarray:
-    u = np.exp(1j * (c.charge / c.hbar) * lam.grid_values(grid).ravel())
-    if spin_dim == 2:
-        u = np.tile(u, 2)
-    return u
-
-
 def gauge_covariance_residual(field: GaugeFieldSpec, lam: GaugeFunction, builder,
                               psi: np.ndarray, grid: Grid,
                               c: PhysicalConstants = PhysicalConstants(),
@@ -293,7 +285,7 @@ def gauge_covariance_residual(field: GaugeFieldSpec, lam: GaugeFunction, builder
         shifted = materialize(shifted, grid)
     H0 = builder(field)
     H1 = builder(shifted)
-    u = _phase_operator(lam, grid, c, H0.spin_dim)
+    u = np.tile(np.exp(1j * (c.charge / c.hbar) * lam.grid_values(grid).ravel()), H0.spin_dim)
     lhs = H1.entries @ (u * psi)
     rhs = u * (H0.entries @ psi)
     return weighted_norm(lhs - rhs, H0.full_weights())

@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis, fields, thinlayer
 from .discretize import build_grid, hermiticity_residual, weighted_norm
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
-from .hamiltonians import HamiltonianRequest, build_hamiltonian
+from .hamiltonians import COUPLINGS, ORDERS, VARIANTS, HamiltonianRequest, build_hamiltonian
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,14 @@ _SUBCOMMAND_KEYS = {
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later parse."""
-    p = argparse.ArgumentParser(prog="surfband",
+    p = argparse.ArgumentParser(prog="surfband", allow_abbrev=False,
                                 description="surface Hamiltonian spectra, Hermiticity and "
                                             "gauge diagnostics, thin-layer confinement runs")
     sub = p.add_subparsers(dest="subcommand", required=True)
     hints = _type_hints()
     defaults = {f.name: f.default for f in dc_fields(RunConfig)}
     for name, keys in _SUBCOMMAND_KEYS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the report's config block")
         if "n1" in keys:
@@ -161,43 +161,15 @@ def _check_file_values(file_vals: dict, parser: argparse.ArgumentParser):
 
 
 def _validate(cfg: RunConfig, parser: argparse.ArgumentParser):
+    """What the CLI parses itself; the library checks every range and combination."""
     for key, hint in _type_hints().items():
         if hint is float and not math.isfinite(getattr(cfg, key)):
             parser.error(f"{key} must be finite")
-    if cfg.R <= 0:
-        parser.error("--R must be positive")
-    if cfg.L <= 0:
-        parser.error("--L must be positive")
-    if cfg.hbar <= 0 or cfg.mass <= 0:
-        parser.error("--hbar and --mass must be positive")
-    # range checks of keys some subcommands ignore apply only where they are read
-    keys = _SUBCOMMAND_KEYS[cfg.subcommand]
-    if "n1" in keys and (cfg.n1 < 3 or (cfg.surface != "ring" and cfg.n2 < 3)):
-        parser.error("--n1/--n2 must be at least 3")
-    if "k" in keys and cfg.k < 1:
-        parser.error("--k must be at least 1")
-    if cfg.subcommand in ("thin-layer", "gke"):
+    if "d_list" in _SUBCOMMAND_KEYS[cfg.subcommand]:
         try:
-            ds = cfg.ds()
+            cfg.ds()
         except ValueError:
             parser.error("--d must be a comma list of numbers")
-        if not ds or any(not 0 < d < math.inf for d in ds):
-            parser.error("--d values must be positive and finite")
-        if cfg.subcommand == "gke" and (len(ds) < 3 or any(np.diff(ds) >= 0)):
-            parser.error("--d needs at least 3 strictly decreasing values")
-        if cfg.n_r < 50:
-            parser.error("--n-r must be at least 50")
-        if cfg.subcommand == "thin-layer" and not 1 <= cfg.n_levels <= cfg.n_r:
-            parser.error("--n-levels must be between 1 and --n-r")
-
-
-def _surface(cfg: RunConfig) -> SurfaceSpec:
-    kind = SurfaceKind(cfg.surface)
-    return SurfaceSpec(kind, cfg.R, cfg.L)
-
-
-def _constants(cfg: RunConfig) -> PhysicalConstants:
-    return PhysicalConstants(cfg.hbar, cfg.mass, cfg.charge)
 
 
 def _field(cfg: RunConfig):
@@ -220,8 +192,8 @@ _LAM_PRESETS = {
 
 # the allowed values of every choice-valued key, shared by the flags and --config files
 _CHOICES = {
-    "surface": ("ring", "cylinder", "sphere"), "order": (2, 4),
-    "coupling": ("peierls", "expanded"), "variant": ("correct", "pragmatic"),
+    "surface": tuple(kind.value for kind in SurfaceKind), "order": ORDERS,
+    "coupling": COUPLINGS, "variant": VARIANTS,
     "field": ("none", "uniform-axial", "ab-flux"), "format": ("json", "csv"),
     "lam": tuple(_LAM_PRESETS),
 }
@@ -299,14 +271,19 @@ def _report_text(cfg: RunConfig, eigenvalues, residual, diagnostics) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
-    surface = _surface(cfg)
-    constants = _constants(cfg)
+    """Execute one configured run; returns the process exit code.
+
+    The library checks every input: ValueError is an invalid argument, as is
+    OverflowError, an input too large for float arithmetic (exit 2);
+    MemoryError or RuntimeError is a run that could not finish (exit 1).
+    """
     out_path = cfg.output or f"surfband_report.{cfg.format}"
     eigenvalues: list = []
     residual = 0.0
     diagnostics: dict = {}
     try:
+        surface = SurfaceSpec(SurfaceKind(cfg.surface), cfg.R, cfg.L)
+        constants = PhysicalConstants(cfg.hbar, cfg.mass, cfg.charge)
         if cfg.subcommand in ("spectrum", "hermiticity", "gauge-check"):
             grid = build_grid(surface, cfg.n1, cfg.n2)
         if cfg.subcommand in ("spectrum", "hermiticity"):
@@ -362,9 +339,9 @@ def run(cfg: RunConfig) -> int:
             diagnostics = {"limit": limit, "empirical_order": order,
                            "closed_form": geometric_kinetic_energy(surface, constants)}
             summary = f"{limit:.6g}"
-    except (RuntimeError, ValueError) as exc:
+    except (ValueError, OverflowError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (MemoryError, RuntimeError)) else 2
     _write_atomic(out_path, _report_text(cfg, eigenvalues, residual, diagnostics))
     print(summary)
     return 0

@@ -51,7 +51,7 @@ def build_grid(surface: SurfaceSpec, n1: int, n2: int = 1) -> Grid:
 
     Half offsets keep sphere nodes away from the poles and cylinder nodes
     away from the Dirichlet walls at z = +-L.  Ring grids ignore n2.  A grid
-    whose operator assembly would not fit in memory raises ValueError.
+    whose operator assembly would not fit in memory raises MemoryError.
     """
     ring = surface.kind is SurfaceKind.RING
     if n1 < 3:
@@ -83,11 +83,11 @@ def dense_memory_limit() -> int:
 
 
 def check_fits(nbytes: int, what: str) -> None:
-    """Raise ValueError before an allocation of nbytes that would not fit in memory."""
+    """Raise MemoryError before an allocation of nbytes that would not fit in memory."""
     limit = dense_memory_limit()
     if nbytes > limit:
-        raise ValueError(f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
-                         f"{limit / 2**30:.1f} GiB limit (a quarter of physical memory)")
+        raise MemoryError(f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
+                          f"{limit / 2**30:.1f} GiB limit (a quarter of physical memory)")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class OperatorMatrix:
         return int(self.entries.nnz)
 
     def toarray(self) -> np.ndarray:
-        """Dense copy; ValueError instead of an allocation that would not fit in memory."""
+        """Dense copy; MemoryError instead of an allocation that would not fit in memory."""
         n = self.dim
         check_fits(n * n * self.entries.dtype.itemsize, f"dense {n}x{n} operator")
         return self.entries.toarray()

@@ -267,14 +267,6 @@ def link_integrals(spec: GaugeFieldSpec, grid: Grid) -> dict:
     return links
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
 def _node_index(coords: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     """Index of the grid node at each coordinate in x (uniform coords); -1 where none is."""
     idx = np.rint((x - coords[0]) / h).astype(int)
@@ -294,7 +286,11 @@ def load_sampled_csv(path, grid: Grid) -> Sampled:
         if header is None:
             raise ValueError("empty CSV")
         cols = [c.strip() for c in header]
-        if _is_number(cols[0]):
+        try:
+            float(cols[0])
+        except ValueError:
+            pass
+        else:
             raise ValueError("CSV header row is mandatory")
         has_ar = len(cols) >= 5
         rows = [[float(x) for x in row] for row in reader if row]

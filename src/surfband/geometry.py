@@ -67,6 +67,11 @@ class PhysicalConstants:
         return 2 * math.pi * self.hbar / self.charge
 
 
+def radial_exponent(kind: SurfaceKind) -> int:
+    """s of the radial measure r^s dr: 1 on the ring and cylinder, 2 on the sphere."""
+    return 2 if kind is SurfaceKind.SPHERE else 1
+
+
 def principal_curvatures(surface: SurfaceSpec) -> tuple[float, float]:
     """Signed principal curvatures, outward radial normal (kappa < 0)."""
     if surface.kind is SurfaceKind.SPHERE:

@@ -27,13 +27,17 @@ from . import fields as fields_mod
 from .discretize import (Grid, OperatorMatrix, _dirichlet_d1, _grid_links, _polar_node,
                          tangential_gradient, weighted_transpose)
 from .fields import GaugeFieldSpec, link_integrals, sample_potential
-from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy
+from .geometry import (PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy,
+                       radial_exponent)
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+VARIANTS = ("correct", "pragmatic")
+COUPLINGS = ("peierls", "expanded")
+ORDERS = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,11 @@ class HamiltonianRequest:
     order: int = 2
 
     def __post_init__(self):
-        if self.variant not in ("correct", "pragmatic"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.coupling not in ("peierls", "expanded"):
+        if self.coupling not in COUPLINGS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.order not in (2, 4):
+        if self.order not in ORDERS:
             raise ValueError("stencil order must be 2 or 4")
         if self.grid.surface != self.surface:
             raise ValueError("grid was built for a different surface")
@@ -77,12 +81,6 @@ class HamiltonianRequest:
                 raise ValueError("cylinder operators support stencil order 2 only")
             if kind is SurfaceKind.SPHERE and self.grid.n2 % 2:
                 raise ValueError("order-4 sphere assembly requires an even azimuthal count")
-
-
-def _label(req: HamiltonianRequest, name: str) -> str:
-    f = type(req.field).__name__ if req.field is not None else "none"
-    return (f"{name}[{req.surface.kind.value} R={req.surface.R:g}] field={f} "
-            f"spin={int(req.spin)} grid=({req.grid.n1}x{req.grid.n2})")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,9 @@ def _cartesian_field(field: GaugeFieldSpec, grid: Grid):
 def _finish(req: HamiltonianRequest, H, weights: np.ndarray, name: str) -> OperatorMatrix:
     import scipy.sparse as sp
 
-    label = _label(req, name) + " coupling=" + req.coupling
+    f = type(req.field).__name__ if req.field is not None else "none"
+    label = (f"{name}[{req.surface.kind.value} R={req.surface.R:g}] field={f} "
+             f"spin={int(req.spin)} grid=({req.grid.n1}x{req.grid.n2}) coupling={req.coupling}")
     if not req.spin:
         return OperatorMatrix(H, weights, 1, label)
     full = sp.kron(sp.eye_array(2), H)
@@ -366,29 +366,23 @@ def open_radial_grid(r0: float, r1: float, n: int) -> tuple[np.ndarray, float]:
 
 def hermitian_radial_momentum(r: np.ndarray, h: float, kind: str = "cylinder",
                               c: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
-    """-i hbar (d/dr + 1/2r) for the cylinder measure, -i hbar (d/dr + 1/r) for the sphere.
+    """-i hbar (d/dr + s/2r) with s = radial_exponent: 1/2r on the cylinder, 1/r on the sphere.
 
-    Self-adjoint under r dr / r^2 dr respectively; the measure correction is
-    what restores the canonical commutator alongside Hermiticity.  Returned
-    as a dense array.
+    Self-adjoint under r^s dr; the measure correction is what restores the
+    canonical commutator alongside Hermiticity.  Returned as a dense array.
     """
     import scipy.sparse as sp
 
+    s = radial_exponent(SurfaceKind(kind))
     D = _dirichlet_d1(len(r), h)
-    if kind == "cylinder":
-        corr = 0.5 / r
-    elif kind == "sphere":
-        corr = 1.0 / r
-    else:
-        raise ValueError("kind must be 'cylinder' or 'sphere'")
-    return (-1j * c.hbar * (D + sp.diags_array(corr))).toarray()
+    return (-1j * c.hbar * (D + sp.diags_array(0.5 * s / r))).toarray()
 
 
 def radial_flux_laplacian(r: np.ndarray, h: float, kind: str = "cylinder",
                           c: PhysicalConstants = PhysicalConstants()) -> np.ndarray:
-    """-hbar^2 (1/r^s) d/dr (r^s d/dr) as a product of centered stencils (s=1, 2); dense."""
+    """-hbar^2 (1/r^s) d/dr (r^s d/dr) as a product of centered stencils; dense."""
     import scipy.sparse as sp
 
-    s = 1 if kind == "cylinder" else 2
+    s = radial_exponent(SurfaceKind(kind))
     D = _dirichlet_d1(len(r), h)
     return (-c.hbar**2 * (sp.diags_array(1.0 / r**s) @ D @ sp.diags_array(r**s) @ D)).toarray()

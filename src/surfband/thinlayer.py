@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .discretize import OperatorMatrix
-from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec
+from .geometry import PhysicalConstants, SurfaceSpec, radial_exponent
 from .hamiltonians import link_operator
 
 DEFAULT_NR = 256
@@ -41,14 +41,10 @@ class ShellProblem:
     constants: PhysicalConstants = dc_field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if self.d <= 0 or self.d >= 2 * self.surface.R:
-            raise ValueError("shell collapses through axis/origin")
+        if not 0 < self.d < 2 * self.surface.R:
+            raise ValueError(f"layer width d={self.d:g} must lie in (0, 2R), R={self.surface.R:g}")
         if self.n_r < 50:
             raise ValueError("n_r must be at least 50")
-
-    @property
-    def s_exponent(self) -> int:
-        return 2 if self.surface.kind is SurfaceKind.SPHERE else 1
 
     def nodes(self) -> tuple[np.ndarray, float]:
         h = self.d / self.n_r
@@ -56,19 +52,16 @@ class ShellProblem:
         return r, h
 
     def centrifugal(self, r: np.ndarray) -> np.ndarray:
-        c = self.constants
-        if self.surface.kind is SurfaceKind.SPHERE:
-            return (c.hbar**2 / (2 * c.mass)) * self.l * (self.l + 1) / r**2
-        return (c.hbar**2 / (2 * c.mass)) * self.l**2 / r**2
+        """(hbar^2/2m) l(l + s - 1)/r^2: l^2/r^2 on the cylinder, l(l+1)/r^2 on the sphere."""
+        c, s = self.constants, radial_exponent(self.surface.kind)
+        return (c.hbar**2 / (2 * c.mass)) * (self.l * (self.l + s - 1)) / r**2
 
 
 def _liouville_potential(p: ShellProblem, r: np.ndarray) -> np.ndarray:
-    # u = sqrt(r) psi folds the cylinder measure into (l^2 - 1/4)/r^2;
-    # u = r psi removes every curvature term on the sphere
-    c = p.constants
-    if p.surface.kind is SurfaceKind.SPHERE:
-        return (c.hbar**2 / (2 * c.mass)) * p.l * (p.l + 1) / r**2
-    return (c.hbar**2 / (2 * c.mass)) * (p.l**2 - 0.25) / r**2
+    # u = r^(s/2) psi folds the measure into s(s - 2)/4r^2: (l^2 - 1/4)/r^2 on
+    # the cylinder, and no term beyond the centrifugal one on the sphere
+    c, s = p.constants, radial_exponent(p.surface.kind)
+    return (c.hbar**2 / (2 * c.mass)) * (p.l * (p.l + s - 1) + s * (s - 2) / 4) / r**2
 
 
 def _box_symbol(n: int, h: float, d: float) -> np.longdouble:
@@ -231,7 +224,7 @@ def build_radial_operator(p: ShellProblem) -> OperatorMatrix:
     import scipy.sparse as sp
 
     r, h = p.nodes()
-    s = p.s_exponent
+    s = radial_exponent(p.surface.kind)
     c = p.constants
     kcoef = c.hbar**2 / (2 * c.mass)
     n = p.n_r
@@ -258,9 +251,9 @@ def box_energy(p: ShellProblem, n: int = 1) -> float:
 
 
 def _naive_angular_energy(surface: SurfaceSpec, l: int, c: PhysicalConstants) -> float:
-    """hbar^2 l(l+1)/(2 m R^2) on the sphere, hbar^2 l^2/(2 m R^2) on the ring/cylinder."""
+    """hbar^2 l(l + s - 1)/(2 m R^2): l(l+1) on the sphere, l^2 on the ring/cylinder."""
     pref = c.hbar**2 / (2 * c.mass * surface.R**2)
-    return pref * (l * (l + 1) if surface.kind is SurfaceKind.SPHERE else l * l)
+    return pref * (l * (l + radial_exponent(surface.kind) - 1))
 
 
 def _neville_limit(ds: np.ndarray, vals: np.ndarray) -> float:
@@ -311,6 +304,8 @@ def sweep_table(surface: SurfaceSpec, l_values, d_values,
     shift is the surface energy minus the naive angular energy, the quantity
     whose d -> 0 limit is the curvature shift.
     """
+    if len(d_values) == 0:
+        raise ValueError("need at least one layer width d")
     rows = []
     for l in l_values:
         naive = _naive_angular_energy(surface, l, constants)

@@ -10,6 +10,14 @@ import pytest
 from surfband.cli import main, parse_config, run
 
 
+def _exit_code(argv, tmp_path):
+    """main's exit code, whether parse_config exits with it or run returns it."""
+    try:
+        return main([*argv, "--output", str(tmp_path / "r.json")])
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParseConfig:
     def test_spectrum_flags(self):
         cfg = parse_config(["spectrum", "--surface", "ring", "--R", "1", "--n", "64", "--k", "5"])
@@ -23,20 +31,17 @@ class TestParseConfig:
         assert cfg.ds() == [0.1, 0.05, 0.025]
         assert cfg.l == 1
 
-    def test_negative_radius_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["spectrum", "--surface", "ring", "--R", "-1"])
-        assert exc.value.code == 2
+    def test_negative_radius_exits_2(self, tmp_path):
+        assert main(["spectrum", "--surface", "ring", "--R", "-1",
+                     "--output", str(tmp_path / "r.json")]) == 2
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             parse_config(["spectrum", "--no-such-flag", "1"])
         assert exc.value.code == 2
 
-    def test_gke_needs_decreasing_sweep(self):
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["gke", "--d", "0.1,0.2,0.3"])
-        assert exc.value.code == 2
+    def test_gke_needs_decreasing_sweep(self, tmp_path):
+        assert main(["gke", "--d", "0.1,0.2,0.3", "--output", str(tmp_path / "r.json")]) == 2
 
     def test_config_file_merge_and_override(self, tmp_path):
         cfile = tmp_path / "run.json"
@@ -69,19 +74,16 @@ class TestParseConfig:
         assert cfg.R == 2 and cfg.spin is True
 
     @pytest.mark.parametrize("flags", [["--R", "nan"], ["--d", "0.1,inf"]])
-    def test_non_finite_flag_exits_2(self, flags):
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["thin-layer", *flags])
-        assert exc.value.code == 2
+    def test_non_finite_flag_exits_2(self, flags, tmp_path):
+        # the CLI checks the floats it parses; the shell rejects a width d = inf
+        assert _exit_code(["thin-layer", *flags], tmp_path) == 2
 
     @pytest.mark.parametrize("argv", [["thin-layer", "--n-levels", "0"],
                                       ["thin-layer", "--n-levels", "300"],
                                       ["gke", "--n-levels", "3"]])
-    def test_n_levels_outside_thin_layer_range_exits_2(self, argv):
+    def test_n_levels_outside_thin_layer_range_exits_2(self, argv, tmp_path):
         # thin-layer takes 1..n_r levels; gke reports one limit and has no such flag
-        with pytest.raises(SystemExit) as exc:
-            parse_config(argv)
-        assert exc.value.code == 2
+        assert _exit_code(argv, tmp_path) == 2
 
     def test_consecutive_parses_are_independent(self, tmp_path):
         # the parser is built once per process and shared by every call
@@ -150,6 +152,14 @@ class TestFlagTable:
         assert getattr(cfg, key) == expected
         if flag == "--n":
             assert cfg.n2 == 7
+
+    @pytest.mark.parametrize("argv", [["gke", "--n", "64"], ["thin-layer", "--n-l", "2"],
+                                      ["spectrum", "--va", "pragmatic"]])
+    def test_abbreviated_flag_exits_2(self, argv):
+        # a prefix of a flag is not that flag: --n is not --n-r, --va not --variant
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
 
     def test_option_count(self):
         from surfband.cli import _build_parser
@@ -228,9 +238,8 @@ class TestRun:
     def test_config_keys_spectrum_reads_are_checked(self, tmp_path, extra):
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(extra))
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["spectrum", "--config", str(cfile)])
-        assert exc.value.code == 2
+        assert main(["spectrum", "--config", str(cfile),
+                     "--output", str(tmp_path / "r.json")]) == 2
 
     def test_spectrum_report_schema(self, tmp_path):
         out = tmp_path / "s.json"
@@ -269,12 +278,12 @@ class TestRun:
         assert lines[0] == "d,l,E_raw,E_box,E_surface,shift"
         assert len(lines) == 3
 
-    def test_solver_failure_exit_1(self, tmp_path, capsys):
-        # d >= 2R collapses the shell: reported on stderr with exit 1
+    def test_collapsed_shell_exits_2(self, tmp_path, capsys):
+        # d >= 2R collapses the shell: an invalid argument, reported on stderr
         cfg = parse_config(["thin-layer", "--surface", "cylinder", "--R", "0.04",
                             "--d", "0.1,0.05", "--output", str(tmp_path / "x.json")])
-        assert run(cfg) == 1
-        assert "collapses" in capsys.readouterr().err
+        assert run(cfg) == 2
+        assert "must lie in (0, 2R)" in capsys.readouterr().err
 
     def test_exact_extrapolation_report_is_valid_json(self, tmp_path):
         # l = 0 on the sphere is a flat box: every surface energy is exactly 0,
@@ -345,6 +354,31 @@ class TestRun:
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".surfband-")]
         assert leftovers == []
         assert out.exists()
+
+
+class TestExitCodes:
+    """The library checks every input; run maps ValueError to exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--surface", "sphere", "--variant", "pragmatic", "--field", "uniform-axial"],
+        ["spectrum", "--surface", "sphere", "--order", "4", "--field", "uniform-axial"],
+        ["spectrum", "--surface", "cylinder", "--order", "4"],
+        ["spectrum", "--surface", "sphere", "--n1", "8", "--n2", "7", "--order", "4"],
+        ["gauge-check", "--surface", "sphere", "--lam", "sin-theta-z"],
+        ["thin-layer", "--R", "0.04", "--d", "0.1"],
+        ["thin-layer", "--d", ","],
+        ["thin-layer", "--hbar", "1e200"],  # hbar^2 overflows a float
+    ])
+    def test_invalid_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_L_is_not_read_off_the_cylinder(self, tmp_path):
+        assert main(["spectrum", "--surface", "ring", "--L", "-1",
+                     "--output", str(tmp_path / "r.json")]) == 0
 
 
 def _reports_of_two_runs(args, path):

@@ -9,6 +9,7 @@ from surfband.geometry import (
     cylinder,
     geometric_kinetic_energy,
     principal_curvatures,
+    radial_exponent,
     ring,
     sphere,
 )
@@ -58,6 +59,10 @@ class TestGeometricKineticEnergy:
                 shifts.append(geometric_kinetic_energy(sphere(1.0)))
             assert shifts[0] == shifts[1]
             assert shifts[0] == pytest.approx(-0.5 * ((k1 - k2) / 2) ** 2, rel=1e-14)
+
+
+def test_radial_exponent_is_the_measure_power():
+    assert [radial_exponent(kind) for kind in SurfaceKind] == [1, 1, 2]
 
 
 class TestValidation:

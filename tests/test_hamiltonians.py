@@ -407,6 +407,15 @@ class TestRadialOperatorIdentities:
             assert defects[0] < 1e-3
             assert defects[1] < defects[0] / 3.0
 
+    @pytest.mark.parametrize("operator", [hermitian_radial_momentum, radial_flux_laplacian])
+    def test_ring_is_the_cylinder_and_unknown_kinds_are_rejected(self, operator):
+        # the ring is the z-frozen cylinder: the same measure exponent s = 1
+        r, h = open_radial_grid(0.5, 2.5, 40)
+        assert np.array_equal(operator(r, h, "ring"), operator(r, h, "cylinder"))
+        assert not np.array_equal(operator(r, h, "sphere"), operator(r, h, "cylinder"))
+        with pytest.raises(ValueError):
+            operator(r, h, "spere")
+
 
 _TABLE_GRIDS = {"ring": (ring(1.0), 8, 1), "cylinder": (cylinder(1.0, 1.0), 6, 6),
                 "sphere": (sphere(1.0), 6, 8), "sphere-odd-n2": (sphere(1.0), 5, 7)}

@@ -131,7 +131,7 @@ def test_toarray_refuses_oversized_dense(monkeypatch):
     op = OperatorMatrix(sp.eye_array(g.size), g.weights, 1, "id")
     assert np.array_equal(op.toarray(), np.eye(g.size))
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: g.size**2 * 8 - 1)
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(MemoryError, match="limit"):
         op.toarray()
 
 
@@ -141,7 +141,7 @@ def test_build_grid_refuses_an_operator_that_would_not_fit(monkeypatch):
     surf = cylinder(1.0, np.pi)
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: 64 * disc.ASSEMBLY_BYTES_PER_NODE)
     assert build_grid(surf, 8, 8).size == 64
-    with pytest.raises(ValueError, match="65-node grid operator .* limit"):
+    with pytest.raises(MemoryError, match="65-node grid operator .* limit"):
         build_grid(surf, 13, 5)
 
 
@@ -289,9 +289,9 @@ def test_shifted_path_lifts_the_dense_guard(monkeypatch):
     rep = spectrum(H, 16)
     assert rep.solver == "shifted-sparse-shift-invert"
     assert rep.eigen_residual <= 1e-12
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(MemoryError, match="limit"):
         spectrum(H)  # shifted-dense-eigh still needs the dense matrix
     varying, *_ = _pragmatic("cylinder", (32, 32), "ab-flux", 7,
                              radial=(np.linspace(0.2, 1.0, 1024), 0.3))
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(MemoryError, match="limit"):
         spectrum(varying, 16)  # dense-eig, as before

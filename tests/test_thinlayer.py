@@ -7,7 +7,7 @@ import pytest
 from surfband import thinlayer
 from surfband.analysis import spectrum
 from surfband.discretize import hermiticity_residual
-from surfband.geometry import cylinder, ring, sphere
+from surfband.geometry import cylinder, radial_exponent, ring, sphere
 from surfband.thinlayer import (
     ShellProblem,
     box_energy,
@@ -48,8 +48,9 @@ class TestRadialSpectrum:
         assert es[0] > es[1] > es[2]
 
     def test_collapse_rejected(self):
-        with pytest.raises(ValueError, match="collapses"):
-            ShellProblem(cylinder(1.0, 1.0), 2.0, 0)
+        for d in (2.0, 0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 2R\)"):
+                ShellProblem(cylinder(1.0, 1.0), d, 0)
 
     def test_min_resolution_enforced(self):
         with pytest.raises(ValueError):
@@ -129,7 +130,7 @@ class TestFluxOperator:
     def test_matches_loop_reference(self, surf):
         p = ShellProblem(surf, 0.3, 2, 60)
         r, h = p.nodes()
-        s, k = p.s_exponent, 0.5
+        s, k = radial_exponent(surf.kind), 0.5
         faces = np.append((r - h / 2) ** s, (r[-1] + h / 2) ** s)
         ref = np.zeros((p.n_r, p.n_r))
         for j in range(p.n_r):
@@ -141,6 +142,17 @@ class TestFluxOperator:
         ref[-1, -1] += k * faces[-1] / (r[-1] ** s * h**2)
         ref += np.diag(p.centrifugal(r))
         np.testing.assert_allclose(build_radial_operator(p).toarray(), ref, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("surf, ref", [(cylinder(1.0, 1.0), lambda l: (l**2, l**2 - 0.25)),
+                                           (sphere(1.0), lambda l: (l * (l + 1), l * (l + 1)))])
+    def test_exponent_forms_match_the_closed_forms_bitwise(self, surf, ref):
+        # l(l + s - 1) and l(l + s - 1) + s(s - 2)/4 at hbar = m = 1
+        for l in range(6):
+            p = ShellProblem(surf, 0.3, l, 60)
+            r = p.nodes()[0]
+            centrifugal, liouville = ref(l)
+            assert np.array_equal(p.centrifugal(r), 0.5 * centrifugal / r**2)
+            assert np.array_equal(thinlayer._liouville_potential(p, r), 0.5 * liouville / r**2)
 
     @pytest.mark.parametrize("surf", [cylinder(1.0, 1.0), sphere(1.0)])
     def test_matches_liouville_form_at_stencil_order(self, surf):
@@ -217,3 +229,7 @@ class TestSweepTable:
         for row in rows:
             assert set(row) == {"d", "l", "E_raw", "E_box", "E_surface", "shift"}
             assert row["E_surface"] == pytest.approx(row["E_raw"] - row["E_box"])
+
+    def test_empty_width_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer width"):
+            sweep_table(cylinder(1.0, 1.0), [0], [])
