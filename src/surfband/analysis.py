@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import discretize
 from .discretize import (
     Grid,
     OperatorMatrix,
@@ -32,13 +33,13 @@ class SpectrumReport:
 
     Hermitian operators give real ascending eigenvalues; non-Hermitian input
     is reported as complex, sorted by real part then imaginary part.  solver
-    names the path taken: dense-eigh or sparse-shift-invert for Hermitian
-    input, shifted-dense-eigh or shifted-sparse-shift-invert for input whose
+    names the path taken: sector-eigh, dense-eigh or sparse-shift-invert for
+    Hermitian input, the same with a shifted- prefix for input whose
     anti-Hermitian part is a scalar ic I, dense-eig for any other input.  dim
     and nnz describe the operator it was given.  eigen_residual is
     max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator,
-    set whenever the path produced eigenvectors (the sparse paths, or
-    want_vectors=True), else None.
+    set whenever the path produced eigenvectors (the sector and sparse
+    paths, or want_vectors=True), else None.
     """
 
     eigenvalues: np.ndarray
@@ -66,14 +67,15 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
 
     c = Im H[0, 0] is read first.  When c = 0, operators within
     HERMITIAN_TOL of self-adjoint are symmetrized as W^(1/2) H W^(-1/2) and
-    solved with a self-adjoint eigensolver (dense, or shift-invert ARPACK
-    for k << dim).  When c != 0, however small, an operator whose
-    anti-Hermitian part is ic I within the same tolerance (the pragmatic
-    operator with a uniform A_r) is normal: its Hermitian part is solved the
-    same way and ic is added to the eigenvalues, on the path
+    solved with a self-adjoint eigensolver: by azimuthal sectors when the
+    result commutes with the azimuthal shift of op.layout, else dense, or
+    shift-invert ARPACK for k << dim.  When c != 0, however small, an
+    operator whose anti-Hermitian part is ic I within the same tolerance
+    (the pragmatic operator with a uniform A_r) is normal: its Hermitian part
+    is solved the same way and ic is added to the eigenvalues, on the path
     shifted-<solver>.  Anything else goes through the dense general complex
-    solver.  Dense paths refuse operators too large for memory with
-    MemoryError.
+    solver.  Dense and sector paths refuse requests too large for memory
+    with MemoryError.
     """
     n = op.dim
     if k is None:
@@ -107,7 +109,10 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
             sqw = np.sqrt(op.full_weights())
             # the Hermitian part of H: an anti-Hermitian ic I drops out here
             S = _symmetrized(op.entries, sqw)
-            if solver == "sparse-shift-invert":
+            sectors = _sector_eigh(S, op.layout, k)
+            if sectors is not None:
+                (ev, vec), solver = sectors, "sector-eigh"
+            elif solver == "sparse-shift-invert":
                 ev, vec = _shift_invert(S, k, sqw, scale, op.label)
             else:
                 check_fits(3 * n * n * S.dtype.itemsize, f"dense {n}x{n} operator work")
@@ -152,6 +157,53 @@ def _symmetrized(A, sqw: np.ndarray):
     return S
 
 
+def _sector_eigh(S, layout, k: int):
+    """Lowest k eigenpairs of S by azimuthal sectors; None unless P S P^T = S exactly.
+
+    P is the one-node azimuthal shift of layout (outer, n_az, inner).  Such an
+    S couples slices a and a + d by one block C_d, read from the stored rows of
+    slice 0, and is the direct sum of B_m = sum_d C_d w^(m d), w = exp(2 pi i / n_az),
+    on the vectors w^(m a) phi / sqrt(n_az).  The FFT along d gives B_(-m); for
+    real S, B_(-m) = conj(B_m), so only m = 0..n_az/2 are solved.  Vectors are
+    formed for the k returned levels only.  None too when the blocks would not fit.
+    """
+    import scipy.linalg
+    import scipy.sparse as sp
+
+    if layout is None:
+        return None
+    (outer, n_az, inner), n, b = layout, S.shape[0], layout[0] * layout[2]
+    if 3 * n_az * b * b * 16 > discretize.dense_memory_limit():  # blocks, FFT, vectors
+        return None
+    idx = np.arange(n).reshape(layout)
+    shift, T = np.roll(idx, 1, axis=1).ravel(), S.tocoo()
+    if max_abs(sp.csr_array((T.data, (shift[T.row], shift[T.col])), shape=S.shape) - S):
+        return None
+    # the vectors, their unweighted copy and the residual's two work arrays
+    check_fits(4 * n * k * 16, f"{k} eigenvectors of dimension {n} and their residuals")
+    rows = S[idx[:, 0, :].ravel()].tocoo()
+    o, d, i = np.unravel_index(rows.col, layout)
+    C = np.zeros((n_az, b, b), S.dtype)
+    np.add.at(C, (d, rows.row, o * inner + i), rows.data)
+    real = not np.iscomplexobj(C)
+    B = np.fft.rfft(C, axis=0) if real else np.fft.fft(C, axis=0, out=C)
+    w = scipy.linalg.eigh(B, eigvals_only=True)
+    src = np.arange(len(w))
+    twins = src[(src > 0) & (2 * src < n_az)] if real else src[:0]
+    sector = np.concatenate([-src % n_az, twins])  # the twin of B_(-m) is conj(B_(-m)) = B_m
+    src = np.concatenate([src, twins])
+    levels = w[src].ravel()
+    pick = np.argsort(levels, kind="stable")[:k]
+    s, j = np.divmod(pick, b)
+    need = np.unique(src[s])  # vectors only of the blocks that hold a returned level
+    X = scipy.linalg.eigh(B[need], subset_by_index=[0, j.max()])[1]
+    phi, twin = X[np.searchsorted(need, src[s]), :, j], s >= len(w)
+    phi[twin] = phi[twin].conj()
+    wave = np.exp(2j * np.pi * (sector[s][:, None] * np.arange(n_az) % n_az) / n_az)
+    vec = phi.reshape(k, outer, 1, inner) * (wave / np.sqrt(n_az))[:, None, :, None]
+    return levels[pick], vec.reshape(k, n).T
+
+
 def _factor(S, sigma: float):
     """SuperLU of S - sigma I with diagonal pivots, and its count of negative pivots.
 
@@ -189,8 +241,9 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     as OPinv.  Lanczos can drop copies of a degenerate level or miss one near
     the top of the window, so the inertia just above the k-th eigenvalue must
     match the count found; missing levels are searched for with the found
-    eigenvectors deflated.
+    eigenvectors orthonormalized and deflated, and a surplus raises.
     """
+    import scipy.linalg
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     n = S.shape[0]
@@ -231,6 +284,8 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
             start = start + 1j * rng.standard_normal(n)
         op = lu.solve
         if V is not None:
+            # eigsh's vectors need not be orthonormal within a degenerate cluster
+            V = scipy.linalg.qr(V, mode="economic")[0]
             # einsum, not BLAS: numpy's threaded BLAS interleaved with the solver's
             # own BLAS copy oversubscribes the cores and slows every step
             Vc = V.conj()
@@ -255,8 +310,11 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
             gap *= 2
             continue
         missing = below - int(np.count_nonzero(ev < above))
-        if missing <= 0:
+        if missing == 0:
             return ev[:k], vec[:, :k]
+        if missing < 0:
+            raise RuntimeError(f"{-missing} levels found for {label!r} are not eigenvalues: "
+                               f"the inertia counts {below} below {above:.17g}")
         more, more_vec = lowest(min(missing, n - 1 - len(ev)), vec)
         ev, vec = np.concatenate([ev, more]), np.hstack([vec, more_vec])
     raise RuntimeError(f"the lowest {k} levels of {label!r} could not be certified")

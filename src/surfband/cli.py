@@ -275,7 +275,8 @@ def run(cfg: RunConfig) -> int:
 
     The library checks every input: ValueError is an invalid argument, as is
     OverflowError, an input too large for float arithmetic (exit 2);
-    MemoryError or RuntimeError is a run that could not finish (exit 1).
+    MemoryError or RuntimeError is a run that could not finish (exit 1), as
+    is a report that cannot be written.
     """
     out_path = cfg.output or f"surfband_report.{cfg.format}"
     eigenvalues: list = []
@@ -342,7 +343,11 @@ def run(cfg: RunConfig) -> int:
     except (ValueError, OverflowError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (MemoryError, RuntimeError)) else 2
-    _write_atomic(out_path, _report_text(cfg, eigenvalues, residual, diagnostics))
+    try:
+        _write_atomic(out_path, _report_text(cfg, eigenvalues, residual, diagnostics))
+    except OSError as exc:
+        print(f"error: cannot write the report to {out_path}: {exc.strerror}", file=sys.stderr)
+        return 1
     print(summary)
     return 0
 

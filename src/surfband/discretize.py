@@ -97,13 +97,15 @@ class OperatorMatrix:
     entries is a scipy.sparse CSR array; square dense arrays and other
     sparse formats are converted on construction.  The attached weights
     define the adjoint: A^dag = W^-1 A^H W with W = diag(weights) (tiled
-    over the spin block).
+    over the spin block).  layout, when known, is (outer, n_az, inner): node
+    (o, a, i) at azimuth index a has flat index (o * n_az + a) * inner + i.
     """
 
     entries: object
     weights: np.ndarray
     spin_dim: int = 1
     label: str = ""
+    layout: tuple | None = None
 
     def __post_init__(self):
         import scipy.sparse as sp
@@ -115,6 +117,8 @@ class OperatorMatrix:
             raise ValueError(f"non-finite entries in operator {self.label!r}")
         if len(self.weights) * self.spin_dim != A.shape[0]:
             raise ValueError("weights length does not match operator dimension")
+        if self.layout is not None and int(np.prod(self.layout)) != A.shape[0]:
+            raise ValueError(f"layout {self.layout} does not match dimension {A.shape[0]}")
         object.__setattr__(self, "entries", A)
 
     @property

@@ -27,6 +27,8 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError(f"R must be positive, got {self.R}")
+        if not 0 < self.R * self.R < float("inf") or 1 / (self.R * self.R) == float("inf"):
+            raise OverflowError(f"R={self.R:g} is outside float range: R^2 or 1/R^2 overflows")
         if self.kind is SurfaceKind.CYLINDER and self.L <= 0:
             raise ValueError(f"cylinder half-length L must be positive, got {self.L}")
 
@@ -56,6 +58,9 @@ class PhysicalConstants:
             raise ValueError("hbar must be positive")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
+        if not 0 < self.hbar * self.hbar / (2 * self.mass) < float("inf"):
+            raise OverflowError(f"hbar={self.hbar:g} and mass={self.mass:g} put hbar^2/2m "
+                                "outside float range")
 
     @property
     def flux_quantum(self) -> float:

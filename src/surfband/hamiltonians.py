@@ -342,14 +342,17 @@ def _finish(req: HamiltonianRequest, H, weights: np.ndarray, name: str) -> Opera
     import scipy.sparse as sp
 
     f = type(req.field).__name__ if req.field is not None else "none"
+    g = req.grid
     label = (f"{name}[{req.surface.kind.value} R={req.surface.R:g}] field={f} "
-             f"spin={int(req.spin)} grid=({req.grid.n1}x{req.grid.n2}) coupling={req.coupling}")
+             f"spin={int(req.spin)} grid=({g.n1}x{g.n2}) coupling={req.coupling}")
+    # the azimuth is j2 on the sphere and j1 on the ring and cylinder (Grid)
+    layout = (g.n1, g.n2, 1) if req.surface.kind is SurfaceKind.SPHERE else (1, g.n1, g.n2)
     if not req.spin:
-        return OperatorMatrix(H, weights, 1, label)
+        return OperatorMatrix(H, weights, 1, label, layout)
     full = sp.kron(sp.eye_array(2), H)
     if req.field is not None:
-        full = full + zeeman_block(req.field, req.grid, req.constants).entries
-    return OperatorMatrix(full, weights, 2, label)
+        full = full + zeeman_block(req.field, g, req.constants).entries
+    return OperatorMatrix(full, weights, 2, label, (2 * layout[0], *layout[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ class ShellProblem:
             raise ValueError(f"layer width d={self.d:g} must lie in (0, 2R), R={self.surface.R:g}")
         if self.n_r < 50:
             raise ValueError("n_r must be at least 50")
+        if abs(self.l) > 1e150:  # l(l + s - 1) must stay a float
+            raise OverflowError(f"angular index l={self.l:.3g} is outside float range")
 
     def nodes(self) -> tuple[np.ndarray, float]:
         h = self.d / self.n_r
@@ -308,9 +310,9 @@ def sweep_table(surface: SurfaceSpec, l_values, d_values,
         raise ValueError("need at least one layer width d")
     rows = []
     for l in l_values:
-        naive = _naive_angular_energy(surface, l, constants)
         for d in d_values:
             p = ShellProblem(surface, d, l, n_r, constants)
+            naive = _naive_angular_energy(surface, l, constants)
             e_raw = float(radial_spectrum(p, n)[n - 1])
             e_box = box_energy(p, n)
             e_surface = e_raw - e_box

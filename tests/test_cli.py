@@ -334,16 +334,17 @@ class TestRun:
         run(parse_config(["spectrum", "--surface", "ring", "--n1", "16", "--k", "2",
                           "--output", str(out)]))
         diagnostics = json.loads(out.read_text())["diagnostics"]
-        assert diagnostics["solver"] == "dense-eigh"
-        assert diagnostics["eigen_residual"] is None  # eigvalsh: no vectors to check
+        # every CLI spectrum operator commutes with the azimuthal shift
+        assert diagnostics["solver"] == "sector-eigh"
+        assert diagnostics["eigen_residual"] <= 1e-12  # the returned pairs are checked
 
-    def test_pragmatic_spectrum_takes_the_shifted_sparse_path(self, tmp_path):
+    def test_pragmatic_spectrum_takes_the_shifted_sector_path(self, tmp_path):
         out = tmp_path / "p.json"
         assert run(parse_config(["spectrum", "--surface", "cylinder", "--n", "32", "--k", "16",
                                  "--variant", "pragmatic", "--field", "ab-flux", "--phi", "0.3",
                                  "--A-r", "0.7", "--dA-r-dr", "0.3", "--output", str(out)])) == 0
         rep = json.loads(out.read_text())
-        assert rep["diagnostics"]["solver"] == "shifted-sparse-shift-invert"
+        assert rep["diagnostics"]["solver"] == "shifted-sector-eigh"
         assert rep["diagnostics"]["eigen_residual"] <= 1e-12
         assert {im for _, im in rep["eigenvalues"]} == {0.5 * (0.7 + 0.3)}
         assert [re for re, _ in rep["eigenvalues"]] == sorted(re for re, _ in rep["eigenvalues"])
@@ -376,6 +377,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["thin-layer", "--hbar", "1e200"], "hbar=1e+200"),
+        (["spectrum", "--R", "1e-200"], "R=1e-200"),
+        (["gke", "--l", str(10**300)], "l=1e+300"),
+    ])
+    def test_out_of_range_input_is_named(self, argv, named, tmp_path, capsys):
+        assert main([*argv, "--output", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "outside float range" in err
+
+    def test_unwritable_output_exits_1_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["spectrum", "--surface", "ring", "--n", "16", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write the report to {out}: No such file or directory\n"
+        assert captured.out == ""
+
     def test_L_is_not_read_off_the_cylinder(self, tmp_path):
         assert main(["spectrum", "--surface", "ring", "--L", "-1",
                      "--output", str(tmp_path / "r.json")]) == 0
@@ -399,7 +418,7 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_shifted_sparse_report_identical_bytes(self, tmp_path):
-        # ARPACK on the shifted path, and a numeric eigen_residual
+        # the shifted sector path, and a numeric eigen_residual
         path = tmp_path / "report.json"
         args = ["spectrum", "--surface", "cylinder", "--R", "1", "--n", "32",
                 "--variant", "pragmatic", "--field", "ab-flux", "--phi", "0.3",

@@ -15,7 +15,8 @@ def test_library_quick_start_runs(capsys):
     exec(compile(code, str(README), "exec"), namespace)
     rep = namespace["rep"]
     assert namespace["H"].dim == 8192
-    assert rep.solver == "sparse-shift-invert"
+    assert rep.solver == "sector-eigh"
+    assert rep.eigen_residual <= 1e-12
     assert len(rep.eigenvalues) == 10
     assert rep.hermiticity_residual <= 1e-12
     assert capsys.readouterr().out

@@ -1,4 +1,11 @@
-"""The sparse shift-invert and shifted paths against the dense references they replace."""
+"""The sparse shift-invert, sector and shifted paths against the dense references they replace.
+
+Every operator built here for a fixed grid commutes with the one-node
+azimuthal shift and so takes a sector path.  The sparse and dense paths are
+reached through _gauge_shifted copies: the same levels, no azimuthal symmetry.
+"""
+
+import functools
 
 import numpy as np
 import pytest
@@ -7,7 +14,7 @@ import scipy.sparse as sp
 from surfband import analysis
 from surfband.analysis import choose_solver, spectrum
 from surfband.discretize import OperatorMatrix, build_grid, dense_memory_limit, weighted_norm
-from surfband.fields import ABFlux, Sampled, UniformAxial
+from surfband.fields import ABFlux, GaugeFunction, Sampled, UniformAxial, add_gauge
 from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
 from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
 
@@ -25,14 +32,33 @@ def _build(surf, n, kw):
     return build_hamiltonian(HamiltonianRequest(surf, build_grid(surf, n, n), **kw))
 
 
+def _gauge_shifted(H, seed=0):
+    """U H U with U = diag(+-1) seeded: a lattice gauge change by e lambda / hbar in {0, pi}.
+
+    Its levels are H's; its random signs break the azimuthal symmetry, so it
+    takes the sparse or dense path.  Real operators stay real.
+    """
+    u = sp.diags_array(np.random.default_rng(seed).choice([-1.0, 1.0], H.dim))
+    return OperatorMatrix(u @ H.entries @ u, H.weights, H.spin_dim, H.label, H.layout)
+
+
 def _multiplicities(ev, tol=1e-9):
     """Sizes of the runs of eigenvalues closer than tol to their neighbour."""
     breaks = np.flatnonzero(np.diff(ev) > tol)
     return np.diff(np.concatenate([[0], breaks + 1, [len(ev)]])).tolist()
 
 
-def _check_against_dense(H, rep, k):
-    dense = spectrum(H)  # k = dim: the dense reference
+@functools.cache
+def _acceptance_case(name):
+    """An acceptance grid's operator, its gauge-shifted copy and that copy's dense levels."""
+    surf, n, kw, k = ACCEPTANCE_GRIDS[name]
+    H = _build(surf(), n, kw)
+    shifted = _gauge_shifted(H)
+    return H, shifted, spectrum(shifted), k
+
+
+def _check_against_dense(H, rep, k, dense=None):
+    dense = dense or spectrum(H)  # k = dim: the dense reference
     assert dense.solver == "dense-eigh"
     assert dense.eigen_residual is None  # eigvalsh gives no vectors to check
     ref = dense.eigenvalues[:k]
@@ -43,16 +69,27 @@ def _check_against_dense(H, rep, k):
 
 @pytest.mark.parametrize("name", sorted(ACCEPTANCE_GRIDS))
 def test_sparse_matches_dense_on_acceptance_grids(name):
-    surf, n, kw, k = ACCEPTANCE_GRIDS[name]
-    H = _build(surf(), n, kw)
+    _, H, dense, k = _acceptance_case(name)
     rep = spectrum(H, k)
     assert rep.solver == "sparse-shift-invert"
     assert (rep.dim, rep.nnz) == (H.dim, H.nnz)
     assert np.isrealobj(rep.eigenvalues)
     assert rep.eigen_residual <= 1e-12
-    _check_against_dense(H, rep, k)
+    _check_against_dense(H, rep, k, dense)
     again = spectrum(H, k)
     assert np.array_equal(rep.eigenvalues, again.eigenvalues)
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_GRIDS))
+def test_sector_matches_dense_on_acceptance_grids(name):
+    H, shifted, dense, k = _acceptance_case(name)
+    rep = spectrum(H, k)
+    assert rep.solver == "sector-eigh"
+    assert (rep.dim, rep.nnz) == (H.dim, H.nnz)
+    assert np.isrealobj(rep.eigenvalues)
+    assert rep.eigen_residual <= 1e-12
+    _check_against_dense(shifted, rep, k, dense)  # the same levels as H's
+    assert np.array_equal(rep.eigenvalues, spectrum(H, k).eigenvalues)
 
 
 def test_first_shift_inside_spectrum_still_gives_lowest(monkeypatch):
@@ -67,7 +104,8 @@ def test_first_shift_inside_spectrum_still_gives_lowest(monkeypatch):
         return lu, negative
 
     monkeypatch.setattr(analysis, "_factor", recording)
-    H = _build(cylinder(1.0, np.pi), 32, dict(field=UniformAxial(B=40.0), spin=True))
+    H = _gauge_shifted(_build(cylinder(1.0, np.pi), 32,
+                              dict(field=UniformAxial(B=40.0), spin=True)))
     rep = spectrum(H, 16)
     assert counts[0] > 0
     assert rep.solver == "sparse-shift-invert"
@@ -85,8 +123,8 @@ def test_random_grids_fields_and_k_match_dense(seed):
         surf = (cylinder(float(rng.uniform(0.5, 2)), float(rng.uniform(1, 4)))
                 if rng.integers(0, 2) else sphere(float(rng.uniform(0.5, 2))))
         field = UniformAxial(B=float(rng.choice([rng.uniform(0.1, 3), rng.uniform(5, 60)])))
-        H = build_hamiltonian(HamiltonianRequest(surf, build_grid(surf, n1, n2), field,
-                                                 spin=spin))
+        H = _gauge_shifted(build_hamiltonian(
+            HamiltonianRequest(surf, build_grid(surf, n1, n2), field, spin=spin)), seed)
         if H.dim < analysis.SPARSE_MIN_DIM:
             continue
         k = int(rng.integers(1, H.dim // 16 + 1))
@@ -108,13 +146,86 @@ def test_missed_degenerate_copies_are_recovered():
 
 
 def test_sparse_eigenvectors_weighted_normalized():
-    H = _build(sphere(1.0), 24, dict(field=UniformAxial(B=1.0)))
+    H = _gauge_shifted(_build(sphere(1.0), 24, dict(field=UniformAxial(B=1.0))))
     rep = spectrum(H, 6, want_vectors=True)
     assert rep.solver == "sparse-shift-invert"
     w = H.full_weights()
     for lam, v in zip(rep.eigenvalues, rep.eigenvectors.T):
         assert abs(weighted_norm(v, w) - 1.0) < 1e-10
         assert weighted_norm(H.entries @ v - lam * v, w) < 1e-9
+
+
+@pytest.mark.parametrize("surf, n1, n2, kw", [
+    (sphere(1.3), 24, 24, dict(field=UniformAxial(B=1.0))),  # complex blocks
+    (sphere(0.7), 12, 15, dict(order=2)),  # real blocks, odd azimuthal count
+    (cylinder(1.0, 2.0), 16, 10, dict(field=ABFlux(Phi=0.4), spin=True)),
+    (ring(1.0), 17, 1, dict()),
+], ids=["sphere-field", "sphere-odd-free", "cylinder-spin", "ring-odd"])
+def test_sector_eigenvectors_weighted_orthonormal(surf, n1, n2, kw):
+    H = build_hamiltonian(HamiltonianRequest(surf, build_grid(surf, n1, n2), **kw))
+    k = min(H.dim, 40)
+    rep = spectrum(H, k, want_vectors=True)
+    assert rep.solver == "sector-eigh"
+    V, w = rep.eigenvectors, H.full_weights()
+    assert V.shape == (H.dim, k)
+    np.testing.assert_allclose(V.conj().T @ (w[:, None] * V), np.eye(k), atol=1e-12)
+    scale = np.abs(H.entries.data).max()
+    assert np.abs(H.entries @ V - V * rep.eigenvalues).max() <= 1e-12 * scale
+    assert rep.eigen_residual <= 1e-14
+
+
+def test_sector_path_needs_the_node_layout():
+    H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
+    bare = OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)
+    assert spectrum(H, 10).solver == "sector-eigh"
+    assert spectrum(bare, 10).solver == "sparse-shift-invert"
+    with pytest.raises(ValueError, match="layout"):
+        OperatorMatrix(H.entries, H.weights, 1, "bad", (1, 24, 25))
+
+
+def test_sector_blocks_that_would_not_fit_keep_the_current_path(monkeypatch):
+    import surfband.discretize as disc
+
+    H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
+    # 24 blocks of 24x24, charged 3 x 16 B per block entry: 663,552 B
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 3 * 24**3 * 16 - 1)
+    assert spectrum(H, 10).solver == "sparse-shift-invert"
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 3 * 24**3 * 16)
+    assert spectrum(H, 10).solver == "sector-eigh"
+
+
+def test_deflation_recovers_a_degenerate_spin_spectrum():
+    # the spin AB-flux cylinder is exactly doubly degenerate; eigsh's vectors
+    # inside a pair are not orthonormal, and deflating against them as they
+    # came once made the search converge to levels the operator does not have
+    surf = cylinder(1.0911800239630463, 2.444568454495584)
+    g = build_grid(surf, 36, 36)
+    field = ABFlux(Phi=0.6224782161868758)
+    lam = GaugeFunction.from_callable(lambda c1, c2: 0.9 * np.sin(c1) * c2, g, "sin-theta-z")
+    plain = build_hamiltonian(HamiltonianRequest(surf, g, field, spin=True))
+    gauged = build_hamiltonian(HamiltonianRequest(surf, g, add_gauge(field, lam, g), spin=True))
+    ref = spectrum(plain, 81)
+    assert ref.solver == "sector-eigh"
+    bound = 1e-14 * np.abs(gauged.entries.data).max() + 1e-12
+    for k in (33, 57, 81):
+        rep = spectrum(gauged, k)
+        assert rep.solver == "sparse-shift-invert"
+        assert np.abs(rep.eigenvalues - ref.eigenvalues[:k]).max() <= bound
+        assert rep.eigen_residual <= 1e-14
+
+
+def test_a_surplus_of_levels_raises(monkeypatch):
+    # an inertia count one short of the levels found must not pass as success
+    factor = analysis._factor
+
+    def undercounting(S, sigma):
+        lu, negative = factor(S, sigma)
+        return lu, negative if not negative else negative - 1
+
+    monkeypatch.setattr(analysis, "_factor", undercounting)
+    H = _gauge_shifted(_build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0))))
+    with pytest.raises(RuntimeError, match="not eigenvalues"):
+        spectrum(H, 10)
 
 
 def test_solver_choice_depends_on_dim_and_k_only():
@@ -213,25 +324,32 @@ def _circulant_spectrum(H):
                                    for l in range(H.dim)]))
 
 
-@pytest.mark.parametrize("name", sorted(SHIFTED_CASES))
-def test_shifted_path_matches_dense_eig(name):
+def _shifted_case(name):
+    """The pragmatic operator, its Im E as the builder forms it, and its references.
+
+    Each reference comes with the number of levels it is trusted for: at the
+    top of the stiff 600-node ring spectrum dense eig is itself off by
+    1.4e-10 (bound 6.1e-11), so the whole ring spectrum is checked against
+    the exact circulant symbol.
+    """
     kind = SHIFTED_CASES[name][0]
     H, R, a_r, da_r = _pragmatic(*SHIFTED_CASES[name], seed=sorted(SHIFTED_CASES).index(name))
     c = PhysicalConstants()
-    im = (c.hbar * c.charge / (2 * c.mass)) * (a_r / R + da_r)  # as the builder forms it
-    bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
-    # (reference, levels it is trusted for): at the top of the stiff 600-node
-    # ring spectrum dense eig is itself off by 1.4e-10 (bound 6.1e-11), so the
-    # whole ring spectrum is checked against the exact circulant symbol
+    im = (c.hbar * c.charge / (2 * c.mass)) * (a_r / R + da_r)
     refs = [(_by_real_part(np.linalg.eig(H.toarray())[0]),
              H.dim if kind == "cylinder" else max(1, H.dim // 16))]
     if kind == "ring":
         refs.append((_circulant_spectrum(H), H.dim))
+    return H, im, refs
+
+
+def _check_shifted_levels(H, im, refs, path):
+    bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
     w = H.full_weights()
     for k in sorted({max(1, H.dim // 16), H.dim}):
         rep = spectrum(H, k, want_vectors=True)
         values_only = spectrum(H, k)
-        assert rep.solver == values_only.solver == "shifted-" + choose_solver(H.dim, k, True)
+        assert rep.solver == values_only.solver == path(k)
         for ev in (rep.eigenvalues, values_only.eigenvalues):
             for ref, trusted in refs:
                 m = min(k, trusted)
@@ -242,6 +360,20 @@ def test_shifted_path_matches_dense_eig(name):
             assert abs(weighted_norm(v, w) - 1.0) < 1e-10
             assert weighted_norm(H.entries @ v - lam * v, w) <= 1e-9
         assert rep.eigen_residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_CASES))
+def test_shifted_path_matches_dense_eig(name):
+    H, im, refs = _shifted_case(name)
+    H = _gauge_shifted(H)  # the sparse and dense paths; the diagonal, and so Im E, is kept
+    _check_shifted_levels(H, im, refs, lambda k: "shifted-" + choose_solver(H.dim, k, True))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in SHIFTED_CASES.items()
+                                        if case[2] != "sampled"))
+def test_shifted_sector_path_matches_dense_eig(name):
+    H, im, refs = _shifted_case(name)
+    _check_shifted_levels(H, im, refs, lambda k: "shifted-sector-eigh")
 
 
 def test_varying_radial_component_stays_on_dense_eig():
@@ -269,15 +401,16 @@ def test_small_uniform_antihermitian_part_is_kept():
     g = build_grid(surf, 12, 10)
     H = build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.3, radial_derivative=1e-11),
                                              variant="pragmatic"))
-    rep = spectrum(H, 6)
-    assert rep.hermiticity_residual <= analysis.HERMITIAN_TOL
-    assert rep.solver == "shifted-dense-eigh"
-    assert np.all(rep.eigenvalues.imag == 5e-12)
     zero = build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.3, radial_derivative=0.0),
                                                 variant="pragmatic"))
-    rep0 = spectrum(zero, 6)
-    assert rep0.solver == "dense-eigh" and not np.iscomplexobj(rep0.eigenvalues)
-    np.testing.assert_array_equal(rep.eigenvalues.real, rep0.eigenvalues)
+    for ops, path in (((H, zero), "sector-eigh"),
+                      ((_gauge_shifted(H), _gauge_shifted(zero)), "dense-eigh")):
+        rep, rep0 = (spectrum(op, 6) for op in ops)
+        assert rep.hermiticity_residual <= analysis.HERMITIAN_TOL
+        assert rep.solver == "shifted-" + path
+        assert np.all(rep.eigenvalues.imag == 5e-12)
+        assert rep0.solver == path and not np.iscomplexobj(rep0.eigenvalues)
+        np.testing.assert_array_equal(rep.eigenvalues.real, rep0.eigenvalues)
 
 
 def test_shifted_path_lifts_the_dense_guard(monkeypatch):
@@ -285,12 +418,19 @@ def test_shifted_path_lifts_the_dense_guard(monkeypatch):
 
     # above the 32x32 grid guard (1.2 MB), below what dense eig of N = 1024 needs (48 MiB)
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: 8 * 2**20)
-    H, *_ = _pragmatic("cylinder", (32, 32), "ab-flux", 7)
+    plain, *_ = _pragmatic("cylinder", (32, 32), "ab-flux", 7)
+    H = _gauge_shifted(plain)
     rep = spectrum(H, 16)
     assert rep.solver == "shifted-sparse-shift-invert"
     assert rep.eigen_residual <= 1e-12
     with pytest.raises(MemoryError, match="limit"):
         spectrum(H)  # shifted-dense-eigh still needs the dense matrix
+    # the sector path fits in 32 blocks of 32x32, and refuses 1024 vectors (64 MiB charged)
+    sector = spectrum(plain, 16)
+    assert sector.solver == "shifted-sector-eigh"
+    assert np.abs(sector.eigenvalues - rep.eigenvalues).max() <= 1e-12
+    with pytest.raises(MemoryError, match="eigenvectors .* limit"):
+        spectrum(plain)
     varying, *_ = _pragmatic("cylinder", (32, 32), "ab-flux", 7,
                              radial=(np.linspace(0.2, 1.0, 1024), 0.3))
     with pytest.raises(MemoryError, match="limit"):

@@ -28,3 +28,15 @@ def test_full_size_calls_pass_their_checks(name, tmp_path, capsys):
         out = tmp_path / f"{i}.json"
         assert main([*call.argv, "--output", str(out)]) == 0, call.argv
         call.check(json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize("R", [0.5, 2.0])
+def test_sphere_free_passes_its_check_at_the_ends_of_its_radius_range(R, tmp_path):
+    # the draw spans R in [0.5, 2]; the Hermiticity residual grows as R falls
+    # and is 9.09e-13 at R = 0.5, one ulp under the workload's 1e-12 gate
+    (call,) = workloads.WORKLOADS["sphere-free"].calls({"R": R}, False)
+    out = tmp_path / "r.json"
+    assert main([*call.argv, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    call.check(report)
+    assert report["diagnostics"]["solver"] == "sector-eigh"
