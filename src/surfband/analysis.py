@@ -20,6 +20,8 @@ from .fields import GaugeFieldSpec, GaugeFunction, add_gauge, materialize
 from .geometry import PhysicalConstants
 
 HERMITIAN_TOL = 1e-10
+# the largest eigen_residual a Hermitian path may return; bench and tests stay below 4e-15
+EIGEN_RESIDUAL_TOL = 1e-10
 # Hermitian solves of at least this dimension, with k at most dim // 16, use
 # shift-invert ARPACK; smaller or nearly full solves use dense eigh.
 SPARSE_MIN_DIM = 512
@@ -39,7 +41,8 @@ class SpectrumReport:
     and nnz describe the operator it was given.  eigen_residual is
     max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator,
     set whenever the path produced eigenvectors (the sector and sparse
-    paths, or want_vectors=True), else None.
+    paths, or want_vectors=True), else None.  Every path but dense-eig
+    raises RuntimeError rather than return one above EIGEN_RESIDUAL_TOL.
     """
 
     eigenvalues: np.ndarray
@@ -130,9 +133,14 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     residual = None
     if vec is not None:
         vec = vec[:, :k]
-        w = op.full_weights()[:, None]
-        r2 = (w * np.abs(op.entries @ vec - vec * ev) ** 2).sum(axis=0)
-        residual = float(np.sqrt(r2 / (w * np.abs(vec) ** 2).sum(axis=0)).max() / scale)
+        # the ratio is scale-free in u and w: rescaled to max 1 so no product overflows
+        u = vec / np.abs(vec).max(axis=0)
+        w = op.full_weights()[:, None] / op.full_weights().max()
+        r2 = (w * np.abs((op.entries @ u - u * ev) / scale) ** 2).sum(axis=0)
+        residual = float(np.sqrt(r2 / (w * np.abs(u) ** 2).sum(axis=0)).max())
+        if shift is not None and not residual <= EIGEN_RESIDUAL_TOL:
+            raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "
+                               f"above {EIGEN_RESIDUAL_TOL:g}")
     return SpectrumReport(ev, resid, op.label, vec if want_vectors else None, solver, n,
                           op.nnz, residual)
 

@@ -12,8 +12,8 @@ d -> 0 extrapolation far below the requested 1e-6:
   eigenvector, written so that the O(1/h^2) stencil terms never cancel.
 
 The tridiagonal shell matrix is never formed densely: each level is
-bracketed and bisected with Sturm counts and its eigenvector found by
-inverse iteration, in O(n_r) time and memory per level.
+bracketed with Sturm counts and its eigenvector found by sine-basis
+correction or by inverse iteration, in O(n_r) time and memory per level.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class ShellProblem:
             raise ValueError("n_r must be at least 50")
         if abs(self.l) > 1e150:  # l(l + s - 1) must stay a float
             raise OverflowError(f"angular index l={self.l:.3g} is outside float range")
+        x = self.n_r / self.d  # the Sturm count squares the coupling (hbar^2/2m) x^2
+        k = self.constants.hbar**2 / (2 * self.constants.mass) * x * x
+        if not k * k < math.inf:
+            raise OverflowError(f"layer width d={self.d:.3g} at n_r={self.n_r} is outside float range")
 
     def nodes(self) -> tuple[np.ndarray, float]:
         h = self.d / self.n_r
@@ -166,17 +170,47 @@ def _rayleigh_quotient(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> floa
     return float(num / (u @ u))
 
 
+def _sine_correction(main: np.ndarray, off: np.ndarray, vbar: float, y: np.ndarray,
+                     i: int, below: float, above: float) -> np.ndarray | None:
+    """Level i's eigenvector from its sine mode y, or None if not certified in 6 corrections.
+
+    Each step is y <- y - (T0 + vbar - theta)^-1 r, theta = y^T T y / y^T y,
+    r = T y - theta y, T0 = T - diag(V), with y's own sine mode dropped:
+    odd-extended to length 2 n_r, T0 is circulant, so rfft/irfft diagonalize
+    it.  Level i is T's only eigenvalue in (below, above), so Kato-Temple
+    bounds |lambda_i - theta| by ||r||^2 / (theta's distance to either end),
+    and the loop stops once that is a quarter ulp of theta.
+    """
+    n = len(main)
+    den = vbar - 2 * off[0] * (1 - np.cos(np.arange(n + 1) * (np.pi / n)))
+    den[[0, i + 1]] = math.inf  # drop y's own mode and the constant one (odd: none)
+    for step in range(7):
+        ty = main * y
+        ty[1:] += off * y[:-1]
+        ty[:-1] += off * y[1:]
+        yy = y @ y
+        theta = (y @ ty) / yy
+        r = ty - theta * y
+        if r @ r / yy <= 2.0**-54 * abs(theta) * min(theta - below, above - theta):
+            return y
+        if step < 6:
+            ext = np.fft.rfft(np.concatenate([r, -r[::-1]]))
+            y = y - np.fft.irfft(ext / (den - theta), 2 * n)[:n]
+    return None
+
+
 def radial_spectrum(p: ShellProblem, n_levels: int = 1) -> np.ndarray:
     """Lowest shell energies, defect-corrected against the continuum box.
 
     Each level of the Liouville-form tridiagonal T is found in O(n_r) time
-    and memory: Weyl's inequality brackets level i between mu_i + min V and
+    and memory.  Weyl's inequality brackets level i between mu_i + min V and
     mu_i + max V (mu_i the exact constant-potential eigenvalue, V the
-    potential diagonal), the Sturm count certifies and then bisects that
-    bracket, inverse iteration at the bisected shift gives the eigenvector,
-    and a long-double Rayleigh quotient gives the eigenvalue.  The known
-    transverse symbol defect is then added so the flat-shell limit
-    reproduces hbar^2 pi^2 n^2 / (2 m d^2) to round-off.
+    potential diagonal), and the Sturm count certifies it.  A bracket apart
+    from its neighbours' gives the eigenvector by certified sine-basis
+    correction; any other, or a failed certificate, is bisected and inverse
+    iteration at the bisected shift gives it.  A long-double Rayleigh quotient
+    gives the eigenvalue, and the known transverse symbol defect is added so
+    the flat-shell limit reproduces hbar^2 pi^2 n^2 / (2 m d^2) to round-off.
     """
     if n_levels < 1 or n_levels > p.n_r:
         raise ValueError("n_levels out of range")
@@ -187,6 +221,7 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1) -> np.ndarray:
     # eigenvalues mu_i are the box symbol, so level i lies in mu_i + [min V, max V]
     v = _liouville_potential(p, p.nodes()[0])
     vmin, vmax = float(v.min()), float(v.max())
+    mu = [float(kcoef * _box_symbol(k, h, p.d)) for k in range(1, n_levels + 2)]
     # plain floats: numpy scalars would slow the scalar recurrences several-fold
     eps = float(np.finfo(float).eps)
     norm = float(np.abs(main).max() + 2 * np.abs(off).max())
@@ -197,21 +232,25 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1) -> np.ndarray:
     nodes = (np.arange(p.n_r) + 0.5) / p.n_r
     out = np.empty(n_levels)
     for i in range(n_levels):
-        mu = float(kcoef * _box_symbol(i + 1, h, p.d))
-        lo, hi = mu + vmin - pad, mu + vmax + pad
+        lo, hi = mu[i] + vmin - pad, mu[i] + vmax + pad
         if not _sturm_count(main_l, off2, lo, pivmin) <= i < _sturm_count(main_l, off2, hi, pivmin):
             raise RuntimeError(f"radial level {i} escaped its Weyl bracket for {p}")
-        while hi - lo > 1e-6 * max(abs(lo), abs(hi)) + 2 * pad:
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(main_l, off2, mid, pivmin) > i:
-                hi = mid
-            else:
-                lo = mid
         start = np.sin((i + 1) * np.pi * nodes)  # level i of the constant-potential matrix
-        vec = _inverse_iteration(main_l, off_l, 0.5 * (lo + hi), start, eps * norm)
+        below = mu[i - 1] + vmax + pad if i else -math.inf  # the neighbouring brackets' ends
+        above = mu[i + 1] + vmin - pad
+        vec = (_sine_correction(main, off, float(v.mean()), start, i, below, above)
+               if below < lo and hi < above else None)
+        if vec is None:
+            while hi - lo > 1e-6 * max(abs(lo), abs(hi)) + 2 * pad:
+                mid = 0.5 * (lo + hi)
+                if _sturm_count(main_l, off2, mid, pivmin) > i:
+                    hi = mid
+                else:
+                    lo = mid
+            vec = _inverse_iteration(main_l, off_l, 0.5 * (lo + hi), start, eps * norm)
         lam = _rayleigh_quotient(main, off, vec)
         if not lo - pad <= lam <= hi + pad:
-            raise RuntimeError(f"radial level {i} left its bisection bracket for {p}")
+            raise RuntimeError(f"radial level {i} left its bracket for {p}")
         out[i] = lam + _box_symbol_defect(p, i + 1, h)
     return out
 

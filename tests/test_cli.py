@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,14 @@ class TestRun:
         assert diagnostics["solver"] == "sector-eigh"
         assert diagnostics["eigen_residual"] <= 1e-12  # the returned pairs are checked
 
+    def test_eigen_residual_of_a_stiff_operator_is_finite(self, tmp_path):
+        # max|H| is about 1e302 at R = 1e-150; squaring the unscaled residual overflowed
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_config(["spectrum", "--R", "1e-150", "--output", str(out)])) == 0
+        assert json.loads(out.read_text())["diagnostics"]["eigen_residual"] <= 1e-12
+
     def test_pragmatic_spectrum_takes_the_shifted_sector_path(self, tmp_path):
         out = tmp_path / "p.json"
         assert run(parse_config(["spectrum", "--surface", "cylinder", "--n", "32", "--k", "16",
@@ -381,6 +390,7 @@ class TestExitCodes:
         (["thin-layer", "--hbar", "1e200"], "hbar=1e+200"),
         (["spectrum", "--R", "1e-200"], "R=1e-200"),
         (["gke", "--l", str(10**300)], "l=1e+300"),
+        (["thin-layer", "--d", "5e-324"], "d=4.94e-324"),  # the stencil coupling squared overflows
     ])
     def test_out_of_range_input_is_named(self, argv, named, tmp_path, capsys):
         assert main([*argv, "--output", str(tmp_path / "r.json")]) == 2

@@ -143,6 +143,13 @@ def test_ring_spectrum_is_periodic_in_the_flux(n, R, phi, periods, spin):
          k_frac=0.3, full=False)
 @example(kind="cylinder", n1=9, n2=5, R=1.0, base="ab-flux", strength=0.5, spin=True,
          k_frac=0.0, full=True)
+# the spin sphere in a uniform field, whose Zeeman x, y parts must be exact zeros
+@example(kind="sphere", n1=16, n2=16, R=1.0, base="uniform-axial", strength=1.3, spin=True,
+         k_frac=0.02, full=False)
+@example(kind="sphere", n1=24, n2=24, R=1.0, base="uniform-axial", strength=1.3, spin=True,
+         k_frac=0.01, full=False)
+@example(kind="sphere", n1=32, n2=32, R=1.0, base="uniform-axial", strength=1.3, spin=True,
+         k_frac=0.005, full=False)
 def test_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, strength, spin, k_frac, full):
     surf = SURFACES[kind](R)
     g = build_grid(surf, n1, n2)
@@ -151,10 +158,7 @@ def test_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, strength, spi
     H = build_hamiltonian(HamiltonianRequest(surf, g, field, spin))
     k = H.dim if full else 1 + int(k_frac * (H.dim - 1))
     rep = spectrum(H, k, want_vectors=True)
-    # the spin sphere's uniform-field Zeeman term carries x, y round-off that
-    # varies with phi, which usually breaks the exact symmetry
-    if not (kind == "sphere" and base == "uniform-axial" and spin):
-        assert rep.solver == "sector-eigh"
+    assert rep.solver == "sector-eigh"
     assert rep.eigen_residual <= 1e-12
     sqw = np.sqrt(H.full_weights())
     ref = np.linalg.eigvalsh((sp.diags_array(sqw) @ H.entries @ sp.diags_array(1 / sqw))

@@ -174,6 +174,26 @@ def test_sector_eigenvectors_weighted_orthonormal(surf, n1, n2, kw):
     assert rep.eigen_residual <= 1e-14
 
 
+@pytest.mark.parametrize("path", ["_sector_eigh", "_shift_invert"])
+def test_a_pair_above_the_residual_bound_raises(monkeypatch, path):
+    H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
+    if path == "_shift_invert":
+        H = OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)  # no layout: sparse
+    solve = getattr(analysis, path)
+
+    def perturbed(*args):
+        out = solve(*args)
+        if out is None:
+            return None
+        ev, vec = out
+        return ev, vec + 1e-6 * np.random.default_rng(0).standard_normal(vec.shape)
+
+    assert spectrum(H, 10).eigen_residual <= 1e-14
+    monkeypatch.setattr(analysis, path, perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        spectrum(H, 10)
+
+
 def test_sector_path_needs_the_node_layout():
     H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
     bare = OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)

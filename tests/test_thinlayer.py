@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from surfband import thinlayer
 from surfband.analysis import spectrum
@@ -112,11 +114,59 @@ class TestTridiagonalSolve:
         exact = float(num / sum(ui * ui for ui in u))
         assert abs(thinlayer._rayleigh_quotient(main, off, v) - exact) <= np.spacing(exact)
 
+    def test_bench_shells_take_the_sine_correction(self, monkeypatch):
+        # every level of the thin-layer benchmark's shells is Weyl-isolated and
+        # certified, so the bisection and inverse iteration never run
+        def refused(*args):
+            raise AssertionError("inverse iteration ran")
+
+        monkeypatch.setattr(thinlayer, "_inverse_iteration", refused)
+        for R in (0.8, 1.25):
+            for surf in (cylinder(R, 1.0), sphere(R)):
+                for l in range(5):
+                    for d in np.geomspace(0.12, 0.01, 8):
+                        p = ShellProblem(surf, d, l)
+                        np.testing.assert_allclose(radial_spectrum(p, 1), _dense_reference(p, 1),
+                                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("surf", [cylinder(1.0, 1.0), sphere(1.0)], ids=["cylinder", "sphere"])
+    def test_overlapping_brackets_take_the_fallback(self, surf, monkeypatch):
+        # at d = 1.5R and l = 8 the potential's spread exceeds the level gaps
+        calls = []
+        solve = thinlayer._inverse_iteration
+        monkeypatch.setattr(thinlayer, "_inverse_iteration",
+                            lambda *args: calls.append(1) or solve(*args))
+        p = ShellProblem(surf, 1.5 * surf.R, 8)
+        np.testing.assert_allclose(radial_spectrum(p, 3), _dense_reference(p, 3),
+                                   rtol=1e-15, atol=0)
+        assert len(calls) == 3
+
     def test_failed_bracket_raises(self, monkeypatch):
         # a bracket that misses its level is an error, never a silent fallback
         monkeypatch.setattr(thinlayer, "_box_symbol", lambda n, h, d: np.longdouble(0))
         with pytest.raises(RuntimeError, match="Weyl bracket"):
             radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["ring", "cylinder", "sphere"]), R=st.floats(0.1, 10.0),
+       ratio=st.floats(0.0, 1.5, exclude_min=True), l=st.integers(0, 8),
+       n_r=st.integers(50, 1000), n_levels=st.integers(1, 6))
+@example(kind="cylinder", R=1.0, ratio=0.05, l=2, n_r=256, n_levels=3)  # isolated levels
+@example(kind="sphere", R=1.0, ratio=1.5, l=8, n_r=256, n_levels=6)  # overlapping brackets
+@example(kind="ring", R=1.0, ratio=1e-73, l=0, n_r=50, n_levels=1)  # coupling near overflow
+def test_radial_spectrum_equals_dense_eigh(kind, R, ratio, l, n_r, n_levels):
+    """Both eigenvector paths, and any width the coupling's square does not overflow at."""
+    surf = {"ring": ring, "cylinder": lambda R: cylinder(R, 1.0), "sphere": sphere}[kind](R)
+    d = ratio * R
+    assume(d > 0)
+    try:
+        p = ShellProblem(surf, d, l, n_r)
+    except OverflowError:
+        assert ratio < 1e-70  # only shells far below any physical width are refused
+        return
+    np.testing.assert_allclose(radial_spectrum(p, n_levels), _dense_reference(p, n_levels),
+                               rtol=1e-15, atol=0)
 
 
 class TestFluxOperator:
