@@ -20,8 +20,7 @@ from .fields import GaugeFieldSpec, GaugeFunction, add_gauge, materialize
 from .geometry import PhysicalConstants
 
 HERMITIAN_TOL = 1e-10
-# the largest eigen_residual a Hermitian path may return; bench and tests stay below 4e-15
-EIGEN_RESIDUAL_TOL = 1e-10
+EIGEN_RESIDUAL_TOL = 1e-10  # the largest on a Hermitian path; correct solves give < 4e-15
 # Hermitian solves of at least this dimension, with k at most dim // 16, use
 # shift-invert ARPACK; smaller or nearly full solves use dense eigh.
 SPARSE_MIN_DIM = 512
@@ -136,7 +135,9 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
         # the ratio is scale-free in u and w: rescaled to max 1 so no product overflows
         u = vec / np.abs(vec).max(axis=0)
         w = op.full_weights()[:, None] / op.full_weights().max()
-        r2 = (w * np.abs((op.entries @ u - u * ev) / scale) ** 2).sum(axis=0)
+        r = op.entries @ u
+        r -= u * ev  # in place: with vec and u, four N x k arrays at most, as charged
+        r2 = (w * np.abs(r / scale) ** 2).sum(axis=0)
         residual = float(np.sqrt(r2 / (w * np.abs(u) ** 2).sum(axis=0)).max())
         if shift is not None and not residual <= EIGEN_RESIDUAL_TOL:
             raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "

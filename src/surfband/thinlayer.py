@@ -184,7 +184,7 @@ def _sine_correction(main: np.ndarray, off: np.ndarray, vbar: float, y: np.ndarr
     n = len(main)
     den = vbar - 2 * off[0] * (1 - np.cos(np.arange(n + 1) * (np.pi / n)))
     den[[0, i + 1]] = math.inf  # drop y's own mode and the constant one (odd: none)
-    for step in range(7):
+    for _ in range(7):  # the start, then after each correction; the 7th goes unused
         ty = main * y
         ty[1:] += off * y[:-1]
         ty[:-1] += off * y[1:]
@@ -193,9 +193,8 @@ def _sine_correction(main: np.ndarray, off: np.ndarray, vbar: float, y: np.ndarr
         r = ty - theta * y
         if r @ r / yy <= 2.0**-54 * abs(theta) * min(theta - below, above - theta):
             return y
-        if step < 6:
-            ext = np.fft.rfft(np.concatenate([r, -r[::-1]]))
-            y = y - np.fft.irfft(ext / (den - theta), 2 * n)[:n]
+        ext = np.fft.rfft(np.concatenate([r, -r[::-1]]))
+        y = y - np.fft.irfft(ext / (den - theta), 2 * n)[:n]
     return None
 
 

@@ -80,12 +80,20 @@ class TestTridiagonalSolve:
                                        rtol=1e-15, atol=0)
 
     def test_zero_width_bracket(self):
-        # sphere, l = 0: V = 0, so each Weyl bracket is a point and the
-        # inverse-iteration shift sits on the eigenvalue
+        # sphere, l = 0: V = 0, so each Weyl bracket is a point and each sine
+        # mode is already its level's eigenvector
         p = ShellProblem(sphere(1.0), 0.1, 0)
         ev = radial_spectrum(p, 4)
         np.testing.assert_allclose(ev, _dense_reference(p, 4), rtol=1e-15, atol=0)
         np.testing.assert_allclose(ev, [box_energy(p, n) for n in (1, 2, 3, 4)], rtol=1e-15)
+
+    def test_zero_width_bracket_on_the_fallback(self, monkeypatch):
+        # the same shell with the sine path refused: the inverse-iteration
+        # shift sits on the eigenvalue
+        monkeypatch.setattr(thinlayer, "_sine_correction", lambda *args: None)
+        p = ShellProblem(sphere(1.0), 0.1, 0)
+        np.testing.assert_allclose(radial_spectrum(p, 4), _dense_reference(p, 4),
+                                   rtol=1e-15, atol=0)
 
     def test_memory_is_linear_in_n_r(self):
         # a dense 20000 x 20000 matrix would need 3.2 GB
