@@ -132,9 +132,9 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     residual = None
     if vec is not None:
         vec = vec[:, :k]
-        # the ratio is scale-free in u and w: rescaled to max 1 so no product overflows
-        u = vec / np.abs(vec).max(axis=0)
-        w = op.full_weights()[:, None] / op.full_weights().max()
+        w = op.full_weights()[:, None]
+        u = vec * np.sqrt(w.min())  # the ratio is scale-free; unit W-norm makes |u| <= 1
+        w = w / w.max()  # so that no product below overflows
         r = op.entries @ u
         r -= u * ev  # in place: with vec and u, four N x k arrays at most, as charged
         r2 = (w * np.abs(r / scale) ** 2).sum(axis=0)
