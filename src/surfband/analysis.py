@@ -137,7 +137,7 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
         w = w / w.max()  # so that no product below overflows
         r = op.entries @ u
         r -= u * ev  # in place: with vec and u, four N x k arrays at most, as charged
-        r2 = (w * np.abs(r / scale) ** 2).sum(axis=0)
+        r2 = (w * (np.abs(r) / scale) ** 2).sum(axis=0)
         residual = float(np.sqrt(r2 / (w * np.abs(u) ** 2).sum(axis=0)).max())
         if shift is not None and not residual <= EIGEN_RESIDUAL_TOL:
             raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "
