@@ -132,13 +132,13 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     residual = None
     if vec is not None:
         vec = vec[:, :k]
-        w = op.full_weights()[:, None]
+        w = op.full_weights()
         u = vec * np.sqrt(w.min())  # the ratio is scale-free; unit W-norm makes |u| <= 1
         w = w / w.max()  # so that no product below overflows
         r = op.entries @ u
         r -= u * ev  # in place: with vec and u, four N x k arrays at most, as charged
-        r2 = (w * (np.abs(r) / scale) ** 2).sum(axis=0)
-        residual = float(np.sqrt(r2 / (w * np.abs(u) ** 2).sum(axis=0)).max())
+        r2 = ((np.abs(r) / scale) ** 2).T @ w
+        residual = float(np.sqrt(r2 / ((np.abs(u) ** 2).T @ w)).max())
         if shift is not None and not residual <= EIGEN_RESIDUAL_TOL:
             raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "
                                f"above {EIGEN_RESIDUAL_TOL:g}")
