@@ -20,6 +20,7 @@ A_r terms (an anti-Hermitian diagonal) and has no curvature energy shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
@@ -87,14 +88,14 @@ class HamiltonianRequest:
 # the covariant link-graph assembler
 # ---------------------------------------------------------------------------
 
-def link_operator(n: int, i, j, c, phase=None, diag=None, row_scale=None):
+def link_operator(n: int, i, j, c, phase=None, diag=None, weights=None):
     """Sum over links of c (|i><i| + |j><j|) - c e^(-i phase) |i><j| - h.c., plus diag.
 
     This is the discrete magnetic Laplacian with Peierls link phases; with no
     phases it is the free stencil.  Links may repeat: each node pair's
-    amplitude is summed once and mirrored as its conjugate, so the result is
-    exactly Hermitian.  row_scale then multiplies row r by row_scale[r],
-    which makes the operator self-adjoint under weights ~ 1/row_scale.
+    amplitude is summed once and mirrored as its conjugate, so this sum K is
+    exactly Hermitian.  Given weights, row r is then divided by weights[r]:
+    the result W^-1 K is self-adjoint under exactly those weights.
     Returns an n x n scipy.sparse CSR array (real when there are no phases).
     """
     import scipy.sparse as sp
@@ -117,8 +118,8 @@ def link_operator(n: int, i, j, c, phase=None, diag=None, row_scale=None):
     rows = np.concatenate([lo, hi, nodes])
     cols = np.concatenate([hi, lo, nodes])
     data = np.concatenate([summed, np.conj(summed), d])
-    if row_scale is not None:
-        data = data * row_scale[rows]
+    if weights is not None:
+        data = data / weights[rows]
     return sp.csr_array((data, (rows, cols)), shape=(n, n))
 
 
@@ -157,72 +158,58 @@ def _cylinder_links(req: HamiltonianRequest, phases, diag=None):
     return H
 
 
-def _sphere_measure(grid: Grid, order: int) -> np.ndarray:
-    """Per-node theta measure used to row-scale the polar divergence form.
+def _sphere_weights(grid: Grid, order: int) -> np.ndarray:
+    """Per-node measure of sphere operators.
 
-    Order 2 uses the exact cell integral of sin(theta) (the grid weights).
+    Order 2 uses the grid weights, the exact cell integrals of R^2 sin(theta).
     Order 4 uses midpoint values with an Euler-Maclaurin end correction that
     removes the O(h^2) pole defect of the measure quadrature.
     """
-    h = grid.h1
-    s = np.sin(grid.coords1)
     if order == 2:
-        return 2.0 * np.sin(h / 2) * s / h
-    m = s.copy()
+        return grid.weights
+    h = grid.h1
+    m = np.sin(grid.coords1)
     m[0] -= h / 24
     m[-1] -= h / 24
-    return m
+    return np.repeat(grid.surface.R**2 * m * h * grid.h2, grid.n2)
 
 
-def _sphere_theta(grid: Grid, kappa: float, order: int, phases=None):
+def _sphere_theta(grid: Grid, kappa: float, order: int, weights: np.ndarray, phases=None):
     """Polar part of -(hbar^2/2m) Lap on the sphere, flux (divergence) form.
 
-    kappa = hbar^2/(2 m R^2).  Face fluxes are links between polar
-    neighbours, rows scaled by 1/measure; zero flux through the pole faces
-    closes the stencil.  Order 4 uses the staggered 4-point face gradient
-    with pole crossing (theta -> -theta, phi -> phi + pi), assembled as the
-    links of G^T diag(s~) G, and its first and last interior faces carry the
-    +h/12 end correction that cancels the O(h^2) pole defect of the gradient
-    quadrature; it requires even n2 (checked by HamiltonianRequest).
+    kappa = hbar^2/(2 m R^2).  The links are those of G^T diag(s) G, rows
+    divided by the weights: s is sin(theta) on the faces, zero at the poles,
+    and G the face gradient, 2-point at order 2 and staggered 4-point at
+    order 4.  The latter crosses the pole (theta -> -theta, phi -> phi + pi;
+    even n2 only, checked by HamiltonianRequest), and its first and last
+    interior faces carry the +h/12 end correction that cancels the O(h^2)
+    pole defect of the gradient quadrature.
     """
     n1, n2, h = grid.n1, grid.n2, grid.h1
-    m = _sphere_measure(grid, order)
-    sface = np.sin(np.arange(n1 + 1) * h)  # faces at integer multiples of h
-    rows = 1.0 / np.repeat(m, n2)
+    s = np.sin(np.arange(n1 + 1) * h)  # faces at integer multiples of h
     if order == 2:
-        i, j = _grid_links(grid, 0)
-        c = kappa * np.repeat(sface[1:n1], n2) / h**2
-        return link_operator(grid.size, i, j, c, phases, row_scale=rows)
-    stld = sface.copy()
-    stld[1] += h / 12
-    stld[n1 - 1] += h / 12
+        offsets, coef = (-1, 0), np.array([-1.0, 1.0]) / h
+    else:
+        offsets, coef = (-2, -1, 0, 1), np.array([1.0, -27.0, 27.0, -1.0]) / (24 * h)
+        s[[1, n1 - 1]] += h / 12
+    # face f lies between polar nodes f - 1 and f; at order 2 the one pair
+    # per face is the link of _grid_links, in its order, so phases line up
     f, k = np.meshgrid(np.arange(1, n1), np.arange(n2), indexing="ij")
-    coef = np.array([1.0, -27.0, 27.0, -1.0]) / (24 * h)
-    pts = [_polar_node(p, k, n1, n2) for p in (f - 2, f - 1, f, f + 1)]
-    s = stld[f]
+    pts = [_polar_node(f + o, k, n1, n2) for o in offsets]
+    flux = kappa * grid.surface.R**2 * h * grid.h2 * s[f]
     i, j, c = [], [], []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            i.append(pts[a])
-            j.append(pts[b])
-            c.append(-kappa * h * s * coef[a] * coef[b])
+    for a, b in combinations(range(len(pts)), 2):
+        i.append(pts[a])
+        j.append(pts[b])
+        c.append(-flux * coef[a] * coef[b])
     return link_operator(grid.size, np.concatenate(i), np.concatenate(j), np.concatenate(c),
-                         row_scale=rows / h)
+                         phases, weights=weights)
 
 
 def _sphere_phi(grid: Grid, kappa: float, order: int, phases=None):
     """Azimuthal part: -kappa d2/dphi2 / sin^2(theta) on each ring, with optional phases."""
     cph = kappa / (grid.h2**2 * np.sin(grid.coords1) ** 2)
     return _periodic_links(grid, 1, cph[:, None], order, phases)
-
-
-def _sphere_weights(grid: Grid, order: int) -> np.ndarray:
-    """Measure attached to sphere operators; order 4 uses the corrected one."""
-    if order == 2:
-        return grid.weights
-    m = _sphere_measure(grid, 4)
-    R = grid.surface.R
-    return np.repeat(R**2 * m * grid.h1 * grid.h2, grid.n2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +241,9 @@ def build_hamiltonian(req: HamiltonianRequest) -> OperatorMatrix:
         phases = tuple(None if l is None else e_h * l for l in (links["axis1"], links["axis2"]))
     if grid.surface.kind is SurfaceKind.SPHERE:
         kappa = c.hbar**2 / (2 * c.mass * grid.surface.R**2)
-        H = (_sphere_theta(grid, kappa, req.order, phases[0])
-             + _sphere_phi(grid, kappa, req.order, phases[1]))
         weights = _sphere_weights(grid, req.order)
+        H = (_sphere_theta(grid, kappa, req.order, weights, phases[0])
+             + _sphere_phi(grid, kappa, req.order, phases[1]))
     else:
         gke = np.full(grid.size, geometric_kinetic_energy(req.surface, c)) if correct else None
         H = _cylinder_links(req, phases, gke)

@@ -89,16 +89,17 @@ def _box_symbol_defect(p: ShellProblem, n: int, h: float) -> float:
     return float(pref * (kl * kl - _box_symbol(n, h, p.d)))
 
 
-def _liouville_tridiagonal(p: ShellProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """(main, off, h) of the symmetric tridiagonal Liouville-form shell matrix."""
+def _liouville_tridiagonal(p: ShellProblem) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(main, off, h, V): the symmetric tridiagonal Liouville-form shell matrix and its potential."""
     r, h = p.nodes()
     c = p.constants
     kcoef = c.hbar**2 / (2 * c.mass)
-    main = np.full(p.n_r, 2 * kcoef / h**2) + _liouville_potential(p, r)
+    v = _liouville_potential(p, r)
+    main = np.full(p.n_r, 2 * kcoef / h**2) + v
     main[0] += kcoef / h**2
     main[-1] += kcoef / h**2
     off = np.full(p.n_r - 1, -kcoef / h**2)
-    return main, off, h
+    return main, off, h, v
 
 
 def _sturm_count(main: list, off2: list, x: float, pivmin: float) -> int:
@@ -213,12 +214,11 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1) -> np.ndarray:
     """
     if n_levels < 1 or n_levels > p.n_r:
         raise ValueError("n_levels out of range")
-    main, off, h = _liouville_tridiagonal(p)
+    main, off, h, v = _liouville_tridiagonal(p)
     c = p.constants
     kcoef = c.hbar**2 / (2 * c.mass)
     # Weyl: T is the constant-potential matrix plus diag(V), whose exact
     # eigenvalues mu_i are the box symbol, so level i lies in mu_i + [min V, max V]
-    v = _liouville_potential(p, p.nodes()[0])
     vmin, vmax = float(v.min()), float(v.max())
     mu = [float(kcoef * _box_symbol(k, h, p.d)) for k in range(1, n_levels + 2)]
     # plain floats: numpy scalars would slow the scalar recurrences several-fold
@@ -274,12 +274,11 @@ def build_radial_operator(p: ShellProblem) -> OperatorMatrix:
     # odd reflection at the walls doubles the wall-face pull: the wall face
     # enters twice on top of its share of the stencil
     wall = np.zeros(n)
-    wall[0], wall[-1] = 2 * kcoef * faces[0] / h**2, 2 * kcoef * faces[-1] / h**2
+    wall[0], wall[-1] = 2 * kcoef * faces[0] / h, 2 * kcoef * faces[-1] / h
     nodes = np.arange(n - 1)
-    H = link_operator(n, nodes, nodes + 1, kcoef * faces[1:-1] / h**2, diag=wall,
-                      row_scale=1.0 / r**s)
-    H = H + sp.diags_array(p.centrifugal(r))
     weights = r**s * h
+    H = link_operator(n, nodes, nodes + 1, kcoef * faces[1:-1] / h, diag=wall, weights=weights)
+    H = H + sp.diags_array(p.centrifugal(r))
     label = (f"H_radial[{p.surface.kind.value} R={p.surface.R:g} d={p.d:g} "
              f"l={p.l} n_r={p.n_r}]")
     return OperatorMatrix(H, weights, 1, label)

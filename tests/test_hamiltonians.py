@@ -43,9 +43,9 @@ class TestLinkOperator:
         n, i, j, c, theta, _ = self._links(seed=9)
         H = link_operator(n, i, j, c, theta).toarray()
         assert np.array_equal(H, H.conj().T)
-        scale = np.linspace(0.5, 2.0, n)
-        Hs = link_operator(n, i, j, c, theta, row_scale=scale).toarray()
-        np.testing.assert_allclose(Hs, scale[:, None] * H, atol=1e-14)
+        w = np.linspace(0.5, 2.0, n)
+        Hs = link_operator(n, i, j, c, theta, weights=w).toarray()
+        np.testing.assert_allclose(Hs, H / w[:, None], atol=1e-14)
 
     def test_no_phases_gives_real_free_stencil(self):
         n, i, j, c, _, _ = self._links()

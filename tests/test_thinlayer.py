@@ -61,7 +61,7 @@ class TestRadialSpectrum:
 
 def _dense_reference(p: ShellProblem, n_levels: int) -> np.ndarray:
     """The lowest levels from dense eigh of the same tridiagonal, then the same polish."""
-    main, off, h = thinlayer._liouville_tridiagonal(p)
+    main, off, h, _ = thinlayer._liouville_tridiagonal(p)
     _, vec = np.linalg.eigh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
     return np.array([thinlayer._rayleigh_quotient(main, off, vec[:, i])
                      + thinlayer._box_symbol_defect(p, i + 1, h) for i in range(n_levels)])
@@ -112,7 +112,7 @@ class TestTridiagonalSolve:
         # at n_r = 4000 the O(1/h^2) stencil terms are ~10^6 times lambda; a
         # plain long-double v^T (T v) lost 8-9 ulps of the double result here
         p = ShellProblem(cylinder(1.0, 1.0), 0.1, l, 4000)
-        main, off, _ = thinlayer._liouville_tridiagonal(p)
+        main, off, _, _ = thinlayer._liouville_tridiagonal(p)
         sigma = float(radial_spectrum(p, 1)[0] - thinlayer._box_symbol_defect(p, 1, p.nodes()[1]))
         start = np.sin(np.pi * (np.arange(p.n_r) + 0.5) / p.n_r)
         v = thinlayer._inverse_iteration(main.tolist(), off.tolist(), sigma, start, 1e-3)
