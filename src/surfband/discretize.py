@@ -117,6 +117,8 @@ class OperatorMatrix:
             raise ValueError(f"non-finite entries in operator {self.label!r}")
         if len(self.weights) * self.spin_dim != A.shape[0]:
             raise ValueError("weights length does not match operator dimension")
+        if not np.all((np.asarray(self.weights) > 0) & np.isfinite(self.weights)):
+            raise ValueError(f"weights of operator {self.label!r} must be finite and positive")
         if self.layout is not None and int(np.prod(self.layout)) != A.shape[0]:
             raise ValueError(f"layout {self.layout} does not match dimension {A.shape[0]}")
         object.__setattr__(self, "entries", A)
@@ -167,44 +169,12 @@ def hermiticity_residual(op: OperatorMatrix) -> float:
     return max_abs(op.entries - weighted_transpose(op.entries, op.full_weights()))
 
 
-def sparse_from(n: int, rows, cols, vals):
-    """n x n CSR array from COO triples; duplicate entries are summed."""
+def _dirichlet_d1(n: int, h: float):
+    """Centered 1-D first derivative, the radial stencil; truncated rows keep it exactly skew."""
     import scipy.sparse as sp
 
-    return sp.csr_array((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n))
-
-
-def _stencil_matrix(n: int, offsets, coefs, periodic: bool):
-    """Banded sparse matrix; periodic wraparound or plain truncation (zero ghosts)."""
-    offsets = np.asarray(offsets)
-    rows = np.tile(np.arange(n), len(offsets))
-    cols = rows + np.repeat(offsets, n)
-    vals = np.repeat(np.asarray(coefs, dtype=float), n)
-    if periodic:
-        cols %= n
-    else:
-        keep = (cols >= 0) & (cols < n)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return sparse_from(n, rows, cols, vals)
-
-
-def _periodic_d1(n: int, h: float):
-    return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), True)
-
-
-def _dirichlet_d1(n: int, h: float):
-    # plain truncation keeps the matrix exactly skew-symmetric
-    return _stencil_matrix(n, (-1, 1), (-0.5 / h, 0.5 / h), False)
-
-
-def _open_d1(n: int, h: float):
-    """Centered first derivative with one-sided second-order end rows."""
-    inner = np.arange(1, n - 1)
-    rows = np.concatenate([inner, inner, [0, 0, 0, n - 1, n - 1, n - 1]])
-    cols = np.concatenate([inner - 1, inner + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
-    vals = np.concatenate([np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h),
-                           np.array([-1.5, 2.0, -0.5, 1.5, -2.0, 0.5]) / h])
-    return sparse_from(n, rows, cols, vals)
+    return sp.diags_array([np.full(n - 1, -0.5 / h), np.full(n - 1, 0.5 / h)], offsets=(-1, 1),
+                          format="csr")
 
 
 def _grid_links(grid: Grid, axis: int, offset: int = 1):
@@ -234,49 +204,45 @@ def _polar_node(p, k, n1: int, n2: int):
     return p * n2 + np.where(crossed, (k + n2 // 2) % n2, k)
 
 
-def _sphere_polar_d1(n1: int, n2: int, h: float):
-    """Centered polar derivative of a scalar with pole crossing; even n2 only."""
-    j, k = np.divmod(np.arange(n1 * n2), n2)
-    cols = np.concatenate([_polar_node(j + 1, k, n1, n2), _polar_node(j - 1, k, n1, n2)])
-    return sparse_from(n1 * n2, np.tile(np.arange(n1 * n2), 2), cols,
-                       np.repeat([0.5 / h, -0.5 / h], n1 * n2))
-
-
-def _kron_axis1(block, n2: int):
-    import scipy.sparse as sp
-
-    return sp.kron(block, sp.eye_array(n2), format="csr")
-
-
-def _kron_axis2(block, n1: int):
-    import scipy.sparse as sp
-
-    return sp.kron(sp.eye_array(n1), block, format="csr")
-
-
-def tangential_gradient(grid: Grid, z_d1) -> tuple:
+def tangential_gradient(grid: Grid, open_ends: bool) -> tuple:
     """Sparse physical tangential gradient (G1, G2) acting on flat node data.
 
     G1 = (1/R) d/dtheta on every surface.  G2 is d/dz on the cylinder,
-    (1/(R sin theta)) d/dphi on the sphere and None on the ring.  Interior
-    rows are centered second order.  Sphere polar rows cross the pole for
-    even n2; for odd n2 no node lies across the pole, and the first and last
-    rings take one-sided rows (_open_d1).  z_d1 builds the cylinder z
-    stencil: _open_d1 (one-sided wall rows) for field and gauge data, which
-    need not vanish at the walls, or _dirichlet_d1 (truncated, exactly skew)
-    for operators.
+    (1/(R sin theta)) d/dphi on the sphere and None on the ring.  The rows
+    are centered differences over the links of _grid_links: link i -> j puts
+    +1/2h at (i, j) and -1/2h at (j, i).  An axis with fewer links than
+    nodes has ends.  Sphere polar ends take ghosts across the pole
+    (_polar_node) for even n2.  For odd n2, where no node lies across the
+    pole, and with open_ends (field and gauge data, which need not vanish at
+    the cylinder walls) the end rows are one-sided second order.  Otherwise
+    they are truncated, which keeps the matrix exactly skew.
     """
     import scipy.sparse as sp
 
-    R = grid.surface.R
-    kind = grid.surface.kind
-    if kind is SurfaceKind.SPHERE:
-        inv_rs = 1.0 / (R * np.repeat(np.sin(grid.coords1), grid.n2))
-        Dph = _kron_axis2(_periodic_d1(grid.n2, grid.h2), grid.n1)
-        polar = (_sphere_polar_d1(grid.n1, grid.n2, grid.h1) if grid.n2 % 2 == 0
-                 else _kron_axis1(_open_d1(grid.n1, grid.h1), grid.n2))
-        return polar / R, sp.diags_array(inv_rs) @ Dph
-    if kind is SurfaceKind.RING:
-        return _periodic_d1(grid.n1, grid.h1) / R, None
-    return (_kron_axis1(_periodic_d1(grid.n1, grid.h1), grid.n2) / R,
-            _kron_axis2(z_d1(grid.n2, grid.h2), grid.n1))
+    R, n1, n2 = grid.surface.R, grid.n1, grid.n2
+    sphere = grid.surface.kind is SurfaceKind.SPHERE
+    idx = np.arange(grid.size).reshape(n1, n2)
+    G = []
+    for axis in (0,) if grid.surface.kind is SurfaceKind.RING else (0, 1):
+        h, step = (grid.h1, n2) if axis == 0 else (grid.h2, 1)
+        i, j = (a.ravel() for a in _grid_links(grid, axis))
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        vals = np.repeat([0.5 / h, -0.5 / h], i.size)
+        if i.size < grid.size:
+            ends = [(np.take(idx, e, axis), s) for e, s in ((0, 1), (-1, -1))]
+            if sphere and n2 % 2 == 0:
+                k = np.arange(n2)
+                for (e, s), p in zip(ends, (-1, n1)):
+                    rows, cols = np.append(rows, e), np.append(cols, _polar_node(p, k, n1, n2))
+                    vals = np.append(vals, np.full(n2, -s * 0.5 / h))
+            elif sphere or open_ends:
+                keep = ~np.isin(rows, [e for e, _ in ends])
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+                for e, s in ends:
+                    rows = np.append(rows, np.tile(e, 3))
+                    cols = np.append(cols, np.concatenate([e, e + s * step, e + 2 * s * step]))
+                    vals = np.append(vals, np.repeat(s * np.array([-1.5, 2.0, -0.5]) / h, e.size))
+        G.append(sp.csr_array((vals, (rows, cols)), shape=(grid.size, grid.size)))
+    if sphere:
+        G[1] = sp.diags_array(1.0 / (R * np.repeat(np.sin(grid.coords1), n2))) @ G[1]
+    return G[0] / R, (G[1] if len(G) == 2 else None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import Grid, _grid_links, _open_d1, tangential_gradient
+from .discretize import Grid, _grid_links, tangential_gradient
 from .geometry import SurfaceKind, SurfaceSpec
 
 
@@ -147,11 +147,14 @@ def _analytic_curl(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
 def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Materialized (n1, n2) component arrays on the grid.
 
+    A Sampled base must be bound to a grid of the same surface and shape.
     The base's node samples plus the stencil gradient (surface_gradient) of
     each attached gauge function.
     """
     shape = (grid.n1, grid.n2)
     if isinstance(spec, Sampled):
+        if (spec.grid.surface, spec.grid.n1, spec.grid.n2) != (grid.surface, grid.n1, grid.n2):
+            raise ValueError("Sampled field was built for a different grid")
         a1 = np.asarray(spec.a1, dtype=float).reshape(shape)
         a2 = (np.zeros(shape) if spec.a2 is None
               else np.asarray(spec.a2, dtype=float).reshape(shape))
@@ -174,7 +177,7 @@ def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
     """
     shape = (grid.n1, grid.n2)
     R = grid.surface.R
-    G1, G2 = tangential_gradient(grid, _open_d1)
+    G1, G2 = tangential_gradient(grid, open_ends=True)
     d1 = lambda a: (G1 @ a.ravel()).reshape(shape)
     d2 = lambda a: (G2 @ a.ravel()).reshape(shape)
     kind = grid.surface.kind
@@ -210,7 +213,7 @@ def surface_gradient(lam: GaugeFunction, grid: Grid) -> tuple[np.ndarray, np.nda
     """
     v = lam.grid_values(grid).ravel()
     shape = (grid.n1, grid.n2)
-    G1, G2 = tangential_gradient(grid, _open_d1)
+    G1, G2 = tangential_gradient(grid, open_ends=True)
     g2 = np.zeros(shape) if G2 is None else (G2 @ v).reshape(shape)
     return (G1 @ v).reshape(shape), g2
 

@@ -268,7 +268,7 @@ def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
 
     grid, c = req.grid, req.constants
     a1, a2 = sample_potential(req.field, grid)
-    G1, G2 = tangential_gradient(grid, _dirichlet_d1)
+    G1, G2 = tangential_gradient(grid, open_ends=False)
     Gs = [(a1, G1)] if G2 is None else [(a1, G1), (a2, G2)]
     diam = a1**2 + a2**2
     if include_radial:

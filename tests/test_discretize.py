@@ -3,7 +3,6 @@ import pytest
 
 from surfband.discretize import (
     OperatorMatrix,
-    _dirichlet_d1,
     build_grid,
     hermiticity_residual,
     tangential_gradient,
@@ -80,7 +79,7 @@ class TestStencils:
 
     def test_z_derivative_exact_on_linear(self):
         g = build_grid(cylinder(1.0, 1.0), 4, 12)
-        D = tangential_gradient(g, _dirichlet_d1)[1]
+        D = tangential_gradient(g, open_ends=False)[1]
         z = np.tile(g.coords2, 4)
         out = (D @ z).reshape(4, 12)
         # centered difference is exact on linears at interior nodes
@@ -109,6 +108,16 @@ class TestOperatorMatrix:
         bad[3, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             OperatorMatrix(bad, g.weights, 1, "bad")
+
+    @pytest.mark.parametrize("entries,weights", [
+        (np.diag([1.0, 2.0, 3.0]), [1.0, 0.0, 1.0]),
+        ([[2.0, 1.0], [1.0, 2.0]], [1.0, -1.0]),
+        ([[2.0, 1.0], [1.0, 2.0]], [1.0, np.nan]),
+    ], ids=["zero", "negative", "nan"])
+    def test_weights_must_be_finite_and_positive(self, entries, weights):
+        # such weights define no inner product, and spectrum would misreport the operator
+        with pytest.raises(ValueError, match="finite and positive"):
+            OperatorMatrix(np.array(entries), np.array(weights), 1, "bad")
 
 
 class TestWeightedAdjoint:
@@ -206,20 +215,43 @@ class TestSparseStencils:
         # the polar rows of the unit-sphere gradient: pole crossing for even
         # n2, one-sided end rows for odd n2
         g = build_grid(sphere(1.0), n1, n2)
-        A = tangential_gradient(g, _dirichlet_d1)[0].toarray()
+        A = tangential_gradient(g, open_ends=False)[0].toarray()
         np.testing.assert_array_equal(A, self._polar_d1_loop(n1, n2, g.h1))
 
-    @pytest.mark.parametrize("n,periodic", [(3, True), (4, True), (9, True), (9, False)])
-    def test_stencil_matrix_matches_loop(self, n, periodic):
-        from surfband.discretize import _stencil_matrix
+    @staticmethod
+    def _cylinder_d1_loop(n1, n2, h1, h2, open_ends):
+        # node-by-node reference for the ring/cylinder rows: theta wraps, z
+        # rows are truncated at the walls or, with open_ends, one-sided
+        A1, A2 = np.zeros((n1 * n2, n1 * n2)), np.zeros((n1 * n2, n1 * n2))
+        for j in range(n1):
+            for k in range(n2):
+                row = j * n2 + k
+                A1[row, ((j + 1) % n1) * n2 + k] += 0.5 / h1
+                A1[row, ((j - 1) % n1) * n2 + k] += -0.5 / h1
+                if open_ends and k in (0, n2 - 1):
+                    s = 1 if k == 0 else -1
+                    for o, cc in enumerate((-1.5, 2.0, -0.5)):
+                        A2[row, row + s * o] += s * cc / h2
+                    continue
+                if k + 1 < n2:
+                    A2[row, row + 1] += 0.5 / h2
+                if k > 0:
+                    A2[row, row - 1] += -0.5 / h2
+        return A1, A2
 
-        coefs = [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]
-        ref = np.zeros((n, n))
-        for o, c in zip(range(-2, 3), coefs):
-            for j in range(n):
-                if periodic:
-                    ref[j, (j + o) % n] += c
-                elif 0 <= j + o < n:
-                    ref[j, j + o] += c
-        A = _stencil_matrix(n, range(-2, 3), coefs, periodic).toarray()
-        np.testing.assert_allclose(A, ref, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("open_ends", [False, True])
+    @pytest.mark.parametrize("n1", [3, 4, 9])
+    @pytest.mark.parametrize("n2", [3, 4, 9])
+    def test_cylinder_d1_matches_loop(self, n1, n2, open_ends):
+        g = build_grid(cylinder(1.0, 0.8), n1, n2)
+        G1, G2 = tangential_gradient(g, open_ends)
+        A1, A2 = self._cylinder_d1_loop(n1, n2, g.h1, g.h2, open_ends)
+        np.testing.assert_array_equal(G1.toarray(), A1)
+        np.testing.assert_array_equal(G2.toarray(), A2)
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_ring_d1_matches_loop(self, n):
+        g = build_grid(ring(1.0), n)
+        G1, G2 = tangential_gradient(g, open_ends=True)
+        assert G2 is None
+        np.testing.assert_array_equal(G1.toarray(), self._cylinder_d1_loop(n, 1, g.h1, 0, False)[0])

@@ -18,6 +18,7 @@ from surfband.fields import (
     surface_gradient,
 )
 from surfband.geometry import cylinder, ring, sphere
+from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
 
 
 def _node_samples(spec, surf, n1=6, n2=4):
@@ -235,6 +236,16 @@ class TestLinkIntegrals:
 
 
 class TestSampledEvaluation:
+    def test_sampled_field_rejects_another_grid(self):
+        # same node count, other surface or shape: the samples belong to a different grid
+        f = Sampled(grid=build_grid(sphere(1.0), 8, 8), a1=np.ones((8, 8)), a2=np.zeros((8, 8)))
+        cyl = cylinder(1.0, 1.0)
+        with pytest.raises(ValueError, match="different grid"):
+            build_hamiltonian(HamiltonianRequest(cyl, build_grid(cyl, 8, 8), f))
+        for g in (build_grid(sphere(1.0), 4, 16), build_grid(sphere(2.0), 8, 8)):
+            with pytest.raises(ValueError, match="different grid"):
+                sample_potential(f, g)
+
     def test_eval_at_node(self):
         g = build_grid(ring(1.0), 8)
         vals = np.arange(8.0).reshape(8, 1)
