@@ -178,8 +178,10 @@ def _field(cfg: RunConfig):
         radial = {"radial_component": cfg.a_r, "radial_derivative": cfg.da_r_dr}
     if cfg.field == "uniform-axial":
         return fields.UniformAxial(B=cfg.B, **radial)
-    if cfg.field == "ab-flux" or radial:
+    if cfg.field == "ab-flux":
         return fields.ABFlux(Phi=cfg.phi, **radial)
+    if radial:  # --field none: A_r rides on a zero flux, whatever --phi says
+        return fields.ABFlux(**radial)
     return None
 
 

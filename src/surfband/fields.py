@@ -17,12 +17,24 @@ from .discretize import Grid, _grid_links, tangential_gradient
 from .geometry import SurfaceKind, SurfaceSpec
 
 
+def _require_grid(bound: Grid | None, grid: Grid, what: str):
+    """Samples bound to one grid may be used only on a grid of the same surface and shape."""
+    key = lambda g: (g.surface, g.n1, g.n2)
+    if bound is not None and key(bound) != key(grid):
+        raise ValueError(f"{what} was built for a different grid")
+
+
 @dataclass(frozen=True)
 class GaugeFunction:
-    """Single-valued scalar gauge function sampled on a grid."""
+    """Single-valued scalar gauge function sampled on a grid.
+
+    from_callable records the grid it sampled; values given directly are
+    checked only for their count.
+    """
 
     values: np.ndarray
     label: str = "lambda"
+    grid: Grid | None = None
 
     @staticmethod
     def from_callable(fn, grid: Grid, label: str = "lambda") -> "GaugeFunction":
@@ -40,9 +52,11 @@ class GaugeFunction:
                 a, b = fn(0.0, p), fn(2 * np.pi, p)
             if abs(a - b) > 1e-10 * max(1.0, abs(a), abs(b)):
                 raise ValueError("multivalued gauge function")
-        return GaugeFunction(vals, label)
+        return GaugeFunction(vals, label, grid)
 
     def grid_values(self, grid: Grid) -> np.ndarray:
+        """The samples as an (n1, n2) array; ValueError if they were not taken on such a grid."""
+        _require_grid(self.grid, grid, "gauge function")
         return np.asarray(self.values, dtype=float).reshape(grid.n1, grid.n2)
 
 
@@ -153,8 +167,7 @@ def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.n
     """
     shape = (grid.n1, grid.n2)
     if isinstance(spec, Sampled):
-        if (spec.grid.surface, spec.grid.n1, spec.grid.n2) != (grid.surface, grid.n1, grid.n2):
-            raise ValueError("Sampled field was built for a different grid")
+        _require_grid(spec.grid, grid, "Sampled field")
         a1 = np.asarray(spec.a1, dtype=float).reshape(shape)
         a2 = (np.zeros(shape) if spec.a2 is None
               else np.asarray(spec.a2, dtype=float).reshape(shape))
@@ -295,11 +308,16 @@ def load_sampled_csv(path, grid: Grid) -> Sampled:
             pass
         else:
             raise ValueError("CSV header row is mandatory")
+        if len(cols) < 4:
+            raise ValueError(f"CSV header has {len(cols)} columns, needs coord1, coord2, A_1, A_2")
         has_ar = len(cols) >= 5
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
+    for line, row in rows:
+        if len(row) != len(cols):
+            raise ValueError(f"CSV line {line} has {len(row)} values; the header has {len(cols)}")
     if len(rows) != grid.size:
         raise ValueError(f"CSV has {len(rows)} rows, grid needs {grid.size}")
-    data = np.array(rows)
+    data = np.array([[float(x) for x in row] for _, row in rows])
     j = _node_index(grid.coords1, grid.h1, data[:, 0])
     k = _node_index(grid.coords2, grid.h2, data[:, 1]) if grid.n2 > 1 else np.zeros_like(j)
     bad = np.flatnonzero((j < 0) | (k < 0))

@@ -1,20 +1,20 @@
 """Assembly of surface Hamiltonians as weighted-Hermitian sparse operator matrices.
 
 Every kinetic term is a covariant hopping on the grid graph plus a
-diagonal, built by one assembler, link_operator.  Correct variants come in
-two couplings:
+diagonal, built by link_operator.  The coupling decides how a field enters:
 
 * "peierls" (default): the magnetic coupling enters through link phases
   exp(-i e/hbar * integral A.dl) on the hoppings.  Zero field reduces
   entrywise to the free stencils, gauge shifts act as exact unitary
   conjugations, and flux periodicity of the ring spectrum is exact.
-* "expanded": first-derivative terms are assembled as manifestly
-  self-adjoint symmetrizations of diag(A) @ D, matching the expanded scalar
-  form term by term.  Gauge covariance then holds only to stencil order.
+* "expanded": first-derivative terms are assembled as manifestly self-adjoint
+  symmetrizations of diag(A) @ tangential_gradient, matching the expanded
+  scalar form term by term.  Gauge covariance then holds only to stencil order.
 
-The pragmatic variant deliberately reproduces the surface-restricted
-operator obtained by deleting d/dr: it keeps the uncancelled imaginary
-A_r terms (an anti-Hermitian diagonal) and has no curvature energy shift.
+The variant decides only the diagonal.  The pragmatic one deliberately
+reproduces the surface-restricted operator obtained by deleting d/dr: it
+carries (e^2/2m) A_r^2 + i(hbar e/2m)(A_r/R + dA_r/dr), an anti-Hermitian
+imaginary part, in place of the correct one's curvature shift.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class HamiltonianRequest:
     """One surface operator to assemble; unsupported combinations raise ValueError here.
 
     Supported: any surface with or without a field in the correct variant;
-    the pragmatic variant only on the ring or cylinder and only with a field;
-    stencil order 4 only without a field, on the ring or on a sphere with an
-    even azimuthal count.
+    the pragmatic variant only on the ring or cylinder, only with a field, in
+    either coupling; stencil order 4 only without a field, on the ring or on
+    a sphere with an even azimuthal count.
     """
 
     surface: SurfaceSpec
@@ -139,8 +139,8 @@ def _periodic_links(grid: Grid, axis: int, c, order: int, phases=None, diag=None
                          np.concatenate([c * 4 / 3, c * -1 / 12]), diag=diag)
 
 
-def _cylinder_links(req: HamiltonianRequest, phases, diag=None):
-    """Kinetic stencils on the ring/cylinder with link phases (p1, p2), either may be None.
+def _cylinder_links(req: HamiltonianRequest, phases, diag):
+    """Ring/cylinder kinetic stencils plus diag, with link phases (p1, p2), either may be None.
 
     The z axis closes with odd-reflected wall ghosts: a wall node has one z
     link, and its diagonal gains 2 cz (the missing link plus the ghost).
@@ -225,15 +225,13 @@ def build_hamiltonian(req: HamiltonianRequest) -> OperatorMatrix:
     the covariant derivatives realized per the coupling; the matrix never
     references A_r.  With spin, the Zeeman block is added.
     Pragmatic:  the surface-restricted operator obtained by deleting d/dr
-    and setting r = R.  It keeps the i(hbar e/2m)(A_r/R + dA_r/dr) diagonal,
-    which is anti-Hermitian, and omits the curvature shift; dA_r/dr must be
-    supplied as on-surface samples.
+    and setting r = R: the correct one's tangential part, in the same
+    coupling, with (e^2/2m) A_r^2 + i(hbar e/2m)(A_r/R + dA_r/dr) in place of
+    the curvature shift; dA_r/dr must be supplied as on-surface samples.
     """
-    import scipy.sparse as sp
-
     grid, c = req.grid, req.constants
     correct = req.variant == "correct"
-    peierls = req.field is not None and correct and req.coupling == "peierls"
+    peierls = req.field is not None and req.coupling == "peierls"
     phases = (None, None)
     if peierls:
         links = link_integrals(req.field, grid)
@@ -245,20 +243,22 @@ def build_hamiltonian(req: HamiltonianRequest) -> OperatorMatrix:
         H = (_sphere_theta(grid, kappa, req.order, weights, phases[0])
              + _sphere_phi(grid, kappa, req.order, phases[1]))
     else:
-        gke = np.full(grid.size, geometric_kinetic_energy(req.surface, c)) if correct else None
-        H = _cylinder_links(req, phases, gke)
+        if correct:
+            diag = np.full(grid.size, geometric_kinetic_energy(req.surface, c))
+        else:
+            ar, dar = fields_mod._radial_samples(req.field, grid)
+            R = grid.surface.R
+            diag = ((c.charge**2 / (2 * c.mass)) * ar**2
+                    + 1j * (c.hbar * c.charge / (2 * c.mass)) * (ar / R + dar)).ravel()
+        H = _cylinder_links(req, phases, diag)
         weights = grid.weights
     if req.field is not None and not peierls:
-        H = H + _expanded_tangential(req, include_radial=not correct)
-    if not correct:
-        ar, dar = fields_mod._radial_samples(req.field, grid)
-        R = grid.surface.R
-        H = H + sp.diags_array(1j * (c.hbar * c.charge / (2 * c.mass)) * (ar / R + dar).ravel())
+        H = H + _expanded_tangential(req)
     name = "H_free" if req.field is None else "H_correct" if correct else "H_pragmatic"
     return _finish(req, H, weights, name)
 
 
-def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
+def _expanded_tangential(req: HamiltonianRequest):
     """(i hbar e/2m) sum_dirs (T - T^dag_W) + (e^2/2m) |A|^2 with T = diag(a) D.
 
     The manifest symmetrization reproduces a.D + (1/2)(div a) including the
@@ -270,11 +270,7 @@ def _expanded_tangential(req: HamiltonianRequest, include_radial: bool):
     a1, a2 = sample_potential(req.field, grid)
     G1, G2 = tangential_gradient(grid, open_ends=False)
     Gs = [(a1, G1)] if G2 is None else [(a1, G1), (a2, G2)]
-    diam = a1**2 + a2**2
-    if include_radial:
-        ar, _ = fields_mod._radial_samples(req.field, grid)
-        diam = diam + ar**2
-    out = sp.diags_array((c.charge**2 / (2 * c.mass)) * diam.ravel())
+    out = sp.diags_array((c.charge**2 / (2 * c.mass)) * (a1**2 + a2**2).ravel())
     pref = 1j * (c.hbar * c.charge / (2 * c.mass))
     for a, G in Gs:
         T = sp.diags_array(a.ravel()) @ G

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .discretize import OperatorMatrix
-from .geometry import PhysicalConstants, SurfaceSpec, radial_exponent
+from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, radial_exponent
 from .hamiltonians import link_operator
 
 DEFAULT_NR = 256
@@ -45,6 +45,8 @@ class ShellProblem:
             raise ValueError(f"layer width d={self.d:g} must lie in (0, 2R), R={self.surface.R:g}")
         if self.n_r < 50:
             raise ValueError("n_r must be at least 50")
+        if self.l < 0 and self.surface.kind is SurfaceKind.SPHERE:  # l and -l-1 share l(l+1)
+            raise ValueError(f"angular index l={self.l} must be at least 0 on the sphere")
         if abs(self.l) > 1e150:  # l(l + s - 1) must stay a float
             raise OverflowError(f"angular index l={self.l:.3g} is outside float range")
         x = self.n_r / self.d  # the Sturm count squares the coupling (hbar^2/2m) x^2

@@ -358,6 +358,17 @@ class TestRun:
         assert {im for _, im in rep["eigenvalues"]} == {0.5 * (0.7 + 0.3)}
         assert [re for re, _ in rep["eigenvalues"]] == sorted(re for re, _ in rep["eigenvalues"])
 
+    def test_field_none_ignores_phi(self, tmp_path):
+        # --A-r alone rides on a zero flux: --phi applies only with --field ab-flux
+        argv = ["spectrum", "--surface", "cylinder", "--n", "12", "--variant", "pragmatic",
+                "--field", "none", "--A-r", "1", "--k", "3"]
+        reports = []
+        for extra in ([], ["--phi", "0.7"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert run(parse_config([*argv, *extra, "--output", str(out)])) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["eigenvalues"] == reports[1]["eigenvalues"]
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "r.json"
         run(parse_config(["gke", "--surface", "sphere", "--output", str(out)]))
@@ -378,6 +389,8 @@ class TestExitCodes:
         ["thin-layer", "--R", "0.04", "--d", "0.1"],
         ["thin-layer", "--d", ","],
         ["thin-layer", "--hbar", "1e200"],  # hbar^2 overflows a float
+        ["gke", "--surface", "sphere", "--l", "-1"],
+        ["thin-layer", "--surface", "sphere", "--l", "-2"],
     ])
     def test_invalid_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -194,6 +194,23 @@ class TestAddGauge:
         li0 = link_integrals(UniformAxial(B=1.0), g)
         np.testing.assert_allclose(li["axis1"], li0["axis1"], atol=1e-15)
 
+    def test_sampled_gauge_rejects_another_grid(self):
+        # the gauge was sampled on an 8x8 sphere; the same node count on a cylinder is not its grid
+        lam = GaugeFunction.from_callable(lambda t, p: np.cos(t), build_grid(sphere(1.0), 8, 8))
+        cyl = build_grid(cylinder(1.0, 1.0), 8, 8)
+        with pytest.raises(ValueError, match="gauge function was built for a different grid"):
+            add_gauge(UniformAxial(B=1.0), lam, cyl)
+        shifted = replace(UniformAxial(B=1.0), gauges=(lam,))
+        for use in (link_integrals, sample_potential):
+            with pytest.raises(ValueError, match="different grid"):
+                use(shifted, cyl)
+        with pytest.raises(ValueError, match="different grid"):
+            surface_gradient(lam, build_grid(sphere(1.0), 4, 16))
+        # raw values carry no grid: only their count is checked
+        add_gauge(UniformAxial(B=1.0), GaugeFunction(lam.values), cyl)
+        with pytest.raises(ValueError):
+            add_gauge(UniformAxial(B=1.0), GaugeFunction(np.zeros(63)), cyl)
+
     def test_addition_associative(self):
         surf = ring(1.0)
         g = build_grid(surf, 24)
@@ -310,6 +327,17 @@ class TestCsvLoading:
         path.write_text("0.0,0.0,1.0,0.0\n")
         with pytest.raises(ValueError, match="header"):
             load_sampled_csv(path, g)
+
+    @pytest.mark.parametrize("text, message", [
+        ("coord1,coord2,A_1\n0.0,0.0,1.0\n", "3 columns"),
+        ("coord1,coord2,A_1,A_2\n0.0,0.0,1.0,0.0\n0.1,0.0,1.0\n", "line 3 has 3 values"),
+        ("coord1,coord2,A_1,A_2\n0.0,0.0,1.0,0.0,2.0\n", "line 2 has 5 values"),
+    ], ids=["three-columns", "short-row", "long-row"])
+    def test_column_counts_checked(self, text, message, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_sampled_csv(path, build_grid(ring(1.0), 4))
 
     def test_non_node_coordinates_rejected(self, tmp_path):
         g = build_grid(ring(1.0), 4)

@@ -304,8 +304,20 @@ class TestPragmaticCylinder:
         surf = cylinder(1.0, np.pi)
         g = build_grid(surf, 12, 10)
         fld = UniformAxial(B=1.5)
-        Hp = build_hamiltonian(HamiltonianRequest(surf, g, fld, variant="pragmatic"))
+        Hp = build_hamiltonian(HamiltonianRequest(surf, g, fld, variant="pragmatic",
+                                                  coupling="expanded"))
         Hc = build_hamiltonian(HamiltonianRequest(surf, g, fld, coupling="expanded"))
+        np.testing.assert_allclose(Hp.toarray() - Hc.toarray(), 0.125 * np.eye(g.size),
+                                   atol=1e-15)
+
+    def test_peierls_correct_differs_by_shift_entrywise(self):
+        # the default coupling: the pragmatic operator takes the same link phases
+        surf = cylinder(1.0, np.pi)
+        g = build_grid(surf, 12, 10)
+        fld = UniformAxial(B=1.5)
+        Hp = build_hamiltonian(HamiltonianRequest(surf, g, fld, variant="pragmatic"))
+        Hc = build_hamiltonian(HamiltonianRequest(surf, g, fld))
+        assert "coupling=peierls" in Hp.label
         np.testing.assert_allclose(Hp.toarray() - Hc.toarray(), 0.125 * np.eye(g.size),
                                    atol=1e-15)
 

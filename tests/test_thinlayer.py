@@ -54,6 +54,14 @@ class TestRadialSpectrum:
             with pytest.raises(ValueError, match=r"must lie in \(0, 2R\)"):
                 ShellProblem(cylinder(1.0, 1.0), d, 0)
 
+    def test_negative_l_rejected_on_the_sphere_only(self):
+        # l(l+1) aliases l and -l-1 on the sphere; the cylinder's l^2 does not see the sign
+        with pytest.raises(ValueError, match="l=-1"):
+            ShellProblem(sphere(1.0), 0.1, -1)
+        for surf in (ring(1.0), cylinder(1.0, 1.0)):
+            p, q = ShellProblem(surf, 0.1, -2), ShellProblem(surf, 0.1, 2)
+            assert radial_spectrum(p, 1)[0] == radial_spectrum(q, 1)[0]
+
     def test_min_resolution_enforced(self):
         with pytest.raises(ValueError):
             ShellProblem(cylinder(1.0, 1.0), 0.1, 0, n_r=10)
