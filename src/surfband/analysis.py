@@ -26,6 +26,9 @@ EIGEN_RESIDUAL_TOL = 1e-10  # the largest on a Hermitian path; correct solves gi
 SPARSE_MIN_DIM = 512
 _SHIFT_INVERT_SEED = 20161031
 _MAX_FACTORIZATIONS = 40
+# a gauge-fixed operator takes sectors when it commutes with the azimuthal
+# shift within this fraction of max|S|, the relative floor of the Hermitian test
+SECTOR_TOL = 1e-12
 
 
 @dataclass
@@ -34,9 +37,10 @@ class SpectrumReport:
 
     Hermitian operators give real ascending eigenvalues; non-Hermitian input
     is reported as complex, sorted by real part then imaginary part.  solver
-    names the path taken: sector-eigh, dense-eigh or sparse-shift-invert for
-    Hermitian input, the same with a shifted- prefix for input whose
-    anti-Hermitian part is a scalar ic I, dense-eig for any other input.  dim
+    names the path taken: sector-eigh (axisymmetric input, gauge-shifted or
+    not), dense-eigh or sparse-shift-invert for Hermitian input, the same
+    with a shifted- prefix for input whose anti-Hermitian part is a scalar
+    ic I, dense-eig for any other input.  dim
     and nnz describe the operator it was given.  eigen_residual is
     max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator,
     set whenever the path produced eigenvectors (the sector and sparse
@@ -70,14 +74,15 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     c = Im H[0, 0] is read first.  When c = 0, operators within
     HERMITIAN_TOL of self-adjoint are symmetrized as W^(1/2) H W^(-1/2) and
     solved with a self-adjoint eigensolver: by azimuthal sectors when the
-    result commutes with the azimuthal shift of op.layout, else dense, or
-    shift-invert ARPACK for k << dim.  When c != 0, however small, an
+    result commutes with the azimuthal shift of op.layout, exactly or after a
+    diagonal gauge fix read from the azimuthal links (_sector_eigh), else
+    dense, or shift-invert ARPACK for k << dim.  When c != 0, however small, an
     operator whose anti-Hermitian part is ic I within the same tolerance
     (the pragmatic operator with a uniform A_r) is normal: its Hermitian part
     is solved the same way and ic is added to the eigenvalues, on the path
     shifted-<solver>.  Anything else goes through the dense general complex
-    solver.  Dense and sector paths refuse requests too large for memory
-    with MemoryError.
+    solver.  Dense paths, the sector vectors and the sparse factors refuse
+    requests too large for memory with MemoryError.
     """
     n = op.dim
     if k is None:
@@ -167,14 +172,23 @@ def _symmetrized(A, sqw: np.ndarray):
 
 
 def _sector_eigh(S, layout, k: int):
-    """Lowest k eigenpairs of S by azimuthal sectors; None unless P S P^T = S exactly.
+    """Lowest k eigenpairs of S by azimuthal sectors; None unless S is symmetric up to a gauge.
 
-    P is the one-node azimuthal shift of layout (outer, n_az, inner).  Such an
-    S couples slices a and a + d by one block C_d, read from the stored rows of
-    slice 0, and is the direct sum of B_m = sum_d C_d w^(m d), w = exp(2 pi i / n_az),
-    on the vectors w^(m a) phi / sqrt(n_az).  The FFT along d gives B_(-m); for
-    real S, B_(-m) = conj(B_m), so only m = 0..n_az/2 are solved.  Vectors are
-    formed for the k returned levels only.  None too when the blocks would not fit.
+    P is the one-node azimuthal shift of layout (outer, n_az, inner).  An S
+    with P S P^T = S exactly couples slices a and a + d by one block C_d, read
+    from the stored rows of slice 0, and is the direct sum of
+    B_m = sum_d C_d w^(m d), w = exp(2 pi i / n_az), on the vectors
+    w^(m a) phi / sqrt(n_az).  The FFT along d gives B_(-m); for real S,
+    B_(-m) = conj(B_m), so only m = 0..n_az/2 are solved.  Any other S is
+    tried as a gauge shift of such an operator (a magnetic translation).  On
+    each orbit (o, ., i), t_a is the wrapped phase of link a -> a + 1
+    relative to link 0 -> 1, less its orbit mean, and v_a = -(t_0 + ... + t_(a-1)).
+    S_f = V^H S V with V = diag(exp(i v)) is taken when it commutes with P
+    within SECTOR_TOL max|S|.  Its C_d is then the mean over all slices, the
+    projection of S_f onto P's commutant, so (Weyl) no level moves by more
+    than that deviation, and the vectors are multiplied by V.  Vectors are
+    formed for the k returned levels only.  None too when the blocks would
+    not fit.
     """
     import scipy.linalg
     import scipy.sparse as sp
@@ -186,14 +200,29 @@ def _sector_eigh(S, layout, k: int):
         return None
     idx = np.arange(n).reshape(layout)
     shift, T = np.roll(idx, 1, axis=1).ravel(), S.tocoo()
-    if max_abs(sp.csr_array((T.data, (shift[T.row], shift[T.col])), shape=S.shape) - S):
-        return None
+    deviation = lambda: max_abs(sp.csr_array((T.data, (shift[T.row], shift[T.col])),
+                                             shape=S.shape) - S)
+    v = None
+    if deviation():
+        link = S[idx.ravel(), np.roll(idx, -1, axis=1).ravel()].reshape(layout)
+        t = np.angle(link * link[:, :1].conj())
+        t -= t.mean(axis=1, keepdims=True)
+        v = (t - np.cumsum(t, axis=1)).ravel()
+        T.data = T.data * np.exp(1j * (v[T.col] - v[T.row]))
+        S = T.tocsr()
+        if deviation() > SECTOR_TOL * max_abs(S):
+            return None
     # the vectors, their unweighted copy and the residual's two work arrays
     check_fits(4 * n * k * 16, f"{k} eigenvectors of dimension {n} and their residuals")
-    rows = S[idx[:, 0, :].ravel()].tocoo()
-    o, d, i = np.unravel_index(rows.col, layout)
-    C = np.zeros((n_az, b, b), S.dtype)
-    np.add.at(C, (d, rows.row, o * inner + i), rows.data)
+    if v is None:
+        rows = S[idx[:, 0, :].ravel()].tocoo()
+        o, d, i = np.unravel_index(rows.col, layout)
+        C = np.zeros((n_az, b, b), S.dtype)
+        np.add.at(C, (d, rows.row, o * inner + i), rows.data)
+    else:
+        (o, a, i), (o2, a2, i2) = (np.unravel_index(x, layout) for x in (T.row, T.col))
+        C = np.zeros((n_az, b, b), complex)
+        np.add.at(C, ((a2 - a) % n_az, o * inner + i, o2 * inner + i2), T.data / n_az)
     real = not np.iscomplexobj(C)
     B = np.fft.rfft(C, axis=0) if real else np.fft.fft(C, axis=0, out=C)
     w = scipy.linalg.eigh(B, eigvals_only=True)
@@ -210,7 +239,8 @@ def _sector_eigh(S, layout, k: int):
     phi[twin] = phi[twin].conj()
     wave = np.exp(2j * np.pi * (sector[s][:, None] * np.arange(n_az) % n_az) / n_az)
     vec = phi.reshape(k, outer, 1, inner) * (wave / np.sqrt(n_az))[:, None, :, None]
-    return levels[pick], vec.reshape(k, n).T
+    vec = vec.reshape(k, n).T
+    return levels[pick], vec if v is None else vec * np.exp(1j * v)[:, None]
 
 
 def _factor(S, sigma: float):
@@ -263,9 +293,13 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     step = max(float(np.linalg.norm(Su - rho * u)), resolution)
     # rho bounds the lowest level from above; count it as holding every level
     top, below_top = rho, n  # the lowest rejected shift and its level count
+    ncv = min(n, max(2 * k + 1, 20))
     for _ in range(_MAX_FACTORIZATIONS):
         sigma = rho - step
         lu, negative = _factor(S, sigma)
+        if lu is not None:  # the fill of L and U with its row indices, and ncv Lanczos vectors
+            check_fits(lu.nnz * (S.dtype.itemsize + 4) + n * ncv * S.dtype.itemsize,
+                       f"the sparse factors of {label!r}")
         if negative == 0:
             break
         top, below_top = sigma, n if negative is None else negative
@@ -307,7 +341,6 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
             raise RuntimeError(f"shift-invert eigensolve failed for operator {label!r}: "
                                f"{exc}") from exc
 
-    ncv = min(n, max(2 * k + 1, 20))
     ev, vec = lowest(k, None)
     gap = resolution
     for _ in range(_MAX_FACTORIZATIONS):

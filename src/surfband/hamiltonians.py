@@ -31,11 +31,6 @@ from .fields import GaugeFieldSpec, link_integrals, sample_potential
 from .geometry import (PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy,
                        radial_exponent)
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 VARIANTS = ("correct", "pragmatic")
 COUPLINGS = ("peierls", "expanded")
 ORDERS = (2, 4)
@@ -287,14 +282,19 @@ def zeeman_block(field: GaugeFieldSpec, grid: Grid,
     """-(e hbar/2m) sigma.B over the grid, a Hermitian 2x2 spin structure.
 
     B is evaluated from the base field (gauge attachments have exactly zero
-    curl) and contracted with the Pauli matrices in the fixed Cartesian frame.
+    curl) and contracted with the Pauli matrices in the fixed Cartesian frame:
+    B_z and -B_z on the diagonal, B_x +- i B_y on the spin-flip bands at offsets -+N.
     """
     import scipy.sparse as sp
 
-    Bx, By, Bz = _cartesian_field(field, grid)
+    Bx, By, Bz = (B.ravel() for B in _cartesian_field(field, grid))
     pref = -(c.charge * c.hbar / (2 * c.mass))
-    H = sum(pref * sp.kron(sig, sp.diags_array(B.ravel()))
-            for B, sig in zip((Bx, By, Bz), PAULI))
+    n, flip = Bz.size, Bx + 1j * By  # <down|sigma.B|up>; <up|sigma.B|down> is its conjugate
+    bands, offsets = [np.concatenate([Bz, -Bz])], [0]
+    if flip.any():  # a purely axial field stores no spin-flip band
+        bands, offsets = [flip, bands[0], flip.conj()], [-n, 0, n]
+    H = sp.diags_array([pref * band for band in bands], offsets=offsets, shape=(2 * n, 2 * n),
+                       format="csr", dtype=complex)
     return OperatorMatrix(H, grid.weights, 2, "zeeman")
 
 

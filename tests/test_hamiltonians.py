@@ -3,7 +3,7 @@ import pytest
 
 from surfband.analysis import spectrum
 from surfband.discretize import build_grid, hermiticity_residual
-from surfband.fields import ABFlux, GaugeFunction, UniformAxial, add_gauge
+from surfband.fields import ABFlux, GaugeFunction, Sampled, UniformAxial, add_gauge
 from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
 from surfband.hamiltonians import (
     HamiltonianRequest,
@@ -344,6 +344,28 @@ class TestZeeman:
         g = build_grid(surf, 6, 4)
         zb = zeeman_block(UniformAxial(B=2.0), g).toarray()
         np.testing.assert_allclose(zb, -np.kron(np.diag([1.0, -1.0]), np.eye(g.size)), atol=1e-14)
+
+    @pytest.mark.parametrize("surf", [ring(1.0), cylinder(1.0, 1.0), sphere(1.0)],
+                             ids=["ring", "cylinder", "sphere"])
+    @pytest.mark.parametrize("base", ["uniform-axial", "ab-flux", "sampled"])
+    def test_bands_equal_the_sum_of_pauli_products(self, surf, base):
+        import scipy.sparse as sp
+
+        from surfband.hamiltonians import _cartesian_field
+
+        g = build_grid(surf, 9, 7)
+        rng = np.random.default_rng(2)
+        field = {"uniform-axial": UniformAxial(B=1.3), "ab-flux": ABFlux(Phi=0.4),
+                 "sampled": Sampled(grid=g, a1=rng.uniform(-1, 1, (g.n1, g.n2)),
+                                    a2=rng.uniform(-1, 1, (g.n1, g.n2)))}[base]
+        pauli = (np.array([[0, 1], [1, 0]], dtype=complex),
+                 np.array([[0, -1j], [1j, 0]], dtype=complex),
+                 np.array([[1, 0], [0, -1]], dtype=complex))
+        ref = sum(-0.5 * sp.kron(sig, sp.diags_array(B.ravel()))
+                  for B, sig in zip(_cartesian_field(field, g), pauli))
+        zb = zeeman_block(field, g).entries
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(zb, attr), getattr(ref, attr))
 
     def test_zero_field_zero_block(self):
         surf = ring(1.0)

@@ -9,16 +9,20 @@ part must be its i(hbar e/2m)(A_r/R + dA_r/dr) diagonal and nothing else,
 it must differ from the correct operator of the same coupling only on the
 diagonal, its shifted solve must equal dense eig when A_r is uniform, ring
 spectra must repeat with period Phi0 in the enclosed flux, and the sector
-solve of any axisymmetric operator must equal dense eigvalsh.
+solve of any axisymmetric operator, gauge-shifted or not, must equal dense
+eigvalsh.  Operators no diagonal gauge makes axisymmetric keep their path.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surfband.analysis import antihermitian_part, gauge_covariance_residual, spectrum
-from surfband.discretize import build_grid, hermiticity_residual, max_abs, weighted_norm
+from surfband.cli import _LAM_PRESETS
+from surfband.discretize import (OperatorMatrix, build_grid, hermiticity_residual, max_abs,
+                                 weighted_norm)
 from surfband.fields import ABFlux, GaugeFunction, Sampled, UniformAxial, add_gauge
 from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
 from surfband.hamiltonians import COUPLINGS, HamiltonianRequest, build_hamiltonian, zeeman_block
@@ -194,3 +198,98 @@ def test_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, strength, spi
     assert np.abs(rep.eigenvalues - ref).max() <= 1e-14 * max_abs(H.entries) + 1e-12
     breaks = lambda ev: np.flatnonzero(np.diff(ev) > 1e-9).tolist()
     assert breaks(rep.eigenvalues) == breaks(ref)  # equal multiplicities
+
+
+def _smooth_gauge(kind, rng):
+    """A random smooth single-valued lambda: two azimuthal harmonics whose
+    amplitudes vary along the other coordinate, plus a per-orbit constant."""
+    a = rng.uniform(-1, 1, (2, 2, 2))
+
+    def lam(c1, c2):
+        az, other = (c2, np.cos(c1)) if kind == "sphere" else (c1, c2)
+        return a[0, 0, 0] * other**2 + sum(
+            (a[m, 0, 0] + a[m, 0, 1] * other) * np.cos((m + 1) * az)
+            + (a[m, 1, 0] + a[m, 1, 1] * other) * np.sin((m + 1) * az) for m in range(2))
+    return lam
+
+
+def _without_layout(H):
+    return OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(SURFACES)), n1=st.integers(3, 14), n2=st.integers(3, 13),
+       R=st.floats(0.5, 2.0), base=st.sampled_from(["uniform-axial", "ab-flux"]),
+       strength=st.floats(-3.0, 3.0), lam=st.sampled_from([*_LAM_PRESETS, "smooth"]),
+       amp=st.floats(0.1, 3.0), spin=st.booleans(), k_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+# the cylinder-gauge-spin workload's operator at full size
+@example(kind="cylinder", n1=32, n2=32, R=1.0, base="uniform-axial", strength=1.2,
+         lam="sin-theta-z", amp=1.0, spin=True, k_frac=0.0075, seed=0)
+def test_gauge_fixed_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, strength, lam,
+                                                        amp, spin, k_frac, seed):
+    # lambda ~ phi * sin(theta) is not single-valued on the sphere
+    assume(not (kind == "sphere" and lam == "sin-theta-z"))
+    surf = SURFACES[kind](R) if kind != "cylinder" else cylinder(R, np.pi)
+    g = build_grid(surf, n1, n2)
+    fn = _smooth_gauge(kind, np.random.default_rng(seed)) if lam == "smooth" \
+        else _LAM_PRESETS[lam](1.0)
+    # links a -> a + 1 turn by less than pi/2, so no orbit's phases wrap
+    values = GaugeFunction.from_callable(fn, g).grid_values(g)
+    turn = np.abs(values - np.roll(values, -1, axis=1 if kind == "sphere" else 0)).max()
+    amp = min(amp, 1.5 / turn) if turn else amp
+    gauge = GaugeFunction.from_callable(lambda c1, c2: amp * fn(c1, c2), g, lam)
+    field = UniformAxial(B=strength) if base == "uniform-axial" else ABFlux(Phi=strength)
+    H = build_hamiltonian(HamiltonianRequest(surf, g, add_gauge(field, gauge, g), spin))
+    k = 1 + int(k_frac * (H.dim - 1))
+    rep = spectrum(H, k, want_vectors=True)
+    assert rep.solver == "sector-eigh"
+    assert rep.eigen_residual <= 1e-12
+    sqw = np.sqrt(H.full_weights())
+    ref = np.linalg.eigvalsh((sp.diags_array(sqw) @ H.entries @ sp.diags_array(1 / sqw))
+                             .toarray())[:k]
+    assert np.abs(rep.eigenvalues - ref).max() <= 1e-14 * max_abs(H.entries) + 1e-12
+    breaks = lambda ev: np.flatnonzero(np.diff(ev) > 1e-9).tolist()
+    assert breaks(rep.eigenvalues) == breaks(ref)  # equal multiplicities
+
+
+@pytest.mark.parametrize("kind", sorted(SURFACES))
+@pytest.mark.parametrize("spin", [False, True])
+def test_expanded_coupling_with_a_gauge_keeps_its_solver(kind, spin):
+    # covariant only to stencil order: no diagonal unitary makes it axisymmetric
+    surf = SURFACES[kind](1.1)
+    g = build_grid(surf, 12, 10)
+    lam = GaugeFunction.from_callable(_smooth_gauge(kind, np.random.default_rng(3)), g)
+    H = build_hamiltonian(HamiltonianRequest(surf, g, add_gauge(UniformAxial(B=1.3), lam, g),
+                                             spin, coupling="expanded"))
+    rep, bare = spectrum(H, 8), spectrum(_without_layout(H), 8)
+    assert rep.solver == bare.solver == "dense-eigh"
+    np.testing.assert_array_equal(rep.eigenvalues, bare.eigenvalues)
+
+
+def test_radial_component_varying_in_theta_keeps_its_solver():
+    # A_r/R + dA_r/dr is uniform, so the anti-Hermitian part is i c I, but the
+    # Hermitian part carries e^2 A_r(theta)^2 / 2m, which no gauge removes
+    surf = cylinder(1.1, 1.5)
+    g = build_grid(surf, 12, 10)
+    a_r = np.repeat(0.5 + 0.3 * np.cos(g.coords1)[:, None], g.n2, axis=1)
+    field = ABFlux(Phi=0.4, radial_component=a_r, radial_derivative=0.7 - a_r / surf.R)
+    H = build_hamiltonian(HamiltonianRequest(surf, g, field, variant="pragmatic"))
+    rep, bare = spectrum(H, 8), spectrum(_without_layout(H), 8)
+    assert rep.solver == bare.solver == "shifted-dense-eigh"
+    np.testing.assert_array_equal(rep.eigenvalues, bare.eigenvalues)
+
+
+@pytest.mark.parametrize("kind, solver", [("ring", "sector-eigh"),
+                                          ("cylinder", "sparse-shift-invert")])
+def test_sign_gauge_takes_sectors_only_when_the_orbit_twists_agree(kind, solver):
+    # a random +-1 gauge wraps the link phases; the ring's one orbit (per spin)
+    # absorbs any twist, but the cylinder's orbits disagree and keep the sparse path
+    surf = SURFACES[kind](1.0)
+    g = build_grid(surf, 600 if kind == "ring" else 24, 24)
+    H = build_hamiltonian(HamiltonianRequest(surf, g, UniformAxial(B=1.0)))
+    u = sp.diags_array(np.random.default_rng(0).choice([-1.0, 1.0], H.dim))
+    shifted = OperatorMatrix(u @ H.entries @ u, H.weights, 1, H.label, H.layout)
+    rep, ref = spectrum(shifted, 16), spectrum(H, 16)
+    assert rep.solver == solver
+    assert np.abs(rep.eigenvalues - ref.eigenvalues).max() <= 1e-14 * max_abs(H.entries) + 1e-12

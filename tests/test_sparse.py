@@ -1,8 +1,10 @@
 """The sparse shift-invert, sector and shifted paths against the dense references they replace.
 
 Every operator built here for a fixed grid commutes with the one-node
-azimuthal shift and so takes a sector path.  The sparse and dense paths are
-reached through _gauge_shifted copies: the same levels, no azimuthal symmetry.
+azimuthal shift, or does so after a diagonal gauge fix, and so takes a
+sector path.  The sparse and dense paths are reached through operators
+without a node layout: _gauge_shifted copies (the same levels, and no layout
+to find sectors in), or a layout dropped by hand.
 """
 
 import functools
@@ -35,11 +37,11 @@ def _build(surf, n, kw):
 def _gauge_shifted(H, seed=0):
     """U H U with U = diag(+-1) seeded: a lattice gauge change by e lambda / hbar in {0, pi}.
 
-    Its levels are H's; its random signs break the azimuthal symmetry, so it
-    takes the sparse or dense path.  Real operators stay real.
+    Its levels are H's.  The sector path would undo the signs, so the copy
+    carries no layout and takes the sparse or dense path.  Real operators stay real.
     """
     u = sp.diags_array(np.random.default_rng(seed).choice([-1.0, 1.0], H.dim))
-    return OperatorMatrix(u @ H.entries @ u, H.weights, H.spin_dim, H.label, H.layout)
+    return OperatorMatrix(u @ H.entries @ u, H.weights, H.spin_dim, H.label)
 
 
 def _multiplicities(ev, tol=1e-9):
@@ -211,6 +213,30 @@ def test_sector_blocks_that_would_not_fit_keep_the_current_path(monkeypatch):
     assert spectrum(H, 10).solver == "sector-eigh"
 
 
+def test_sparse_factors_that_would_not_fit_raise(monkeypatch, tmp_path, capsys):
+    import surfband.discretize as disc
+    from surfband import cli
+
+    H = _build(cylinder(1.0, np.pi), 32, dict(field=UniformAxial(B=1.0), spin=True))
+    bare = OperatorMatrix(H.entries, H.weights, 2, H.label)  # no layout: sparse
+    lu, _ = analysis._factor(analysis._symmetrized(H.entries, np.sqrt(H.full_weights())), 0.0)
+    # L and U at 16 + 4 B per entry, and 33 Lanczos vectors of 16 B entries for k = 16
+    charge = (lu.L.nnz + lu.U.nnz) * 20 + H.dim * 33 * 16
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: charge)
+    assert spectrum(bare, 16).solver == "sparse-shift-invert"
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: charge - 1)
+    with pytest.raises(MemoryError, match="sparse factors .* limit"):
+        spectrum(bare, 16)
+    build = cli.build_hamiltonian
+    monkeypatch.setattr(cli, "build_hamiltonian", lambda req: OperatorMatrix(
+        build(req).entries, H.weights, 2, H.label))
+    out = tmp_path / "r.json"
+    assert cli.main(["spectrum", "--surface", "cylinder", "--n", "32", "--spin", "--field",
+                     "uniform-axial", "--B", "1", "--k", "16", "--output", str(out)]) == 1
+    assert "sparse factors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_deflation_recovers_a_degenerate_spin_spectrum():
     # the spin AB-flux cylinder is exactly doubly degenerate; eigsh's vectors
     # inside a pair are not orthonormal, and deflating against them as they
@@ -221,6 +247,8 @@ def test_deflation_recovers_a_degenerate_spin_spectrum():
     lam = GaugeFunction.from_callable(lambda c1, c2: 0.9 * np.sin(c1) * c2, g, "sin-theta-z")
     plain = build_hamiltonian(HamiltonianRequest(surf, g, field, spin=True))
     gauged = build_hamiltonian(HamiltonianRequest(surf, g, add_gauge(field, lam, g), spin=True))
+    assert spectrum(gauged, 33).solver == "sector-eigh"  # the gauge is undone on each orbit
+    gauged = OperatorMatrix(gauged.entries, gauged.weights, 2, gauged.label)  # no layout: sparse
     ref = spectrum(plain, 81)
     assert ref.solver == "sector-eigh"
     bound = 1e-14 * np.abs(gauged.entries.data).max() + 1e-12
