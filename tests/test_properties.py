@@ -223,14 +223,14 @@ def _without_layout(H):
        strength=st.floats(-3.0, 3.0), lam=st.sampled_from([*_LAM_PRESETS, "smooth"]),
        amp=st.floats(0.1, 3.0), spin=st.booleans(), k_frac=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
-# the cylinder-gauge-spin workload's operator at full size
+# the size, field, gauge and k of the cylinder-gauge-spin workload
 @example(kind="cylinder", n1=32, n2=32, R=1.0, base="uniform-axial", strength=1.2,
          lam="sin-theta-z", amp=1.0, spin=True, k_frac=0.0075, seed=0)
 def test_gauge_fixed_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, strength, lam,
                                                         amp, spin, k_frac, seed):
     # lambda ~ phi * sin(theta) is not single-valued on the sphere
     assume(not (kind == "sphere" and lam == "sin-theta-z"))
-    surf = SURFACES[kind](R) if kind != "cylinder" else cylinder(R, np.pi)
+    surf = SURFACES[kind](R)
     g = build_grid(surf, n1, n2)
     fn = _smooth_gauge(kind, np.random.default_rng(seed)) if lam == "smooth" \
         else _LAM_PRESETS[lam](1.0)
