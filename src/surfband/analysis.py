@@ -26,8 +26,8 @@ EIGEN_RESIDUAL_TOL = 1e-10  # the largest on a Hermitian path; correct solves gi
 SPARSE_MIN_DIM = 512
 _SHIFT_INVERT_SEED = 20161031
 _MAX_FACTORIZATIONS = 40
-# a gauge-fixed operator takes sectors when it commutes with the azimuthal
-# shift within this fraction of max|S|, the relative floor of the Hermitian test
+# sectors are taken when each stored entry of the phase-fixed operator is within
+# this fraction of max|S| of slice 0's entry at its offset: the Hermitian test's floor
 SECTOR_TOL = 1e-12
 
 
@@ -37,11 +37,11 @@ class SpectrumReport:
 
     Hermitian operators give real ascending eigenvalues; non-Hermitian input
     is reported as complex, sorted by real part then imaginary part.  solver
-    names the path taken: sector-eigh (axisymmetric input, gauge-shifted or
-    not), dense-eigh or sparse-shift-invert for Hermitian input, the same
-    with a shifted- prefix for input whose anti-Hermitian part is a scalar
-    ic I, dense-eig for any other input.  dim
-    and nnz describe the operator it was given.  eigen_residual is
+    names the path taken: sector-eigh (input azimuthally symmetric up to a
+    diagonal phase), dense-eigh or sparse-shift-invert for Hermitian input,
+    the same with a shifted- prefix for input whose anti-Hermitian part is a
+    scalar ic I, dense-eig for any other input.  dim and nnz describe the
+    operator it was given.  eigen_residual is
     max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator,
     set whenever the path produced eigenvectors (the sector and sparse
     paths, or want_vectors=True), else None.  Every path but dense-eig
@@ -74,9 +74,9 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     c = Im H[0, 0] is read first.  When c = 0, operators within
     HERMITIAN_TOL of self-adjoint are symmetrized as W^(1/2) H W^(-1/2) and
     solved with a self-adjoint eigensolver: by azimuthal sectors when the
-    result commutes with the azimuthal shift of op.layout, exactly or after a
-    diagonal gauge fix read from the azimuthal links (_sector_eigh), else
-    dense, or shift-invert ARPACK for k << dim.  When c != 0, however small, an
+    result commutes with the azimuthal shift of op.layout after a diagonal
+    phase fix read from the azimuthal links (_sector_eigh), else dense, or
+    shift-invert ARPACK for k << dim.  When c != 0, however small, an
     operator whose anti-Hermitian part is ic I within the same tolerance
     (the pragmatic operator with a uniform A_r) is normal: its Hermitian part
     is solved the same way and ic is added to the eigenvalues, on the path
@@ -174,24 +174,20 @@ def _symmetrized(A, sqw: np.ndarray):
 def _sector_eigh(S, layout, k: int):
     """Lowest k eigenpairs of S by azimuthal sectors; None unless S is symmetric up to a gauge.
 
-    P is the one-node azimuthal shift of layout (outer, n_az, inner).  An S
-    with P S P^T = S exactly couples slices a and a + d by one block C_d, read
-    from the stored rows of slice 0, and is the direct sum of
-    B_m = sum_d C_d w^(m d), w = exp(2 pi i / n_az), on the vectors
-    w^(m a) phi / sqrt(n_az).  The FFT along d gives B_(-m); for real S,
-    B_(-m) = conj(B_m), so only m = 0..n_az/2 are solved.  Any other S is
-    tried as a gauge shift of such an operator (a magnetic translation).  On
-    each orbit (o, ., i), t_a is the wrapped phase of link a -> a + 1
-    relative to link 0 -> 1, less its orbit mean, and v_a = -(t_0 + ... + t_(a-1)).
-    S_f = V^H S V with V = diag(exp(i v)) is taken when it commutes with P
-    within SECTOR_TOL max|S|.  Its C_d is then the mean over all slices, the
-    projection of S_f onto P's commutant, so (Weyl) no level moves by more
-    than that deviation, and the vectors are multiplied by V.  Vectors are
-    formed for the k returned levels only.  None too when the blocks would
-    not fit.
+    P is the one-node azimuthal shift of layout (outer, n_az, inner).  On
+    each orbit (o, ., i), t_a is the wrapped phase of link a -> a + 1 less
+    that of link 0 -> 1, less its orbit mean, and v_a = -(t_0 + ... + t_(a-1)),
+    so v = 0 when P S P^T = S.  S_f = V^H S V with V = diag(exp(i v)) couples
+    slices a and a + d by blocks C_d, read from the stored entries of slice 0.
+    They are taken when every slice stores as many entries as slice 0, each
+    within SECTOR_TOL max|S| of slice 0's entry at the same offset.  S_f is
+    then the direct sum of B_m = sum_d C_d w^(m d), w = exp(2 pi i / n_az), on
+    the vectors w^(m a) phi / sqrt(n_az), which are multiplied by V.  The FFT
+    along d gives B_(-m); for real S_f, B_(-m) = conj(B_m), so only
+    m = 0..n_az/2 are solved.  Vectors are formed for the k returned levels
+    only.  None too when the blocks would not fit.
     """
     import scipy.linalg
-    import scipy.sparse as sp
 
     if layout is None:
         return None
@@ -199,30 +195,28 @@ def _sector_eigh(S, layout, k: int):
     if 3 * n_az * b * b * 16 > discretize.dense_memory_limit():  # blocks, FFT, vectors
         return None
     idx = np.arange(n).reshape(layout)
-    shift, T = np.roll(idx, 1, axis=1).ravel(), S.tocoo()
-    deviation = lambda: max_abs(sp.csr_array((T.data, (shift[T.row], shift[T.col])),
-                                             shape=S.shape) - S)
-    v = None
-    if deviation():
-        link = S[idx.ravel(), np.roll(idx, -1, axis=1).ravel()].reshape(layout)
-        t = np.angle(link * link[:, :1].conj())
-        t -= t.mean(axis=1, keepdims=True)
-        v = (t - np.cumsum(t, axis=1)).ravel()
+    link = S[idx.ravel(), np.roll(idx, -1, axis=1).ravel()].reshape(layout)
+    # a difference of angles: the product link * conj(link_0) overflows on stiff S
+    t = np.angle(link) - np.angle(link[:, :1])
+    t = np.pi - (np.pi - t) % (2 * np.pi)  # into (-pi, pi]; equal links give 0 exactly
+    t -= t.mean(axis=1, keepdims=True)
+    v = (t - np.cumsum(t, axis=1)).ravel()
+    T = S.tocoo()
+    if v.any():
         T.data = T.data * np.exp(1j * (v[T.col] - v[T.row]))
-        S = T.tocsr()
-        if deviation() > SECTOR_TOL * max_abs(S):
-            return None
+    o, slice_of, i = (x.ravel() for x in np.indices(layout))
+    node, a = o * inner + i, slice_of[T.row]  # a node's row in its block, an entry's slice
+    at = ((slice_of[T.col] - a) % n_az * b + node[T.row]) * b + node[T.col]  # its place in C
+    first = a == 0
+    C, stored = np.zeros(n_az * b * b, T.dtype), np.zeros(n_az * b * b, bool)
+    C[at[first]], stored[at[first]] = T.data[first], True
+    same = stored[at] & (np.abs(T.data - C[at]) <= SECTOR_TOL * max_abs(S))
+    if not same.all() or (np.bincount(a, minlength=n_az) != first.sum()).any():
+        return None
+    C = C.reshape(n_az, b, b)
+    del T, a, at, first, same, stored  # the O(nnz) arrays: out of the solve's peak
     # the vectors, their unweighted copy and the residual's two work arrays
     check_fits(4 * n * k * 16, f"{k} eigenvectors of dimension {n} and their residuals")
-    if v is None:
-        rows = S[idx[:, 0, :].ravel()].tocoo()
-        o, d, i = np.unravel_index(rows.col, layout)
-        C = np.zeros((n_az, b, b), S.dtype)
-        np.add.at(C, (d, rows.row, o * inner + i), rows.data)
-    else:
-        (o, a, i), (o2, a2, i2) = (np.unravel_index(x, layout) for x in (T.row, T.col))
-        C = np.zeros((n_az, b, b), complex)
-        np.add.at(C, ((a2 - a) % n_az, o * inner + i, o2 * inner + i2), T.data / n_az)
     real = not np.iscomplexobj(C)
     B = np.fft.rfft(C, axis=0) if real else np.fft.fft(C, axis=0, out=C)
     w = scipy.linalg.eigh(B, eigvals_only=True)
@@ -240,7 +234,7 @@ def _sector_eigh(S, layout, k: int):
     wave = np.exp(2j * np.pi * (sector[s][:, None] * np.arange(n_az) % n_az) / n_az)
     vec = phi.reshape(k, outer, 1, inner) * (wave / np.sqrt(n_az))[:, None, :, None]
     vec = vec.reshape(k, n).T
-    return levels[pick], vec if v is None else vec * np.exp(1j * v)[:, None]
+    return levels[pick], vec * np.exp(1j * v)[:, None] if v.any() else vec
 
 
 def _factor(S, sigma: float):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -115,8 +116,6 @@ def parse_config(argv=None) -> RunConfig:
     values = {f.name: f.default for f in dc_fields(RunConfig) if f.name != "subcommand"}
     if ns.config:
         try:
-            import json
-
             with open(ns.config) as fh:
                 file_vals = json.load(fh)
         except (OSError, ValueError) as exc:
@@ -156,6 +155,8 @@ def _check_file_values(file_vals: dict, parser: argparse.ArgumentParser):
         if type(value) not in allowed:
             names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             parser.error(f"--config: {key} must be {names}, not {value!r}")
+        if float in allowed and type(value) is int and abs(value) > sys.float_info.max:
+            parser.error(f"--config: {key} is outside float range")
         if key in _CHOICES and value not in _CHOICES[key]:
             parser.error(f"--config: {key} must be one of {list(_CHOICES[key])}, not {value!r}")
 
@@ -228,7 +229,7 @@ def _json_text(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj) if np.isfinite(obj) else "null"  # JSON has no nan/inf
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)  # escapes control characters too
 
 
 def _write_atomic(path: str, text: str):

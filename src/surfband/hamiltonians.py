@@ -301,7 +301,8 @@ def zeeman_block(field: GaugeFieldSpec, grid: Grid,
 def _cartesian_field(field: GaugeFieldSpec, grid: Grid):
     B1, B2, B3 = fields_mod.sample_magnetic_field(field, grid)
     if isinstance(field, fields_mod.UniformAxial):
-        # the closed form: rotating the frame leaves phi-dependent round-off in Bx, By
+        # the closed form stores no spin-flip band, so every azimuthal slice stores the
+        # same pattern; rotating the frame leaves phi-dependent round-off in Bx, By
         return np.zeros_like(B1), np.zeros_like(B1), np.full_like(B1, field.B)
     th = grid.coords1[:, None]
     if grid.surface.kind is SurfaceKind.SPHERE:

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .discretize import OperatorMatrix
+from .discretize import OperatorMatrix, check_fits
 from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, radial_exponent
 from .hamiltonians import link_operator
 
 DEFAULT_NR = 256
+# charged per radial node: the traced peak of radial_spectrum is 216-266 B on either surface
+RADIAL_BYTES_PER_NODE = 300
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,7 @@ class ShellProblem:
             raise ValueError(f"layer width d={self.d:g} must lie in (0, 2R), R={self.surface.R:g}")
         if self.n_r < 50:
             raise ValueError("n_r must be at least 50")
+        check_fits(self.n_r * RADIAL_BYTES_PER_NODE, f"a {self.n_r}-node radial shell solve")
         if self.l < 0 and self.surface.kind is SurfaceKind.SPHERE:  # l and -l-1 share l(l+1)
             raise ValueError(f"angular index l={self.l} must be at least 0 on the sphere")
         if abs(self.l) > 1e150:  # l(l + s - 1) must stay a float

@@ -60,7 +60,8 @@ class TestParseConfig:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("content", [{"n1": "abc"}, [], {"surface": "torus"},
-                                         {"spin": "false"}, {"R": float("nan")}])
+                                         {"spin": "false"}, {"R": float("nan")},
+                                         {"R": 10**400}])
     def test_bad_config_file_exits_2(self, tmp_path, content):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps(content))
@@ -410,6 +411,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err and "outside float range" in err
+
+    def test_output_path_with_a_control_character_round_trips(self, tmp_path):
+        out = tmp_path / "tab\there.json"
+        assert run(parse_config(["gke", "--output", str(out)])) == 0
+        assert json.loads(out.read_text())["config"]["output"] == str(out)
 
     def test_unwritable_output_exits_1_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"

@@ -202,6 +202,43 @@ def test_sector_path_needs_the_node_layout():
         OperatorMatrix(H.entries, H.weights, 1, "bad", (1, 24, 25))
 
 
+@pytest.mark.parametrize("change, solver", [(0.5, "sector-eigh"), (2.0, "dense-eigh"),
+                                            ("delete", "dense-eigh"), ("move", "dense-eigh")])
+def test_sector_acceptance_at_its_tolerance(change, solver):
+    # one z-link pair of slice 3 leaves every azimuthal link, and so v = 0
+    H = _build(cylinder(1.0, np.pi), 16, {})
+    p, q, r = 3 * 16 + 5, 3 * 16 + 6, 3 * 16 + 7
+    pair = lambda i, j: sp.csr_array(([1.0, 1.0], ([i, j], [j, i])), shape=H.entries.shape)
+    small = 0.5 * analysis.SECTOR_TOL * np.abs(H.entries.data).max()
+    if change in ("delete", "move"):
+        entries = H.entries - H.entries[p, q] * pair(p, q)
+        assert entries.nnz == H.nnz - 2  # slice 3 stores fewer entries than slice 0
+        if change == "move":  # as many entries again, one pair where slice 0 stores none
+            entries = entries + small * pair(p, r)
+    else:
+        entries = H.entries + 2 * change * small * pair(p, q)
+    changed = OperatorMatrix(entries, H.weights, 1, H.label, H.layout)
+    rep = spectrum(changed, H.dim)
+    assert rep.solver == solver
+    if solver == "sector-eigh":
+        _check_against_dense(OperatorMatrix(entries, H.weights, 1, H.label), rep, H.dim)
+
+
+def test_stiff_gauge_shifted_operator_takes_sectors():
+    # max|H| is about 1.5e200: the product of two links would overflow
+    surf = cylinder(1e-100, np.pi)
+    g = build_grid(surf, 8, 8)
+    lam = GaugeFunction.from_callable(lambda c1, c2: 0.6 * np.sin(c1) * c2, g)
+    H = _build(surf, 8, dict(field=add_gauge(UniformAxial(B=1.0), lam, g), spin=True))
+    rep = spectrum(H, 8)
+    assert rep.solver == "sector-eigh"
+    assert rep.eigen_residual <= 1e-12
+    dense = spectrum(OperatorMatrix(H.entries, H.weights, 2, H.label))
+    assert dense.solver == "dense-eigh"
+    bound = 1e-14 * np.abs(H.entries.data).max()  # multiplicities at 1e-9 mean nothing here
+    assert np.abs(rep.eigenvalues - dense.eigenvalues[:8]).max() <= bound
+
+
 def test_sector_blocks_that_would_not_fit_keep_the_current_path(monkeypatch):
     import surfband.discretize as disc
 

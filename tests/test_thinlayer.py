@@ -66,6 +66,21 @@ class TestRadialSpectrum:
         with pytest.raises(ValueError):
             ShellProblem(cylinder(1.0, 1.0), 0.1, 0, n_r=10)
 
+    def test_a_shell_that_would_not_fit_raises(self, monkeypatch, tmp_path, capsys):
+        import surfband.discretize as disc
+        from surfband import cli
+
+        monkeypatch.setattr(disc, "dense_memory_limit",
+                            lambda: 1000 * thinlayer.RADIAL_BYTES_PER_NODE)
+        assert radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 0, 1000), 1)[0] > 0
+        with pytest.raises(MemoryError, match="1001-node radial shell solve .* limit"):
+            ShellProblem(cylinder(1.0, 1.0), 0.1, 0, 1001)
+        out = tmp_path / "r.json"
+        assert cli.main(["thin-layer", "--n-r", "1001", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 def _dense_reference(p: ShellProblem, n_levels: int) -> np.ndarray:
     """The lowest levels from dense eigh of the same tridiagonal, then the same polish."""
