@@ -28,7 +28,7 @@ from .geometry import PhysicalConstants, SurfaceKind, SurfaceSpec, radial_expone
 from .hamiltonians import link_operator
 
 DEFAULT_NR = 256
-# charged per radial node: the traced peak of radial_spectrum is 216-266 B on either surface
+# charged per radial node: the traced peak of radial_spectrum is at most 266 B on either surface
 RADIAL_BYTES_PER_NODE = 300
 
 
