@@ -15,10 +15,10 @@ import numpy as np
 from .geometry import SurfaceKind, SurfaceSpec
 
 # Assembly memory per grid node, rounded up: the tracemalloc peak of one
-# build_hamiltonian over the node count is 1,167 B for the heaviest request
-# (spin cylinder, uniform field, expanded coupling; the spin order-4 sphere
-# needs 1,125 B), alike at 4,096, 16,384 and 65,536 nodes.
-ASSEMBLY_BYTES_PER_NODE = 1200
+# build_hamiltonian (after a warm-up build) over the node count is 1,253 B for
+# the heaviest request, the spin sphere with a Sampled field in the expanded
+# coupling (1,245 B in the Peierls one), alike at 4,096 and 16,384 nodes.
+ASSEMBLY_BYTES_PER_NODE = 1300
 
 
 @dataclass(frozen=True)
@@ -204,18 +204,16 @@ def _polar_node(p, k, n1: int, n2: int):
     return p * n2 + np.where(crossed, (k + n2 // 2) % n2, k)
 
 
-def tangential_gradient(grid: Grid, open_ends: bool) -> tuple:
-    """Sparse physical tangential gradient (G1, G2) acting on flat node data.
+def tangential_gradient(grid: Grid) -> tuple:
+    """Sparse physical tangential gradient (G1, G2) of node data (fields, gauges).
 
     G1 = (1/R) d/dtheta on every surface.  G2 is d/dz on the cylinder,
     (1/(R sin theta)) d/dphi on the sphere and None on the ring.  The rows
     are centered differences over the links of _grid_links: link i -> j puts
     +1/2h at (i, j) and -1/2h at (j, i).  An axis with fewer links than
     nodes has ends.  Sphere polar ends take ghosts across the pole
-    (_polar_node) for even n2.  For odd n2, where no node lies across the
-    pole, and with open_ends (field and gauge data, which need not vanish at
-    the cylinder walls) the end rows are one-sided second order.  Otherwise
-    they are truncated, which keeps the matrix exactly skew.
+    (_polar_node) for even n2.  Elsewhere (odd n2, and the cylinder walls,
+    where node data need not vanish) the end rows are one-sided second order.
     """
     import scipy.sparse as sp
 
@@ -235,7 +233,7 @@ def tangential_gradient(grid: Grid, open_ends: bool) -> tuple:
                 for (e, s), p in zip(ends, (-1, n1)):
                     rows, cols = np.append(rows, e), np.append(cols, _polar_node(p, k, n1, n2))
                     vals = np.append(vals, np.full(n2, -s * 0.5 / h))
-            elif sphere or open_ends:
+            else:
                 keep = ~np.isin(rows, [e for e, _ in ends])
                 rows, cols, vals = rows[keep], cols[keep], vals[keep]
                 for e, s in ends:

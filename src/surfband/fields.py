@@ -190,7 +190,7 @@ def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
     """
     shape = (grid.n1, grid.n2)
     R = grid.surface.R
-    G1, G2 = tangential_gradient(grid, open_ends=True)
+    G1, G2 = tangential_gradient(grid)
     d1 = lambda a: (G1 @ a.ravel()).reshape(shape)
     d2 = lambda a: (G2 @ a.ravel()).reshape(shape)
     kind = grid.surface.kind
@@ -221,12 +221,12 @@ def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray,
 def surface_gradient(lam: GaugeFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Tangential gradient of a gauge function, physical components.
 
-    Uses the operator assembly's stencils, except that the cylinder z wall
-    rows are one-sided (gauge data does not vanish at the walls).
+    The centered differences of tangential_gradient, with one-sided rows at
+    the cylinder walls (gauge data does not vanish there).
     """
     v = lam.grid_values(grid).ravel()
     shape = (grid.n1, grid.n2)
-    G1, G2 = tangential_gradient(grid, open_ends=True)
+    G1, G2 = tangential_gradient(grid)
     g2 = np.zeros(shape) if G2 is None else (G2 @ v).reshape(shape)
     return (G1 @ v).reshape(shape), g2
 

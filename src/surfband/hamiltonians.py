@@ -1,15 +1,14 @@
 """Assembly of surface Hamiltonians as weighted-Hermitian sparse operator matrices.
 
-Every kinetic term is a covariant hopping on the grid graph plus a
-diagonal, built by link_operator.  The coupling decides how a field enters:
+Every kinetic term is a covariant hopping on the grid graph plus a diagonal,
+built by link_operator.  The coupling decides only each link's hop factor:
 
-* "peierls" (default): the magnetic coupling enters through link phases
-  exp(-i e/hbar * integral A.dl) on the hoppings.  Zero field reduces
-  entrywise to the free stencils, gauge shifts act as exact unitary
-  conjugations, and flux periodicity of the ring spectrum is exact.
-* "expanded": first-derivative terms are assembled as manifestly self-adjoint
-  symmetrizations of diag(A) @ tangential_gradient, matching the expanded
-  scalar form term by term.  Gauge covariance then holds only to stencil order.
+* "peierls" (default): the phase exp(-i theta), theta = e/hbar integral A.dl.
+  Zero field reduces entrywise to the free stencils, gauge shifts act as
+  exact unitary conjugations, and flux periodicity of the ring spectrum is exact.
+* "expanded": its first order 1 - i theta, plus (e^2/2m)|A|^2 on the diagonal:
+  the expanded form p^2/2m - (e/2m)(p.A + A.p) + e^2 A^2/2m, gauge covariant
+  only to stencil order.
 
 The variant decides only the diagonal.  The pragmatic one deliberately
 reproduces the surface-restricted operator obtained by deleting d/dr: it
@@ -25,9 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from . import fields as fields_mod
-from .discretize import (Grid, OperatorMatrix, _dirichlet_d1, _grid_links, _polar_node,
-                         tangential_gradient, weighted_transpose)
-from .fields import GaugeFieldSpec, link_integrals, sample_potential
+from .discretize import Grid, OperatorMatrix, _dirichlet_d1, _grid_links, _polar_node
+from .fields import GaugeFieldSpec, link_integrals
 from .geometry import (PhysicalConstants, SurfaceKind, SurfaceSpec, geometric_kinetic_energy,
                        radial_exponent)
 
@@ -83,21 +81,23 @@ class HamiltonianRequest:
 # the covariant link-graph assembler
 # ---------------------------------------------------------------------------
 
-def link_operator(n: int, i, j, c, phase=None, diag=None, weights=None):
-    """Sum over links of c (|i><i| + |j><j|) - c e^(-i phase) |i><j| - h.c., plus diag.
+def link_operator(n: int, i, j, c, hop=None, diag=None, weights=None):
+    """Sum over links of c (|i><i| + |j><j|) - c hop |i><j| - h.c., plus diag.
 
-    This is the discrete magnetic Laplacian with Peierls link phases; with no
-    phases it is the free stencil.  Links may repeat: each node pair's
-    amplitude is summed once and mirrored as its conjugate, so this sum K is
-    exactly Hermitian.  Given weights, row r is then divided by weights[r]:
-    the result W^-1 K is self-adjoint under exactly those weights.
-    Returns an n x n scipy.sparse CSR array (real when there are no phases).
+    hop is a complex factor per link, 1 when None: the Peierls phase
+    e^(-i theta) gives the discrete magnetic Laplacian, its first order
+    1 - i theta the expanded coupling, and no hops the free stencil.  Links
+    may repeat: each node pair's amplitude is summed once and mirrored as its
+    conjugate, so this sum K is exactly Hermitian.  Given weights, row r is
+    then divided by weights[r]: the result W^-1 K is self-adjoint under
+    exactly those weights.  Returns an n x n scipy.sparse CSR array (real
+    when there are no hops).
     """
     import scipy.sparse as sp
 
     i, j = np.ravel(i), np.ravel(j)
     c = np.broadcast_to(np.asarray(c, dtype=float).ravel(), i.shape)
-    amp = -c if phase is None else -c * np.exp(-1j * np.ravel(phase))
+    amp = -c if hop is None else -c * np.ravel(hop)
     swap = i > j
     lo, hi = np.where(swap, j, i), np.where(swap, i, j)
     amp = np.where(swap, np.conj(amp), amp)
@@ -118,38 +118,38 @@ def link_operator(n: int, i, j, c, phase=None, diag=None, weights=None):
     return sp.csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def _periodic_links(grid: Grid, axis: int, c, order: int, phases=None, diag=None):
+def _periodic_links(grid: Grid, axis: int, c, order: int, hops=None, diag=None):
     """-c d2 along a periodic grid axis: links at offset 1 (order 2), or at
-    offsets 1 and 2 weighted 4/3 and -1/12 (order 4, no phases).
+    offsets 1 and 2 weighted 4/3 and -1/12 (order 4, no hops).
 
     c is a scalar or an array broadcastable to (n1, n2), one value per link start.
     """
     c = np.broadcast_to(c, (grid.n1, grid.n2)).ravel()
     i, j = _grid_links(grid, axis)
     if order == 2:
-        return link_operator(grid.size, i, j, c, phases, diag)
+        return link_operator(grid.size, i, j, c, hops, diag)
     i2, j2 = _grid_links(grid, axis, offset=2)
     return link_operator(grid.size, np.concatenate([i.ravel(), i2.ravel()]),
                          np.concatenate([j.ravel(), j2.ravel()]),
                          np.concatenate([c * 4 / 3, c * -1 / 12]), diag=diag)
 
 
-def _cylinder_links(req: HamiltonianRequest, phases, diag):
-    """Ring/cylinder kinetic stencils plus diag, with link phases (p1, p2), either may be None.
+def _cylinder_links(req: HamiltonianRequest, hops, diag):
+    """Ring/cylinder kinetic stencils plus diag, with link hops (h1, h2), either may be None.
 
     The z axis closes with odd-reflected wall ghosts: a wall node has one z
     link, and its diagonal gains 2 cz (the missing link plus the ghost).
     """
     grid, c = req.grid, req.constants
     ct = c.hbar**2 / (2 * c.mass * grid.surface.R**2 * grid.h1**2)
-    p1, p2 = phases
-    H = _periodic_links(grid, 0, ct, req.order, p1, diag)
+    hop1, hop2 = hops
+    H = _periodic_links(grid, 0, ct, req.order, hop1, diag)
     if grid.surface.kind is SurfaceKind.CYLINDER:
         cz = c.hbar**2 / (2 * c.mass * grid.h2**2)
         wall = np.zeros((grid.n1, grid.n2))
         wall[:, [0, -1]] = 2 * cz
         i, j = _grid_links(grid, 1)
-        H = H + link_operator(grid.size, i, j, cz, p2, wall.ravel())
+        H = H + link_operator(grid.size, i, j, cz, hop2, wall.ravel())
     return H
 
 
@@ -169,7 +169,7 @@ def _sphere_weights(grid: Grid, order: int) -> np.ndarray:
     return np.repeat(grid.surface.R**2 * m * h * grid.h2, grid.n2)
 
 
-def _sphere_theta(grid: Grid, kappa: float, order: int, weights: np.ndarray, phases=None):
+def _sphere_theta(grid: Grid, kappa: float, order: int, weights: np.ndarray, hops=None):
     """Polar part of -(hbar^2/2m) Lap on the sphere, flux (divergence) form.
 
     kappa = hbar^2/(2 m R^2).  The links are those of G^T diag(s) G, rows
@@ -188,7 +188,7 @@ def _sphere_theta(grid: Grid, kappa: float, order: int, weights: np.ndarray, pha
         offsets, coef = (-2, -1, 0, 1), np.array([1.0, -27.0, 27.0, -1.0]) / (24 * h)
         s[[1, n1 - 1]] += h / 12
     # face f lies between polar nodes f - 1 and f; at order 2 the one pair
-    # per face is the link of _grid_links, in its order, so phases line up
+    # per face is the link of _grid_links, in its order, so hops line up
     f, k = np.meshgrid(np.arange(1, n1), np.arange(n2), indexing="ij")
     pts = [_polar_node(f + o, k, n1, n2) for o in offsets]
     flux = kappa * grid.surface.R**2 * h * grid.h2 * s[f]
@@ -198,13 +198,13 @@ def _sphere_theta(grid: Grid, kappa: float, order: int, weights: np.ndarray, pha
         j.append(pts[b])
         c.append(-flux * coef[a] * coef[b])
     return link_operator(grid.size, np.concatenate(i), np.concatenate(j), np.concatenate(c),
-                         phases, weights=weights)
+                         hops, weights=weights)
 
 
-def _sphere_phi(grid: Grid, kappa: float, order: int, phases=None):
-    """Azimuthal part: -kappa d2/dphi2 / sin^2(theta) on each ring, with optional phases."""
+def _sphere_phi(grid: Grid, kappa: float, order: int, hops=None, diag=None):
+    """Azimuthal part: -kappa d2/dphi2 / sin^2(theta) on each ring, with optional hops, plus diag."""
     cph = kappa / (grid.h2**2 * np.sin(grid.coords1) ** 2)
-    return _periodic_links(grid, 1, cph[:, None], order, phases)
+    return _periodic_links(grid, 1, cph[:, None], order, hops, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -226,51 +226,35 @@ def build_hamiltonian(req: HamiltonianRequest) -> OperatorMatrix:
     """
     grid, c = req.grid, req.constants
     correct = req.variant == "correct"
-    peierls = req.field is not None and req.coupling == "peierls"
-    phases = (None, None)
-    if peierls:
-        links = link_integrals(req.field, grid)
+    hops, diag = (None, None), None
+    if req.field is not None:
+        # Peierls: exp(-i theta), gauges as exact increments; expanded: 1 - i theta over
+        # the materialized samples (gauges as stencil gradients), plus (e^2/2m)|A|^2
+        if req.coupling == "peierls":
+            links, hop = link_integrals(req.field, grid), lambda theta: np.exp(-1j * theta)
+        else:
+            fld = fields_mod.materialize(req.field, grid)
+            links, hop = link_integrals(fld, grid), lambda theta: 1 - 1j * theta
+            diag = (c.charge**2 / (2 * c.mass)) * (fld.a1**2 + fld.a2**2).ravel()
         e_h = c.charge / c.hbar
-        phases = tuple(None if l is None else e_h * l for l in (links["axis1"], links["axis2"]))
+        hops = tuple(None if l is None else hop(e_h * l) for l in (links["axis1"], links["axis2"]))
     if grid.surface.kind is SurfaceKind.SPHERE:
         kappa = c.hbar**2 / (2 * c.mass * grid.surface.R**2)
         weights = _sphere_weights(grid, req.order)
-        H = (_sphere_theta(grid, kappa, req.order, weights, phases[0])
-             + _sphere_phi(grid, kappa, req.order, phases[1]))
+        H = (_sphere_theta(grid, kappa, req.order, weights, hops[0])
+             + _sphere_phi(grid, kappa, req.order, hops[1], diag))
     else:
         if correct:
-            diag = np.full(grid.size, geometric_kinetic_energy(req.surface, c))
+            base = np.full(grid.size, geometric_kinetic_energy(req.surface, c))
         else:
             ar, dar = fields_mod._radial_samples(req.field, grid)
             R = grid.surface.R
-            diag = ((c.charge**2 / (2 * c.mass)) * ar**2
+            base = ((c.charge**2 / (2 * c.mass)) * ar**2
                     + 1j * (c.hbar * c.charge / (2 * c.mass)) * (ar / R + dar)).ravel()
-        H = _cylinder_links(req, phases, diag)
+        H = _cylinder_links(req, hops, base if diag is None else base + diag)
         weights = grid.weights
-    if req.field is not None and not peierls:
-        H = H + _expanded_tangential(req)
     name = "H_free" if req.field is None else "H_correct" if correct else "H_pragmatic"
     return _finish(req, H, weights, name)
-
-
-def _expanded_tangential(req: HamiltonianRequest):
-    """(i hbar e/2m) sum_dirs (T - T^dag_W) + (e^2/2m) |A|^2 with T = diag(a) D.
-
-    The manifest symmetrization reproduces a.D + (1/2)(div a) including the
-    metric divergence terms, and is weighted-Hermitian for any stencil.
-    """
-    import scipy.sparse as sp
-
-    grid, c = req.grid, req.constants
-    a1, a2 = sample_potential(req.field, grid)
-    G1, G2 = tangential_gradient(grid, open_ends=False)
-    Gs = [(a1, G1)] if G2 is None else [(a1, G1), (a2, G2)]
-    out = sp.diags_array((c.charge**2 / (2 * c.mass)) * (a1**2 + a2**2).ravel())
-    pref = 1j * (c.hbar * c.charge / (2 * c.mass))
-    for a, G in Gs:
-        T = sp.diags_array(a.ravel()) @ G
-        out = out + pref * (T - weighted_transpose(T, grid.weights))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +283,12 @@ def zeeman_block(field: GaugeFieldSpec, grid: Grid,
 
 
 def _cartesian_field(field: GaugeFieldSpec, grid: Grid):
-    B1, B2, B3 = fields_mod.sample_magnetic_field(field, grid)
     if isinstance(field, fields_mod.UniformAxial):
         # the closed form stores no spin-flip band, so every azimuthal slice stores the
         # same pattern; rotating the frame leaves phi-dependent round-off in Bx, By
-        return np.zeros_like(B1), np.zeros_like(B1), np.full_like(B1, field.B)
+        shape = (grid.n1, grid.n2)
+        return np.zeros(shape), np.zeros(shape), np.full(shape, float(field.B))
+    B1, B2, B3 = fields_mod.sample_magnetic_field(field, grid)
     th = grid.coords1[:, None]
     if grid.surface.kind is SurfaceKind.SPHERE:
         ph = grid.coords2[None, :]

@@ -79,7 +79,7 @@ class TestStencils:
 
     def test_z_derivative_exact_on_linear(self):
         g = build_grid(cylinder(1.0, 1.0), 4, 12)
-        D = tangential_gradient(g, open_ends=False)[1]
+        D = tangential_gradient(g)[1]
         z = np.tile(g.coords2, 4)
         out = (D @ z).reshape(4, 12)
         # centered difference is exact on linears at interior nodes
@@ -215,20 +215,20 @@ class TestSparseStencils:
         # the polar rows of the unit-sphere gradient: pole crossing for even
         # n2, one-sided end rows for odd n2
         g = build_grid(sphere(1.0), n1, n2)
-        A = tangential_gradient(g, open_ends=False)[0].toarray()
+        A = tangential_gradient(g)[0].toarray()
         np.testing.assert_array_equal(A, self._polar_d1_loop(n1, n2, g.h1))
 
     @staticmethod
-    def _cylinder_d1_loop(n1, n2, h1, h2, open_ends):
+    def _cylinder_d1_loop(n1, n2, h1, h2, walls):
         # node-by-node reference for the ring/cylinder rows: theta wraps, z
-        # rows are truncated at the walls or, with open_ends, one-sided
+        # rows are one-sided at the walls (the ring has none)
         A1, A2 = np.zeros((n1 * n2, n1 * n2)), np.zeros((n1 * n2, n1 * n2))
         for j in range(n1):
             for k in range(n2):
                 row = j * n2 + k
                 A1[row, ((j + 1) % n1) * n2 + k] += 0.5 / h1
                 A1[row, ((j - 1) % n1) * n2 + k] += -0.5 / h1
-                if open_ends and k in (0, n2 - 1):
+                if walls and k in (0, n2 - 1):
                     s = 1 if k == 0 else -1
                     for o, cc in enumerate((-1.5, 2.0, -0.5)):
                         A2[row, row + s * o] += s * cc / h2
@@ -239,19 +239,19 @@ class TestSparseStencils:
                     A2[row, row - 1] += -0.5 / h2
         return A1, A2
 
-    @pytest.mark.parametrize("open_ends", [False, True])
+    @pytest.mark.parametrize("walls", [True])
     @pytest.mark.parametrize("n1", [3, 4, 9])
     @pytest.mark.parametrize("n2", [3, 4, 9])
-    def test_cylinder_d1_matches_loop(self, n1, n2, open_ends):
+    def test_cylinder_d1_matches_loop(self, n1, n2, walls):
         g = build_grid(cylinder(1.0, 0.8), n1, n2)
-        G1, G2 = tangential_gradient(g, open_ends)
-        A1, A2 = self._cylinder_d1_loop(n1, n2, g.h1, g.h2, open_ends)
+        G1, G2 = tangential_gradient(g)
+        A1, A2 = self._cylinder_d1_loop(n1, n2, g.h1, g.h2, walls)
         np.testing.assert_array_equal(G1.toarray(), A1)
         np.testing.assert_array_equal(G2.toarray(), A2)
 
     @pytest.mark.parametrize("n", [3, 4, 9])
     def test_ring_d1_matches_loop(self, n):
         g = build_grid(ring(1.0), n)
-        G1, G2 = tangential_gradient(g, open_ends=True)
+        G1, G2 = tangential_gradient(g)
         assert G2 is None
         np.testing.assert_array_equal(G1.toarray(), self._cylinder_d1_loop(n, 1, g.h1, 0, False)[0])

@@ -4,7 +4,7 @@ import pytest
 from surfband.analysis import spectrum
 from surfband.discretize import build_grid, hermiticity_residual
 from surfband.fields import ABFlux, GaugeFunction, Sampled, UniformAxial, add_gauge
-from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
+from surfband.geometry import PhysicalConstants, SurfaceKind, cylinder, ring, sphere
 from surfband.hamiltonians import (
     HamiltonianRequest,
     build_hamiltonian,
@@ -36,15 +36,15 @@ class TestLinkOperator:
             ref[b, b] += cc
             ref[a, b] -= cc * np.exp(-1j * t)
             ref[b, a] -= cc * np.exp(1j * t)
-        H = link_operator(n, i, j, c, theta, diag)
+        H = link_operator(n, i, j, c, np.exp(-1j * theta), diag)
         np.testing.assert_allclose(H.toarray(), ref, atol=1e-14)
 
     def test_exactly_hermitian_and_row_scaled(self):
         n, i, j, c, theta, _ = self._links(seed=9)
-        H = link_operator(n, i, j, c, theta).toarray()
+        H = link_operator(n, i, j, c, np.exp(-1j * theta)).toarray()
         assert np.array_equal(H, H.conj().T)
         w = np.linspace(0.5, 2.0, n)
-        Hs = link_operator(n, i, j, c, theta, weights=w).toarray()
+        Hs = link_operator(n, i, j, c, np.exp(-1j * theta), weights=w).toarray()
         np.testing.assert_allclose(Hs, H / w[:, None], atol=1e-14)
 
     def test_no_phases_gives_real_free_stencil(self):
@@ -182,6 +182,119 @@ class TestMagneticCylinder:
                                                      coupling=coupling))
             evs[coupling] = spectrum(H, 6).eigenvalues
         np.testing.assert_allclose(evs["peierls"], evs["expanded"], atol=5e-3)
+        # on the sphere with a smooth gauge (A_theta != 0) the couplings differ
+        # at stencil order: halving h cuts the level gap by about 4
+        surf = sphere(1.2)
+        gaps = []
+        for n in (24, 48):
+            g = build_grid(surf, n, n)
+            lam = GaugeFunction.from_callable(
+                lambda t, p: 0.7 * np.cos(t) + 0.3 * np.sin(t) * np.cos(p), g)
+            fld = add_gauge(UniformAxial(B=1.3), lam, g)
+            ev = [spectrum(build_hamiltonian(HamiltonianRequest(surf, g, fld, coupling=cp)),
+                           8).eigenvalues for cp in ("peierls", "expanded")]
+            gaps.append(np.abs(ev[0] - ev[1]).max())
+        assert gaps[1] <= gaps[0] / 3
+
+
+def _expanded_terms_loop(g, a1, a2, c=PhysicalConstants()):
+    """(i hbar e/2m)(T - T^H) + (e^2/2m)|A|^2 with T = diag(a) G node by node: G
+    centered, periodic in azimuth, truncated at the cylinder walls.  The
+    weights are uniform along every link used, so T^H is the weighted adjoint."""
+    n1, n2, R = g.n1, g.n2, g.surface.R
+    sph = g.surface.kind is SurfaceKind.SPHERE
+    assert not (sph and np.any(a1))  # the sphere's polar links are not this formula's
+    T = np.zeros((g.size, g.size))
+    for j in range(n1):
+        for k in range(n2):
+            row = j * n2 + k
+            if not sph:
+                T[row, ((j + 1) % n1) * n2 + k] += a1[j, k] / (2 * R * g.h1)
+                T[row, ((j - 1) % n1) * n2 + k] -= a1[j, k] / (2 * R * g.h1)
+            if sph:
+                h = R * np.sin(g.coords1[j]) * g.h2
+                T[row, j * n2 + (k + 1) % n2] += a2[j, k] / (2 * h)
+                T[row, j * n2 + (k - 1) % n2] -= a2[j, k] / (2 * h)
+            elif n2 > 1:
+                if k + 1 < n2:
+                    T[row, row + 1] += a2[j, k] / (2 * g.h2)
+                if k > 0:
+                    T[row, row - 1] -= a2[j, k] / (2 * g.h2)
+    pref = c.hbar * c.charge / (2 * c.mass)
+    return 1j * pref * (T - T.T) + np.diag((c.charge**2 / (2 * c.mass)) * (a1**2 + a2**2).ravel())
+
+
+def _expanded_cases():
+    cases = [(kind, base, variant, spin) for kind in ("ring", "cylinder")
+             for base in ("uniform", "ab", "sampled", "gauge")
+             for variant in ("correct", "pragmatic") for spin in (False, True)]
+    return cases + [("sphere", base, "correct", spin) for base in ("uniform", "ab")
+                    for spin in (False, True)]
+
+
+@pytest.mark.parametrize("kind, base, variant, spin", _expanded_cases())
+def test_expanded_coupling_is_the_symmetrized_gradient_form(kind, base, variant, spin):
+    # the expanded coupling's first-order hops reproduce, entrywise, the
+    # symmetrization of diag(A) @ G on every link whose end weights agree
+    from surfband.discretize import max_abs
+    from surfband.fields import sample_potential
+
+    surf = {"ring": ring(1.1), "cylinder": cylinder(1.1, 1.5), "sphere": sphere(1.2)}[kind]
+    g = build_grid(surf, 24) if kind == "ring" else build_grid(surf, 10, 8)
+    rng = np.random.default_rng(11)
+    radial = dict(radial_component=0.4, radial_derivative=0.1)
+    if base == "sampled":
+        fld = Sampled(grid=g, a1=rng.uniform(-1, 1, (g.n1, g.n2)),
+                      a2=rng.uniform(-1, 1, (g.n1, g.n2)), **radial)
+    elif base == "gauge":
+        lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * (1 + 0.5 * z) + 0.3 * z**2, g)
+        fld = add_gauge(UniformAxial(B=1.3, **radial), lam, g)
+    else:
+        fld = UniformAxial(B=1.3, **radial) if base == "uniform" else ABFlux(Phi=0.8, **radial)
+    req = HamiltonianRequest(surf, g, fld, spin, variant=variant, coupling="expanded")
+    H = build_hamiltonian(req)
+    free = build_hamiltonian(HamiltonianRequest(surf, g, ABFlux(Phi=0.0, **radial),
+                                                variant=variant))
+    ref = free.toarray() + _expanded_terms_loop(g, *sample_potential(fld, g))
+    if spin:
+        ref = np.kron(np.eye(2), ref) + zeeman_block(fld, g).entries.toarray()
+    scale = max_abs(H.entries)
+    assert np.abs(H.toarray() - ref).max() <= 1e-15 * scale
+    if variant == "correct":
+        sqw = np.sqrt(H.full_weights())
+        sym = lambda A: A * sqw[:, None] / sqw[None, :]
+        levels = np.linalg.eigvalsh(sym(H.toarray())), np.linalg.eigvalsh(sym(ref))
+        assert np.abs(levels[0] - levels[1]).max() <= 1e-14 * scale + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ring", "cylinder", "sphere"])
+@pytest.mark.parametrize("base", ["uniform", "sampled"])
+@pytest.mark.parametrize("coupling", ["peierls", "expanded"])
+def test_assembly_peak_is_within_its_memory_charge(kind, base, coupling):
+    # the charge build_grid makes per node covers a traced build, with spin and a gauge
+    import tracemalloc
+
+    from surfband.discretize import ASSEMBLY_BYTES_PER_NODE
+
+    surf = {"ring": ring(1.1), "cylinder": cylinder(1.1, 1.5), "sphere": sphere(1.1)}[kind]
+
+    def request(n):
+        g = build_grid(surf, n * n) if kind == "ring" else build_grid(surf, n, n)
+        th, c2 = g.coords1[:, None], g.coords2[None, :]
+        fld = (UniformAxial(B=1.3) if base == "uniform"
+               else Sampled(grid=g, a1=np.cos(th) + 0 * c2, a2=0.3 + 0 * th * c2))
+        lam = GaugeFunction((0.7 * np.cos(th) + 0.3 * np.sin(th) * np.cos(c2)).ravel())
+        return HamiltonianRequest(surf, g, add_gauge(fld, lam, g), True, coupling=coupling)
+
+    build_hamiltonian(request(8))  # one-time allocations of the first build
+    req = request(64)
+    tracemalloc.start()
+    try:
+        build_hamiltonian(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / req.grid.size <= ASSEMBLY_BYTES_PER_NODE
 
 
 class TestSampledFieldPaths:
