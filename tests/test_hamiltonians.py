@@ -208,14 +208,14 @@ def _expanded_terms_loop(g, a1, a2, c=PhysicalConstants()):
     for j in range(n1):
         for k in range(n2):
             row = j * n2 + k
-            if not sph:
-                T[row, ((j + 1) % n1) * n2 + k] += a1[j, k] / (2 * R * g.h1)
-                T[row, ((j - 1) % n1) * n2 + k] -= a1[j, k] / (2 * R * g.h1)
-            if sph:
+            if sph:  # phi links only
                 h = R * np.sin(g.coords1[j]) * g.h2
                 T[row, j * n2 + (k + 1) % n2] += a2[j, k] / (2 * h)
                 T[row, j * n2 + (k - 1) % n2] -= a2[j, k] / (2 * h)
-            elif n2 > 1:
+                continue
+            T[row, ((j + 1) % n1) * n2 + k] += a1[j, k] / (2 * R * g.h1)
+            T[row, ((j - 1) % n1) * n2 + k] -= a1[j, k] / (2 * R * g.h1)
+            if n2 > 1:
                 if k + 1 < n2:
                     T[row, row + 1] += a2[j, k] / (2 * g.h2)
                 if k > 0:
