@@ -26,8 +26,8 @@ EIGEN_RESIDUAL_TOL = 1e-10  # the largest on a Hermitian path; correct solves gi
 SPARSE_MIN_DIM = 512
 _SHIFT_INVERT_SEED = 20161031
 _MAX_FACTORIZATIONS = 40
-# sectors are taken when each stored entry of the phase-fixed operator is within
-# this fraction of max|S| of slice 0's entry at its offset: the Hermitian test's floor
+# the Hermitian test's relative floor, times max|H|; sectors are taken when each stored
+# entry of the phase-fixed operator is within this fraction of max|S| of slice 0's entry
 SECTOR_TOL = 1e-12
 
 
@@ -71,8 +71,9 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
              want_vectors: bool = False) -> SpectrumReport:
     """Lowest-k eigenpairs of an operator in its weighted inner product.
 
-    c = Im H[0, 0] is read first.  When c = 0, operators within
-    HERMITIAN_TOL of self-adjoint are symmetrized as W^(1/2) H W^(-1/2) and
+    c = Im H[0, 0] is read first.  When c = 0, operators whose Hermiticity
+    residual is at most HERMITIAN_TOL min(1, max|H|) or SECTOR_TOL max|H|,
+    whichever is larger, are symmetrized as W^(1/2) H W^(-1/2) and
     solved with a self-adjoint eigensolver: by azimuthal sectors when the
     result commutes with the azimuthal shift of op.layout after a diagonal
     phase fix read from the azimuthal links (_sector_eigh), else dense, or
@@ -90,9 +91,9 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     resid = hermiticity_residual(op)
-    # absolute tolerance for O(1) operators, relative floor for stiff ones
+    # absolute for O(1) operators, relative for small and for stiff ones
     scale = max_abs(op.entries) or 1.0
-    tol = max(HERMITIAN_TOL, 1e-12 * scale)
+    tol = max(HERMITIAN_TOL * min(1.0, scale), SECTOR_TOL * scale)
     # c is one diagonal entry's imaginary part, not a mean, so the levels of
     # the shifted solve carry Im E = c exactly; c = 0 means plain Hermitian
     c = float(op.entries[0, 0].imag)
@@ -263,18 +264,19 @@ def _factor(S, sigma: float):
 def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     """Lowest k eigenpairs of sparse Hermitian S by ARPACK in shift-invert mode.
 
-    The shift sigma starts below the Rayleigh quotient rho of the weighted
-    constant vector u, by the spread ||(S - rho) u|| / ||u||, and moves down
-    geometrically until the inertia of S - sigma I has no negative
-    eigenvalue: then every eigenvalue lies above sigma, and the ones nearest
-    sigma are the lowest.  While k or more levels may lie below the bracket
-    top (rho, then the last rejected shift), the bracket is bisected: a
-    shift far below the wanted levels makes Lanczos crawl and can make it
-    settle on the wrong levels.  The accepted factorization is reused
-    as OPinv.  Lanczos can drop copies of a degenerate level or miss one near
-    the top of the window, so the inertia just above the k-th eigenvalue must
-    match the count found; missing levels are searched for with the found
-    eigenvectors orthonormalized and deflated, and a surplus raises.
+    The shift sigma starts just below min_i (S_ii - sum_(j != i) |S_ij| sqrt(w_j / w_i)),
+    Gershgorin's bound for W^(-1/2) S W^(1/2) = W^(-1) K, which has S's
+    eigenvalues: S - sigma I is positive definite, and the eigenvalues
+    nearest sigma are the lowest.  Its fill is charged to check_fits.  While
+    k or more levels may lie below the bracket top (the Rayleigh quotient of
+    the weighted constant vector, then the last rejected shift), the bracket
+    is bisected: a shift far below the wanted levels makes Lanczos crawl and
+    can make it settle on the wrong levels.  The last positive definite
+    factorization is reused as OPinv.  Lanczos can drop copies of a
+    degenerate level or miss one near the top of the window, so the inertia
+    just above the k-th eigenvalue must match the count found; missing
+    levels are searched for with the found eigenvectors orthonormalized and
+    deflated, and a surplus raises.
     """
     import scipy.linalg
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
@@ -282,24 +284,15 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     n = S.shape[0]
     resolution = 1e-8 * scale
     u = sqw / np.linalg.norm(sqw)
-    Su = S @ u
-    rho = float(np.vdot(u, Su).real)
-    step = max(float(np.linalg.norm(Su - rho * u)), resolution)
-    # rho bounds the lowest level from above; count it as holding every level
-    top, below_top = rho, n  # the lowest rejected shift and its level count
     ncv = min(n, max(2 * k + 1, 20))
-    for _ in range(_MAX_FACTORIZATIONS):
-        sigma = rho - step
-        lu, negative = _factor(S, sigma)
-        if lu is not None:  # the fill of L and U with its row indices, and ncv Lanczos vectors
-            check_fits(lu.nnz * (S.dtype.itemsize + 4) + n * ncv * S.dtype.itemsize,
-                       f"the sparse factors of {label!r}")
-        if negative == 0:
-            break
-        top, below_top = sigma, n if negative is None else negative
-        step *= 4
-    else:
-        raise RuntimeError(f"no shift below the spectrum of {label!r} was found")
+    d = S.diagonal().real  # |S_ii| is taken out of the row sum: diagonals can be negative
+    sigma = float((d + np.abs(d) - abs(S) @ sqw / sqw).min()) - resolution
+    lu, _ = _factor(S, sigma)
+    # the fill of L and U with its row indices, and ncv Lanczos vectors
+    check_fits(lu.nnz * (S.dtype.itemsize + 4) + n * ncv * S.dtype.itemsize,
+               f"the sparse factors of {label!r}")
+    # the Rayleigh quotient bounds the lowest level from above; count it as holding every level
+    top, below_top = float(np.vdot(u, S @ u).real), n
     while below_top >= k and top - sigma > resolution:
         mid = 0.5 * (sigma + top)
         lu_mid, negative = _factor(S, mid)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from surfband import analysis
 from surfband.analysis import (
     analytic_cylinder_landau,
     analytic_ring_spectrum,
@@ -77,6 +78,23 @@ class TestSpectrum:
         op = OperatorMatrix(entries, g.weights, 1, "toy")
         ev = spectrum(op).eigenvalues
         np.testing.assert_allclose(ev, [0.5 + 3j, 1.0 + 1j, 1.0 + 2j, 2.0 + 0j])
+
+    def test_tiny_nonhermitian_operator_is_not_taken_as_hermitian(self, monkeypatch):
+        # the Hermitian test is relative below max|H| = 1: an absolute 1e-10
+        # would pass this operator and report real levels for complex ones
+        A = 1e-12 * np.random.default_rng(0).standard_normal((6, 6))
+        ev = np.linalg.eigvals(A)
+        assert np.abs(ev.imag).max() > 1e-12
+        calls = []
+        residual = analysis.hermiticity_residual
+        monkeypatch.setattr(analysis, "hermiticity_residual",
+                            lambda op: calls.append(op) or residual(op))
+        rep = spectrum(OperatorMatrix(A, np.ones(6), 1, "tiny"))
+        assert len(calls) == 1
+        assert rep.hermiticity_residual < analysis.HERMITIAN_TOL
+        assert rep.solver == "dense-eig"
+        np.testing.assert_allclose(rep.eigenvalues, ev[np.lexsort((ev.imag, ev.real))],
+                                   rtol=0, atol=1e-24)
 
 
 class TestAntihermitianPart:

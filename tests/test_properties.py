@@ -11,6 +11,8 @@ diagonal, its shifted solve must equal dense eig when A_r is uniform, ring
 spectra must repeat with period Phi0 in the enclosed flux, and the sector
 solve of any axisymmetric operator, gauge-shifted or not, must equal dense
 eigvalsh.  Operators no diagonal gauge makes axisymmetric keep their path.
+The sparse solver's first shift must lie below the spectrum of any weighted
+Hermitian operator, with no negative pivot.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from surfband import analysis
 from surfband.analysis import antihermitian_part, gauge_covariance_residual, spectrum
 from surfband.cli import _LAM_PRESETS
 from surfband.discretize import (OperatorMatrix, build_grid, hermiticity_residual, max_abs,
@@ -293,3 +296,35 @@ def test_sign_gauge_takes_sectors_only_when_the_orbit_twists_agree(kind, solver)
     rep, ref = spectrum(shifted, 16), spectrum(H, 16)
     assert rep.solver == solver
     assert np.abs(rep.eigenvalues - ref.eigenvalues).max() <= 1e-14 * max_abs(H.entries) + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(24, 80), density=st.floats(0.02, 0.3), complex_links=st.booleans(),
+       decades=st.floats(0.0, 4.0), offset=st.floats(-50.0, 50.0), k_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_shift_lies_below_any_weighted_hermitian_spectrum(n, density, complex_links,
+                                                                decades, offset, k_frac, seed):
+    # diagonals of both signs (Zeeman, the curvature shift) and mixed-sign
+    # real or complex couplings (order-4 stencils, spin flips), under weights
+    # spread over up to four decades
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < density)
+    if complex_links:
+        M = M + 1j * rng.uniform(-1, 1, (n, n)) * (M != 0)
+    S = sp.csr_array(0.5 * (M + M.conj().T) + np.diag(offset + rng.uniform(-5, 5, n)))
+    sqw = np.sqrt(10.0 ** rng.uniform(-decades / 2, decades / 2, n))
+    k = 1 + int(k_frac * (n // 4 - 1))
+    shifts = []
+    factor = analysis._factor
+
+    def recording(S, sigma):
+        shifts.append(sigma)
+        return factor(S, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_factor", recording)
+        ev, _ = analysis._shift_invert(S, k, sqw, max_abs(S), "random")
+    exact = np.linalg.eigvalsh(S.toarray())
+    assert shifts[0] < exact[0]
+    assert factor(S, shifts[0])[1] == 0
+    assert np.abs(ev - exact[:k]).max() <= 1e-12 * max_abs(S)

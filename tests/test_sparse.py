@@ -94,9 +94,9 @@ def test_sector_matches_dense_on_acceptance_grids(name):
     assert np.array_equal(rep.eigenvalues, spectrum(H, k).eigenvalues)
 
 
-def test_first_shift_inside_spectrum_still_gives_lowest(monkeypatch):
-    # a strong field puts the Rayleigh quotient of the constant vector far
-    # above the lowest Landau-Zeeman levels, so the first shift is rejected
+def test_first_shift_lies_below_a_strong_field_spectrum(monkeypatch):
+    # a strong field puts the lowest Landau-Zeeman levels far below the
+    # Rayleigh quotient of the constant vector; Gershgorin's bound is below them
     counts = []
     factor = analysis._factor
 
@@ -109,7 +109,7 @@ def test_first_shift_inside_spectrum_still_gives_lowest(monkeypatch):
     H = _gauge_shifted(_build(cylinder(1.0, np.pi), 32,
                               dict(field=UniformAxial(B=40.0), spin=True)))
     rep = spectrum(H, 16)
-    assert counts[0] > 0
+    assert counts[0] == 0
     assert rep.solver == "sparse-shift-invert"
     monkeypatch.undo()
     _check_against_dense(H, rep, 16)
