@@ -183,10 +183,15 @@ def _sector_eigh(S, layout, k: int):
     They are taken when every slice stores as many entries as slice 0, each
     within SECTOR_TOL max|S| of slice 0's entry at the same offset.  S_f is
     then the direct sum of B_m = sum_d C_d w^(m d), w = exp(2 pi i / n_az), on
-    the vectors w^(m a) phi / sqrt(n_az), which are multiplied by V.  The FFT
-    along d gives B_(-m); for real S_f, B_(-m) = conj(B_m), so only
-    m = 0..n_az/2 are solved.  Vectors are formed for the k returned levels
-    only.  None too when the blocks would not fit.
+    the vectors w^(m a) phi / sqrt(n_az), which are multiplied by V.  Every
+    B_m is block-diagonal in the connected components of the union pattern
+    of the C_d (spin up and down in an axial field), so each component's
+    sub-blocks are gathered from C and solved apart.  The FFT along d gives
+    B_(-m); for real S_f, B_(-m) = conj(B_m), so only m = 0..n_az/2 are
+    solved, and when also C_d = C_(-d) exactly, every B_m is real.  Levels
+    come from one batched numpy eigvalsh per component; vectors, only of the
+    blocks that hold the k returned levels, from scipy's eigh (numpy's wakes
+    a second BLAS thread).  None too when the blocks would not fit.
     """
     import scipy.linalg
 
@@ -215,22 +220,41 @@ def _sector_eigh(S, layout, k: int):
     if not same.all() or (np.bincount(a, minlength=n_az) != first.sum()).any():
         return None
     C = C.reshape(n_az, b, b)
+    # components of the union pattern of the C_d (symmetric, as S is): min-label propagation
+    p, q = np.divmod(at[first] % (b * b), b)
+    label, last = np.arange(b), None
+    while not np.array_equal(label, last):
+        last, label = label, label.copy()
+        np.minimum.at(label, p, last[q])
+        label = label[label]  # pointer jumping: each label stays a node of its component
     del T, a, at, first, same, stored  # the O(nnz) arrays: out of the solve's peak
     # the vectors, their unweighted copy and the residual's two work arrays
     check_fits(4 * n * k * 16, f"{k} eigenvectors of dimension {n} and their residuals")
+    order = np.argsort(label, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     real = not np.iscomplexobj(C)
-    B = np.fft.rfft(C, axis=0) if real else np.fft.fft(C, axis=0, out=C)
-    w = scipy.linalg.eigh(B, eigvals_only=True)
+    mirror = real and np.array_equal(C[1:], C[:0:-1])  # C_d = C_(-d): every B_m is real
+    blocks = [C] if len(comps) == 1 else [C[:, c[:, None], c] for c in comps]
+    del C
+    fft = lambda x: np.fft.rfft(x, axis=0) if real else np.fft.fft(x, axis=0, out=x)
+    blocks = [fft(x).real.copy() if mirror else fft(x) for x in blocks]
+    # one batched solve per component; w's columns run over the components in turn
+    w = np.concatenate([np.linalg.eigvalsh(x) for x in blocks], axis=1)
     src = np.arange(len(w))
     twins = src[(src > 0) & (2 * src < n_az)] if real else src[:0]
     sector = np.concatenate([-src % n_az, twins])  # the twin of B_(-m) is conj(B_(-m)) = B_m
     src = np.concatenate([src, twins])
     levels = w[src].ravel()
     pick = np.argsort(levels, kind="stable")[:k]
-    s, j = np.divmod(pick, b)
-    need = np.unique(src[s])  # vectors only of the blocks that hold a returned level
-    X = scipy.linalg.eigh(B[need], subset_by_index=[0, j.max()])[1]
-    phi, twin = X[np.searchsorted(need, src[s]), :, j], s >= len(w)
+    s, t = np.divmod(pick, b)
+    phi, twin, hi = np.zeros((k, b), complex), s >= len(w), 0
+    for nodes, x in zip(comps, blocks):
+        lo, hi = hi, hi + len(nodes)
+        mine = np.flatnonzero((lo <= t) & (t < hi))
+        if mine.size:  # vectors only of the blocks that hold a returned level
+            need, j = np.unique(src[s[mine]]), t[mine] - lo
+            X = scipy.linalg.eigh(x[need], subset_by_index=[0, j.max()])[1]
+            phi[mine[:, None], nodes] = X[np.searchsorted(need, src[s[mine]]), :, j]
     phi[twin] = phi[twin].conj()
     wave = np.exp(2j * np.pi * (sector[s][:, None] * np.arange(n_az) % n_az) / n_az)
     vec = phi.reshape(k, outer, 1, inner) * (wave / np.sqrt(n_az))[:, None, :, None]
@@ -379,14 +403,18 @@ def gauge_covariance_residual(field: GaugeFieldSpec, lam: GaugeFunction, builder
 
 
 def spectrum_gauge_invariance(field: GaugeFieldSpec, lam: GaugeFunction, builder,
-                              k: int, grid: Grid, exact: bool = True) -> float:
-    """max |E_i(A + grad lam) - E_i(A)| over the lowest k levels."""
+                              k: int, grid: Grid, exact: bool = True) -> tuple[float, float]:
+    """max |E_i(A + grad lam) - E_i(A)| over the lowest k levels, and that over max |E_i(A)|.
+
+    The relative shift (absolute when every level is 0) says whether stiff levels moved.
+    """
     shifted = add_gauge(field, lam, grid)
     if not exact:
         shifted = materialize(shifted, grid)
     ev0 = spectrum(builder(field), k).eigenvalues
     ev1 = spectrum(builder(shifted), k).eigenvalues
-    return float(np.abs(np.real(ev1) - np.real(ev0)).max())
+    shift = float(np.abs(np.real(ev1) - np.real(ev0)).max())
+    return shift, shift / (float(np.abs(ev0).max()) or 1.0)
 
 
 def analytic_ring_spectrum(R: float, Phi: float, l_range,

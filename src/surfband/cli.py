@@ -325,10 +325,11 @@ def run(cfg: RunConfig) -> int:
             psi = psi / weighted_norm(psi, H0.full_weights())
             r_op = analysis.gauge_covariance_residual(base, lam, builder, psi, grid,
                                                       constants, cfg.exact_gauge)
-            dE = analysis.spectrum_gauge_invariance(base, lam, builder,
-                                                    min(cfg.k, H0.dim), grid, cfg.exact_gauge)
+            dE, dE_rel = analysis.spectrum_gauge_invariance(
+                base, lam, builder, min(cfg.k, H0.dim), grid, cfg.exact_gauge)
             residual = hermiticity_residual(H0)
             diagnostics = {"gauge_residual": r_op, "max_eigenvalue_shift": dE,
+                           "max_eigenvalue_shift_relative": dE_rel,
                            "lambda": cfg.lam, "operator_label": H0.label}
             summary = f"gauge_residual = {r_op:.6g}"
         elif cfg.subcommand == "thin-layer":

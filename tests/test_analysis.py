@@ -161,12 +161,12 @@ class TestGaugeCovariance:
     def test_spectrum_invariance_constant(self):
         g, builder, field, _ = self._setup(16)
         lam = GaugeFunction.from_callable(lambda t, z: 2.0, g)
-        assert spectrum_gauge_invariance(field, lam, builder, 10, g) < 1e-12
+        assert max(spectrum_gauge_invariance(field, lam, builder, 10, g)) < 1e-12
 
     def test_spectrum_invariance_smooth(self):
         g, builder, field, _ = self._setup(16)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * z, g)
-        assert spectrum_gauge_invariance(field, lam, builder, 10, g) < 1e-10
+        assert max(spectrum_gauge_invariance(field, lam, builder, 10, g)) < 1e-10
 
     def test_exact_for_spin_half(self):
         g = build_grid(cylinder(1.0, np.pi), 16, 16)

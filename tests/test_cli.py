@@ -208,6 +208,7 @@ class TestRun:
         assert run(cfg) == 0
         report = json.loads((tmp_path / "g.json").read_text())
         assert report["diagnostics"]["gauge_residual"] <= 1e-12
+        assert report["diagnostics"]["max_eigenvalue_shift_relative"] <= 1e-12
 
     def test_gauge_check_ignores_a_config_a_r(self, tmp_path):
         # the correct operator never reads A_r, so a config file's a_r changes nothing

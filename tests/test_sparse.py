@@ -176,6 +176,100 @@ def test_sector_eigenvectors_weighted_orthonormal(surf, n1, n2, kw):
     assert rep.eigen_residual <= 1e-14
 
 
+def _recorded_block_stacks(monkeypatch, H, k):
+    """The shape and dtype of every stack of blocks np.linalg.eigvalsh solves for spectrum(H, k)."""
+    stacks, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        stacks.append((a.shape, a.dtype))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rep = spectrum(H, k)
+    monkeypatch.undo()
+    return rep, stacks
+
+
+@pytest.mark.parametrize("name, solver, stacks", [
+    # C_d = C_(-d) on the free sphere: 33 real blocks instead of 33 complex ones
+    ("c07-sphere-order4", "sector-eigh", [((33, 64, 64), np.float64)]),
+    # an axial field never couples spin up to down: two components of 32 nodes
+    ("spin-cylinder-32", "sector-eigh", [((32, 32, 32), np.complex128)] * 2),
+    ("pragmatic-ab-flux", "shifted-sector-eigh", [((32, 32, 32), np.complex128)]),
+])
+def test_sector_blocks_split_by_component_and_are_real_when_mirror_symmetric(
+        monkeypatch, name, solver, stacks):
+    H = (_pragmatic("cylinder", (32, 32), "ab-flux", 0)[0] if name.startswith("pragmatic")
+         else _acceptance_case(name)[0])
+    rep, seen = _recorded_block_stacks(monkeypatch, H, 16)
+    assert rep.solver == solver
+    assert seen == stacks
+    assert rep.eigen_residual <= 1e-14
+
+
+def _layout_operator(n_az, kind, seed):
+    """H = W^(-1/2) S W^(1/2) on layout (1, n_az, 8), S Hermitian and P-symmetric.
+
+    S couples slice a to slices a and a + 1 by C_0 and C_1 (and to a - 1 by
+    C_1^H), both confined to the components {0, 2, 5} and {1, 3, 4, 6, 7} of
+    each slice's 8 nodes.  kind: complex C_1; real C_1 with C_1 != C_1^T, so
+    that C_1 != C_(-1); or real symmetric C_1 (mirror symmetric).
+    """
+    rng = np.random.default_rng(seed)
+    b, label = 8, np.array([0, 1, 0, 1, 1, 0, 1, 1])
+    mask = label[:, None] == label[None, :]
+    draw = lambda: rng.uniform(-1, 1, (b, b)) + (1j * rng.uniform(-1, 1, (b, b))
+                                                 if kind == "complex" else 0)
+    c0, c1 = draw() * mask, draw() * mask
+    c0 = c0 + c0.conj().T
+    if kind == "mirror":
+        c1 = c1 + c1.T
+    n = n_az * b
+    S = np.zeros((n, n), complex if kind == "complex" else float)
+    for a in range(n_az):
+        here, right = slice(a * b, (a + 1) * b), slice((a + 1) % n_az * b, ((a + 1) % n_az + 1) * b)
+        S[here, here] = c0
+        S[here, right] += c1
+        S[right, here] += c1.conj().T
+    w = np.tile(rng.uniform(0.5, 2.0, b), n_az)
+    H = S * np.sqrt(w)[None, :] / np.sqrt(w)[:, None]
+    return OperatorMatrix(sp.csr_array(H), w, 1, f"layout-{kind}", (1, n_az, b)), S
+
+
+@pytest.mark.parametrize("n_az, kind", [(6, "complex"), (7, "real"), (6, "real"), (6, "mirror")])
+def test_unequal_components_match_dense(monkeypatch, n_az, kind):
+    op, S = _layout_operator(n_az, kind, seed=n_az)
+    rep, seen = _recorded_block_stacks(monkeypatch, op, op.dim)
+    assert rep.solver == "sector-eigh"
+    n_sec = n_az if kind == "complex" else n_az // 2 + 1
+    dtype = np.float64 if kind == "mirror" else np.complex128
+    assert seen == [((n_sec, 3, 3), dtype), ((n_sec, 5, 5), dtype)]
+    bound = 1e-14 * np.abs(S).max() + 1e-12
+    assert np.abs(rep.eigenvalues - np.linalg.eigvalsh(S)).max() <= bound
+    V, w = spectrum(op, op.dim, want_vectors=True).eigenvectors, op.full_weights()
+    assert np.abs(V.conj().T @ (w[:, None] * V) - np.eye(op.dim)).max() <= bound
+    assert rep.eigen_residual <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["c07-sphere-order4", "spin-cylinder-32"])
+def test_sector_solve_peak_is_within_its_memory_charge(name):
+    # the blocks (3 n_az b^2 16 B) and the vectors with the residual's work arrays (4 N k 16 B)
+    import tracemalloc
+
+    H, _, _, k = _acceptance_case(name)
+    outer, n_az, inner = H.layout
+    charge = 3 * n_az * (outer * inner) ** 2 * 16 + 4 * H.dim * k * 16
+    spectrum(H, k)  # one-time allocations of the first solve
+    tracemalloc.start()
+    try:
+        rep = spectrum(H, k, want_vectors=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.solver == "sector-eigh"
+    assert peak <= charge
+
+
 @pytest.mark.parametrize("path", ["_sector_eigh", "_shift_invert"])
 def test_a_pair_above_the_residual_bound_raises(monkeypatch, path):
     H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
@@ -237,6 +331,28 @@ def test_stiff_gauge_shifted_operator_takes_sectors():
     assert dense.solver == "dense-eigh"
     bound = 1e-14 * np.abs(H.entries.data).max()  # multiplicities at 1e-9 mean nothing here
     assert np.abs(rep.eigenvalues - dense.eigenvalues[:8]).max() <= bound
+
+
+def test_stiff_gauge_shift_is_read_relative_to_the_levels(monkeypatch):
+    # levels near 1e200 solved once by sectors and once densely agree to round-off,
+    # yet differ by about 1e185: only the relative shift says that they did not move
+    surf = cylinder(1e-100, np.pi)
+    g = build_grid(surf, 8, 8)
+    lam = GaugeFunction.from_callable(lambda c1, c2: np.sin(c1) * c2, g)
+    builder = lambda f: build_hamiltonian(HamiltonianRequest(surf, g, f, spin=True))
+    field = UniformAxial(B=1.0)
+    assert analysis.spectrum_gauge_invariance(field, lam, builder, 8, g) == (0.0, 0.0)
+    sector, calls = analysis._sector_eigh, []
+
+    def first_only(*args):  # the gauged half takes the dense path
+        calls.append(args)
+        return sector(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(analysis, "_sector_eigh", first_only)
+    shift, relative = analysis.spectrum_gauge_invariance(field, lam, builder, 8, g)
+    assert len(calls) == 2
+    assert shift > 1e180
+    assert relative <= 1e-13
 
 
 def test_sector_blocks_that_would_not_fit_keep_the_current_path(monkeypatch):
