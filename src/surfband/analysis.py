@@ -190,8 +190,8 @@ def _sector_eigh(S, layout, k: int):
     B_(-m); for real S_f, B_(-m) = conj(B_m), so only m = 0..n_az/2 are
     solved, and when also C_d = C_(-d) exactly, every B_m is real.  Levels
     come from one batched numpy eigvalsh per component; vectors, only of the
-    blocks that hold the k returned levels, from scipy's eigh (numpy's wakes
-    a second BLAS thread).  None too when the blocks would not fit.
+    blocks that hold the k returned levels, from scipy's eigh, by evx when real (numpy's
+    eigh, and evr on real blocks, wake a second BLAS thread).  None if blocks would not fit.
     """
     import scipy.linalg
 
@@ -253,7 +253,8 @@ def _sector_eigh(S, layout, k: int):
         mine = np.flatnonzero((lo <= t) & (t < hi))
         if mine.size:  # vectors only of the blocks that hold a returned level
             need, j = np.unique(src[s[mine]]), t[mine] - lo
-            X = scipy.linalg.eigh(x[need], subset_by_index=[0, j.max()])[1]
+            X = scipy.linalg.eigh(x[need], subset_by_index=[0, j.max()],
+                                  driver="evx" if mirror else None)[1]
             phi[mine[:, None], nodes] = X[np.searchsorted(need, src[s[mine]]), :, j]
     phi[twin] = phi[twin].conj()
     wave = np.exp(2j * np.pi * (sector[s][:, None] * np.arange(n_az) % n_az) / n_az)

@@ -148,7 +148,13 @@ def weighted_inner(u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> complex
 
 
 def weighted_norm(u: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sqrt(np.real(weighted_inner(u, u, weights))))
+    """sqrt(<u, u>_W), with u rescaled by max|u| when the plain sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.real(weighted_inner(u, u, weights))
+    if sq < np.inf:
+        return float(np.sqrt(sq))
+    scale = float(np.abs(u).max())
+    return scale * float(np.sqrt(np.real(weighted_inner(u / scale, u / scale, weights))))
 
 
 def max_abs(A) -> float:

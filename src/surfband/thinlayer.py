@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .hamiltonians import link_operator
 DEFAULT_NR = 256
 # charged per radial node: the traced peak of radial_spectrum is at most 266 B on either surface
 RADIAL_BYTES_PER_NODE = 300
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,29 @@ class ShellProblem:
 
     def nodes(self) -> tuple[np.ndarray, float]:
         h = self.d / self.n_r
-        r = self.surface.R - self.d / 2 + (np.arange(self.n_r) + 0.5) * h
+        r = self.surface.R - self.d / 2 + _grid_tables(self.n_r)[0] * h
         return r, h
 
     def centrifugal(self, r: np.ndarray) -> np.ndarray:
         """(hbar^2/2m) l(l + s - 1)/r^2: l^2/r^2 on the cylinder, l(l+1)/r^2 on the sphere."""
         c, s = self.constants, radial_exponent(self.surface.kind)
         return (c.hbar**2 / (2 * c.mass)) * (self.l * (self.l + s - 1)) / r**2
+
+
+@lru_cache(maxsize=4)
+def _grid_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only, per n-node shell: offsets j + 1/2 and the sine-basis 1 - cos(k pi/n), k <= n."""
+    half, wave = np.arange(n) + 0.5, 1 - np.cos(np.arange(n + 1) * (np.pi / n))
+    half.flags.writeable = wave.flags.writeable = False
+    return half, wave
+
+
+@lru_cache(maxsize=4)  # each mode held is 8 B a node on top of the solve's peak
+def _sine_mode(n: int, i: int) -> np.ndarray:
+    """Level i of the n-node constant-potential matrix, sin((i + 1) pi (j + 1/2)/n); read-only."""
+    y = np.sin((i + 1) * np.pi * (_grid_tables(n)[0] / n))
+    y.flags.writeable = False
+    return y
 
 
 def _liouville_potential(p: ShellProblem, r: np.ndarray) -> np.ndarray:
@@ -86,12 +104,11 @@ def _box_symbol(n: int, h: float, d: float) -> np.longdouble:
     return (4 / (hl * hl)) * np.sin(kl * hl / 2) ** 2
 
 
-def _box_symbol_defect(p: ShellProblem, n: int, h: float) -> float:
-    """Continuum-minus-discrete transverse box energy for mode n (exact)."""
-    c = p.constants
-    kl = np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(p.d)
-    pref = c.hbar**2 / (2 * c.mass)
-    return float(pref * (kl * kl - _box_symbol(n, h, p.d)))
+def _box_modes(p: ShellProblem, n, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_n, defect_n), modes n: hbar^2/2m times the box symbol, and the exact continuum minus it."""
+    pref = p.constants.hbar**2 / (2 * p.constants.mass)
+    sym, kl = _box_symbol(n, h, p.d), np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(p.d)
+    return (pref * sym).astype(float), (pref * (kl * kl - sym)).astype(float)
 
 
 def _liouville_tridiagonal(p: ShellProblem) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -100,29 +117,26 @@ def _liouville_tridiagonal(p: ShellProblem) -> tuple[np.ndarray, np.ndarray, flo
     c = p.constants
     kcoef = c.hbar**2 / (2 * c.mass)
     v = _liouville_potential(p, r)
-    main = np.full(p.n_r, 2 * kcoef / h**2) + v
-    main[0] += kcoef / h**2
-    main[-1] += kcoef / h**2
+    main = v + 2 * kcoef / h**2
+    main[[0, -1]] += kcoef / h**2
     off = np.full(p.n_r - 1, -kcoef / h**2)
     return main, off, h, v
 
 
-def _sturm_count(main: list, off2: list, x: float, pivmin: float) -> int:
-    """Eigenvalues of T below x: the negative pivots of the LDL^T factorization of T - xI.
+def _sturm_count(main: list, e2: float, lo: float, hi: float, pivmin: float) -> tuple[int, int]:
+    """Eigenvalues of T below lo and below hi: negative pivots of the LDL^T factorizations of T - xI.
 
-    off2[j] is the squared coupling of node j to node j - 1 (off2[0] = 0).
-    A pivot smaller than pivmin in magnitude counts as negative and is
-    replaced by -pivmin, as in LAPACK's dstebz, so the recurrence never
-    divides by zero.
+    e2 is every neighbour pair's squared coupling; both recurrences share one pass.  A pivot
+    below pivmin counts as negative and is made <= -pivmin (LAPACK's dstebz): no pivot is 0.
     """
-    count, piv = 0, 1.0
-    for a, e2 in zip(main, off2):
-        piv = (a - x) - e2 / piv
-        if piv < pivmin:
-            if piv > -pivmin:
-                piv = -pivmin
-            count += 1
-    return count
+    n_lo, n_hi, p_lo, p_hi = 0, 0, math.inf, math.inf  # e2 / inf = 0: no coupling into node 0
+    for a in main:
+        p_lo, p_hi = (a - lo) - e2 / p_lo, (a - hi) - e2 / p_hi
+        if p_lo < pivmin:
+            p_lo, n_lo = min(p_lo, -pivmin), n_lo + 1
+        if p_hi < pivmin:
+            p_hi, n_hi = min(p_hi, -pivmin), n_hi + 1
+    return n_lo, n_hi
 
 
 def _inverse_iteration(main: list, off: list, sigma: float, v: np.ndarray,
@@ -131,7 +145,7 @@ def _inverse_iteration(main: list, off: list, sigma: float, v: np.ndarray,
 
     Pivots smaller than tiny in magnitude are raised to +-tiny (LAPACK's
     dstein perturbs them the same way), so a shift on an eigenvalue is safe.
-    With sigma bisected to 1e-6 relative, each solve shrinks every other
+    With sigma trisected to 1e-6 relative, each solve shrinks every other
     eigencomponent by about 1e-6 lambda / gap; two solves already matched
     dense eigh to round-off in the tests, the third is margin.
     """
@@ -172,23 +186,23 @@ def _rayleigh_quotient(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> floa
     diag = main.astype(np.longdouble)
     diag[:-1] += e
     diag[1:] += e
-    num = diag @ (u * u) - e @ np.diff(u) ** 2
+    num = diag @ (u * u) - e @ (u[1:] - u[:-1]) ** 2
     return float(num / (u @ u))
 
 
-def _sine_correction(main: np.ndarray, off: np.ndarray, vbar: float, y: np.ndarray,
+def _sine_correction(main: np.ndarray, off: float, vbar: float, y: np.ndarray,
                      i: int, below: float, above: float) -> np.ndarray | None:
     """Level i's eigenvector from its sine mode y, or None if not certified in 6 corrections.
 
     Each step is y <- y - (T0 + vbar - theta)^-1 r, theta = y^T T y / y^T y,
-    r = T y - theta y, T0 = T - diag(V), with y's own sine mode dropped:
+    r = T y - theta y, T0 = T - diag(V) (coupling off), y's own sine mode dropped:
     odd-extended to length 2 n_r, T0 is circulant, so rfft/irfft diagonalize
     it.  Level i is T's only eigenvalue in (below, above), so Kato-Temple
     bounds |lambda_i - theta| by ||r||^2 / (theta's distance to either end),
     and the loop stops once that is a quarter ulp of theta.
     """
     n = len(main)
-    den = vbar - 2 * off[0] * (1 - np.cos(np.arange(n + 1) * (np.pi / n)))
+    den = vbar - 2 * off * _grid_tables(n)[1]
     den[[0, i + 1]] = math.inf  # drop y's own mode and the constant one (odd: none)
     for _ in range(7):  # the start, then after each correction; the 7th goes unused
         ty = main * y
@@ -212,50 +226,42 @@ def radial_spectrum(p: ShellProblem, n_levels: int = 1) -> np.ndarray:
     mu_i + max V (mu_i the exact constant-potential eigenvalue, V the
     potential diagonal), and the Sturm count certifies it.  A bracket apart
     from its neighbours' gives the eigenvector by certified sine-basis
-    correction; any other, or a failed certificate, is bisected and inverse
-    iteration at the bisected shift gives it.  A long-double Rayleigh quotient
+    correction; any other, or a failed certificate, is trisected and inverse
+    iteration at the final shift gives it.  A long-double Rayleigh quotient
     gives the eigenvalue, and the known transverse symbol defect is added so
     the flat-shell limit reproduces hbar^2 pi^2 n^2 / (2 m d^2) to round-off.
     """
     if n_levels < 1 or n_levels > p.n_r:
         raise ValueError("n_levels out of range")
     main, off, h, v = _liouville_tridiagonal(p)
-    c = p.constants
-    kcoef = c.hbar**2 / (2 * c.mass)
     # Weyl: T is the constant-potential matrix plus diag(V), whose exact
     # eigenvalues mu_i are the box symbol, so level i lies in mu_i + [min V, max V]
-    vmin, vmax = float(v.min()), float(v.max())
-    mu = [float(kcoef * _box_symbol(k, h, p.d)) for k in range(1, n_levels + 2)]
+    mu, defect = (x.tolist() for x in _box_modes(p, np.arange(1, n_levels + 2), h))
     # plain floats: numpy scalars would slow the scalar recurrences several-fold
-    eps = float(np.finfo(float).eps)
-    norm = float(np.abs(main).max() + 2 * np.abs(off).max())
-    pad = 8 * eps * norm
-    main_l, off_l = main.tolist(), off.tolist()
-    off2 = [0.0] + (off * off).tolist()
-    pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
-    nodes = (np.arange(p.n_r) + 0.5) / p.n_r
+    vmin, vmax, vbar, off0 = float(v.min()), float(v.max()), float(v.mean()), float(off[0])
+    norm = float(np.abs(main).max()) + 2 * abs(off0)
+    pad = 8 * _EPS * norm
+    main_l, e2, pivmin = main.tolist(), off0 * off0, _TINY * max(1.0, off0 * off0)
     out = np.empty(n_levels)
     for i in range(n_levels):
         lo, hi = mu[i] + vmin - pad, mu[i] + vmax + pad
-        if not _sturm_count(main_l, off2, lo, pivmin) <= i < _sturm_count(main_l, off2, hi, pivmin):
+        if i not in range(*_sturm_count(main_l, e2, lo, hi, pivmin)):  # n_lo <= i < n_hi
             raise RuntimeError(f"radial level {i} escaped its Weyl bracket for {p}")
-        start = np.sin((i + 1) * np.pi * nodes)  # level i of the constant-potential matrix
+        start = _sine_mode(p.n_r, i)  # level i of the constant-potential matrix
         below = mu[i - 1] + vmax + pad if i else -math.inf  # the neighbouring brackets' ends
         above = mu[i + 1] + vmin - pad
-        vec = (_sine_correction(main, off, float(v.mean()), start, i, below, above)
+        vec = (_sine_correction(main, off0, vbar, start, i, below, above)
                if below < lo and hi < above else None)
         if vec is None:
-            while hi - lo > 1e-6 * max(abs(lo), abs(hi)) + 2 * pad:
-                mid = 0.5 * (lo + hi)
-                if _sturm_count(main_l, off2, mid, pivmin) > i:
-                    hi = mid
-                else:
-                    lo = mid
-            vec = _inverse_iteration(main_l, off_l, 0.5 * (lo + hi), start, eps * norm)
+            while hi - lo > 1e-6 * max(abs(lo), abs(hi)) + 2 * pad:  # thirds: one pass, two shifts
+                a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                n_a, n_b = _sturm_count(main_l, e2, a, b, pivmin)
+                lo, hi = (lo, a) if n_a > i else (a, b) if n_b > i else (b, hi)
+            vec = _inverse_iteration(main_l, off.tolist(), 0.5 * (lo + hi), start, _EPS * norm)
         lam = _rayleigh_quotient(main, off, vec)
         if not lo - pad <= lam <= hi + pad:
             raise RuntimeError(f"radial level {i} left its bracket for {p}")
-        out[i] = lam + _box_symbol_defect(p, i + 1, h)
+        out[i] = lam + defect[i]
     return out
 
 

@@ -349,6 +349,18 @@ class TestRun:
             assert run(parse_config(["spectrum", "--R", "1e-150", "--output", str(out)])) == 0
         assert json.loads(out.read_text())["diagnostics"]["eigen_residual"] <= 1e-12
 
+    def test_gauge_residual_of_a_stiff_operator_is_finite(self, tmp_path):
+        # W-normalized psi near 2e49 against entries near 1.5e200: |H psi|^2 overflowed
+        out = tmp_path / "g.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_config(["gauge-check", "--surface", "cylinder", "--R", "1e-100",
+                                     "--n", "8", "--spin", "--field", "uniform-axial",
+                                     "--lam", "sin-theta-z", "--k", "8",
+                                     "--output", str(out)])) == 0
+        residual = json.loads(out.read_text())["diagnostics"]["gauge_residual"]
+        assert residual is not None and residual <= 1e-12 * 1.5e200  # round-off of max|H|
+
     def test_pragmatic_spectrum_takes_the_shifted_sector_path(self, tmp_path):
         out = tmp_path / "p.json"
         assert run(parse_config(["spectrum", "--surface", "cylinder", "--n", "32", "--k", "16",

@@ -7,6 +7,7 @@ from surfband.discretize import (
     hermiticity_residual,
     tangential_gradient,
     weighted_inner,
+    weighted_norm,
     weighted_transpose,
 )
 from surfband.geometry import PhysicalConstants, cylinder, geometric_kinetic_energy, ring, sphere
@@ -155,6 +156,13 @@ class TestWeightedAdjoint:
         lhs = weighted_inner(u, op.entries @ v, op.weights)
         rhs = weighted_inner(weighted_transpose(op.entries, op.weights) @ u, v, op.weights)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    def test_norm_whose_plain_sum_overflows_is_rescaled(self):
+        # |u|^2 w overflows at 1e200; rescaled by max|u| the norm is exact here
+        u = np.array([1e200, -1e200j, 1e200, 0.0])
+        with np.errstate(all="raise"):
+            assert weighted_norm(u, np.array([1.0, 1.0, 2.0, 5.0])) == 2e200
+            assert weighted_norm(u / 1e200, np.array([1.0, 1.0, 2.0, 5.0])) == 2.0
 
 
 class TestHermiticityResidual:

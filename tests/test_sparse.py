@@ -207,6 +207,25 @@ def test_sector_blocks_split_by_component_and_are_real_when_mirror_symmetric(
     assert rep.eigen_residual <= 1e-14
 
 
+@pytest.mark.parametrize("name, driver", [("c07-sphere-order4", "evx"),
+                                          ("spin-cylinder-32", None)])
+def test_real_sector_blocks_take_evx_and_keep_orthonormal_vectors(monkeypatch, name, driver):
+    # evx (bisection and inverse iteration) on c07's real blocks, whose levels
+    # come in l-clusters; complex blocks keep scipy's default driver
+    import scipy.linalg
+
+    H, _, _, k = _acceptance_case(name)
+    drivers, eigh = [], scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *args, **kw: drivers.append(kw.get("driver")) or eigh(*args, **kw))
+    rep = spectrum(H, k, want_vectors=True)
+    assert rep.solver == "sector-eigh"
+    assert drivers and set(drivers) == {driver}
+    V, w = rep.eigenvectors, H.full_weights()
+    assert np.abs(V.conj().T @ (w[:, None] * V) - np.eye(k)).max() <= 1e-12
+    assert rep.eigen_residual <= analysis.EIGEN_RESIDUAL_TOL
+
+
 def _layout_operator(n_az, kind, seed):
     """H = W^(-1/2) S W^(1/2) on layout (1, n_az, 8), S Hermitian and P-symmetric.
 

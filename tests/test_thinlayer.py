@@ -87,7 +87,32 @@ def _dense_reference(p: ShellProblem, n_levels: int) -> np.ndarray:
     main, off, h, _ = thinlayer._liouville_tridiagonal(p)
     _, vec = np.linalg.eigh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
     return np.array([thinlayer._rayleigh_quotient(main, off, vec[:, i])
-                     + thinlayer._box_symbol_defect(p, i + 1, h) for i in range(n_levels)])
+                     + thinlayer._box_modes(p, i + 1, h)[1] for i in range(n_levels)])
+
+
+def _sturm_reference(main, e2, x, pivmin):
+    """One shift's count by the plain loop: the pivots of LDL^T of T - xI below pivmin."""
+    count, piv = 0, 1.0
+    for j, a in enumerate(main):
+        piv = (a - x) - (e2 if j else 0.0) / piv
+        if piv < pivmin:
+            if piv > -pivmin:
+                piv = -pivmin
+            count += 1
+    return count
+
+
+def test_fused_sturm_count_matches_the_single_shift_loop():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 7, 50):
+        main, e2 = rng.uniform(-2, 2, n), float(rng.uniform(0.1, 1))
+        T = np.diag(main) + np.sqrt(e2) * (np.eye(n, k=1) + np.eye(n, k=-1))
+        # on an eigenvalue and on main[0] (a zero first pivot) the pivmin rule acts
+        shifts = [*np.linalg.eigvalsh(T), *rng.uniform(-4, 4, 5), main[0]]
+        for lo, hi in zip(shifts, shifts[::-1]):
+            counts = thinlayer._sturm_count(main.tolist(), e2, lo, hi, 1e-300)
+            assert counts == (_sturm_reference(main.tolist(), e2, lo, 1e-300),
+                              _sturm_reference(main.tolist(), e2, hi, 1e-300))
 
 
 class TestTridiagonalSolve:
@@ -136,7 +161,7 @@ class TestTridiagonalSolve:
         # plain long-double v^T (T v) lost 8-9 ulps of the double result here
         p = ShellProblem(cylinder(1.0, 1.0), 0.1, l, 4000)
         main, off, _, _ = thinlayer._liouville_tridiagonal(p)
-        sigma = float(radial_spectrum(p, 1)[0] - thinlayer._box_symbol_defect(p, 1, p.nodes()[1]))
+        sigma = float(radial_spectrum(p, 1)[0] - thinlayer._box_modes(p, 1, p.nodes()[1])[1])
         start = np.sin(np.pi * (np.arange(p.n_r) + 0.5) / p.n_r)
         v = thinlayer._inverse_iteration(main.tolist(), off.tolist(), sigma, start, 1e-3)
         m, e, u = ([Fraction(x) for x in arr.tolist()] for arr in (main, off, v))
@@ -172,9 +197,54 @@ class TestTridiagonalSolve:
                                    rtol=1e-15, atol=0)
         assert len(calls) == 3
 
+    def test_cached_tables_are_read_only_and_exact(self):
+        radial_spectrum(ShellProblem(sphere(1.0), 0.1, 2, 77), 2)
+        half, wave = thinlayer._grid_tables(77)
+        np.testing.assert_array_equal(half, np.arange(77) + 0.5)
+        np.testing.assert_array_equal(wave, 1 - np.cos(np.arange(78) * (np.pi / 77)))
+        for i in (0, 1):
+            np.testing.assert_array_equal(thinlayer._sine_mode(77, i),
+                                          np.sin((i + 1) * np.pi * ((np.arange(77) + 0.5) / 77)))
+        for table in (half, wave, thinlayer._sine_mode(77, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_cached_tables_give_the_same_bits_in_any_order(self):
+        # a shell solved on a cold cache, or after other n_r and n_levels, is the same shell
+        cases = [(surf, n_r, n_levels) for surf in (cylinder(1.1, 1.0), sphere(0.93))
+                 for n_r in (50, 256, 1000) for n_levels in (1, 3)]
+
+        def solve_all(order):
+            thinlayer._grid_tables.cache_clear()
+            thinlayer._sine_mode.cache_clear()
+            return {c: radial_spectrum(ShellProblem(c[0], 0.07, 2, c[1]), c[2]).tobytes()
+                    for c in order}
+
+        forward = solve_all(cases)
+        assert solve_all(cases[::-1]) == forward
+        for c in cases[::3]:
+            assert solve_all([c]) == {c: forward[c]}
+
+    @pytest.mark.parametrize("d, l, n_levels", [(0.1, 2, 1), (0.05, 2, 40), (1.5, 8, 3)],
+                             ids=["sine", "many-modes", "fallback"])
+    @pytest.mark.parametrize("surf", [cylinder(1.0, 1.0), sphere(1.0)], ids=["cylinder", "sphere"])
+    def test_traced_peak_on_a_cold_cache_is_within_the_charge(self, surf, d, l, n_levels):
+        p = ShellProblem(surf, d, l, 4000)
+        radial_spectrum(ShellProblem(surf, 0.1, 2, 60), 1)  # numpy's own one-time allocations
+        thinlayer._grid_tables.cache_clear()
+        thinlayer._sine_mode.cache_clear()
+        tracemalloc.start()
+        try:
+            radial_spectrum(p, n_levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.n_r * thinlayer.RADIAL_BYTES_PER_NODE
+
     def test_failed_bracket_raises(self, monkeypatch):
         # a bracket that misses its level is an error, never a silent fallback
-        monkeypatch.setattr(thinlayer, "_box_symbol", lambda n, h, d: np.longdouble(0))
+        monkeypatch.setattr(thinlayer, "_box_symbol",
+                            lambda n, h, d: np.zeros(np.shape(n), np.longdouble))
         with pytest.raises(RuntimeError, match="Weyl bracket"):
             radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)
 
@@ -242,8 +312,7 @@ class TestFluxOperator:
             p = ShellProblem(surf, 0.2, 1, n_r)
             ev_flux = np.real(spectrum(build_radial_operator(p), 3).eigenvalues)
             h = p.nodes()[1]
-            ev_liou = radial_spectrum(p, 3) - [thinlayer._box_symbol_defect(p, n, h)
-                                               for n in (1, 2, 3)]
+            ev_liou = radial_spectrum(p, 3) - thinlayer._box_modes(p, np.arange(1, 4), h)[1]
             diffs.append(np.abs(ev_flux - ev_liou).max())
         assert diffs[1] < diffs[0] / 3.0
 
@@ -304,6 +373,19 @@ class TestEffectiveSurfaceEnergy:
 
 
 class TestSweepTable:
+    def test_one_radial_call_per_shell(self, monkeypatch):
+        # sweep_table and gke_extrapolate solve each (l, d) shell once, through
+        # the module global radial_spectrum
+        shells, solve = [], thinlayer.radial_spectrum
+        monkeypatch.setattr(thinlayer, "radial_spectrum",
+                            lambda p, n=1: shells.append((p.l, p.d)) or solve(p, n))
+        ds = [0.1, 0.05, 0.025, 0.0125]
+        sweep_table(cylinder(1.0, 1.0), [0, 1, 3], ds, n=2)
+        assert shells == [(l, d) for l in (0, 1, 3) for d in ds]
+        shells.clear()
+        gke_extrapolate(sphere(1.0), 2, ds)
+        assert shells == [(2, d) for d in ds]
+
     def test_columns_and_consistency(self):
         rows = sweep_table(cylinder(1.0, 1.0), [0, 1], [0.1, 0.05])
         assert len(rows) == 4
