@@ -33,7 +33,7 @@ SECTOR_TOL = 1e-12
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues plus the diagnostics needed to trust them.
+    """Eigenvalues and W-normalized eigenvectors plus the diagnostics needed to trust them.
 
     Hermitian operators give real ascending eigenvalues; non-Hermitian input
     is reported as complex, sorted by real part then imaginary part.  solver
@@ -42,20 +42,18 @@ class SpectrumReport:
     the same with a shifted- prefix for input whose anti-Hermitian part is a
     scalar ic I, dense-eig for any other input.  dim and nnz describe the
     operator it was given.  eigen_residual is
-    max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator,
-    set whenever the path produced eigenvectors (the sector and sparse
-    paths, or want_vectors=True), else None.  Every path but dense-eig
-    raises RuntimeError rather than return one above EIGEN_RESIDUAL_TOL.
+    max_i ||H v_i - E_i v_i||_W / (||v_i||_W max|H|) against that operator;
+    every path raises RuntimeError rather than return one above EIGEN_RESIDUAL_TOL.
     """
 
     eigenvalues: np.ndarray
     hermiticity_residual: float
     operator_label: str
-    eigenvectors: np.ndarray | None = None
-    solver: str = ""
-    dim: int = 0
-    nnz: int = 0
-    eigen_residual: float | None = None
+    eigenvectors: np.ndarray
+    solver: str
+    dim: int
+    nnz: int
+    eigen_residual: float
 
 
 def choose_solver(n: int, k: int, hermitian: bool) -> str:
@@ -67,8 +65,7 @@ def choose_solver(n: int, k: int, hermitian: bool) -> str:
     return "dense-eigh"
 
 
-def spectrum(op: OperatorMatrix, k: int | None = None,
-             want_vectors: bool = False) -> SpectrumReport:
+def spectrum(op: OperatorMatrix, k: int | None = None) -> SpectrumReport:
     """Lowest-k eigenpairs of an operator in its weighted inner product.
 
     c = Im H[0, 0] is read first.  When c = 0, operators whose Hermiticity
@@ -82,14 +79,16 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     (the pragmatic operator with a uniform A_r) is normal: its Hermitian part
     is solved the same way and ic is added to the eigenvalues, on the path
     shifted-<solver>.  Anything else goes through the dense general complex
-    solver.  Dense paths, the sector vectors and the sparse factors refuse
-    requests too large for memory with MemoryError.
+    solver.  check_fits charges the vectors with the residual's work (plus the N x N
+    arrays on the dense paths) and the sparse factors: MemoryError if too large.
     """
     n = op.dim
     if k is None:
         k = n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    # the vectors, their unweighted copy and the residual's two work arrays
+    check_fits(vectors := 4 * n * k * 16, f"{k} eigenvectors of dimension {n} with residuals")
     resid = hermiticity_residual(op)
     # absolute for O(1) operators, relative for small and for stiff ones
     scale = max_abs(op.entries) or 1.0
@@ -99,22 +98,16 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
     c = float(op.entries[0, 0].imag)
     shift = c if (resid if c == 0.0 else _shifted_residual(op, c)) <= tol else None
     solver = choose_solver(n, k, shift is not None)
+    w = op.weights
     try:
         if solver == "dense-eig":
-            check_fits(3 * n * n * 16, f"dense {n}x{n} operator work")
-            A = op.toarray()
-            if want_vectors:
-                ev, vec = np.linalg.eig(A)
-                order = np.lexsort((ev.imag, ev.real))
-                ev, vec = ev[order], vec[:, order]
-                # unit W-norm, as on the Hermitian paths
-                vec = vec / np.sqrt(op.full_weights() @ np.abs(vec) ** 2)
-            else:
-                ev = np.linalg.eigvals(A)
-                ev = ev[np.lexsort((ev.imag, ev.real))]
-                vec = None
+            check_fits(vectors + 3 * n * n * 16, f"dense {n}x{n} work")
+            ev, vec = np.linalg.eig(op.toarray())
+            order = np.lexsort((ev.imag, ev.real))[:k]
+            ev, vec = ev[order], vec[:, order]
+            vec /= np.sqrt(w @ np.abs(vec) ** 2)  # unit W-norm, as on the Hermitian paths
         else:
-            sqw = np.sqrt(op.full_weights())
+            sqw = np.sqrt(w)
             # the Hermitian part of H: an anti-Hermitian ic I drops out here
             S = _symmetrized(op.entries, sqw)
             sectors = _sector_eigh(S, op.layout, k)
@@ -123,40 +116,33 @@ def spectrum(op: OperatorMatrix, k: int | None = None,
             elif solver == "sparse-shift-invert":
                 ev, vec = _shift_invert(S, k, sqw, scale, op.label)
             else:
-                check_fits(3 * n * n * S.dtype.itemsize, f"dense {n}x{n} operator work")
-                if want_vectors:
-                    ev, vec = np.linalg.eigh(S.toarray())
-                else:
-                    ev, vec = np.linalg.eigvalsh(S.toarray()), None
-            if vec is not None:
-                vec = vec.astype(complex) / sqw[:, None]
+                import scipy.linalg  # evr on the k complex pairs: evd on all N took 4x eigvalsh
+                check_fits(vectors + 3 * n * n * 16, f"dense {n}x{n} work")
+                # real S keeps numpy's evd: evr took 76 s, not 6, on c07's clustered levels
+                ev, vec = (np.linalg.eigh(S.toarray()) if S.dtype.kind == "f" else
+                           scipy.linalg.eigh(S.toarray(), subset_by_index=[0, k - 1]))
+            ev, vec = ev[:k], np.divide(vec[:, :k], sqw[:, None], dtype=complex)
             if shift:
                 ev, solver = ev + 1j * shift, f"shifted-{solver}"
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for operator {op.label!r}: {exc}") from exc
-    ev = ev[:k]
-    residual = None
-    if vec is not None:
-        vec = vec[:, :k]
-        w = op.full_weights()
-        u = vec * np.sqrt(w.min())  # the ratio is scale-free; unit W-norm makes |u| <= 1
-        w = w / w.max()  # so that no product below overflows
-        r = op.entries @ u
-        r -= u * ev  # in place: with vec and u, four N x k arrays at most, as charged
-        r2 = ((np.abs(r) / scale) ** 2).T @ w
-        residual = float(np.sqrt(r2 / ((np.abs(u) ** 2).T @ w)).max())
-        if shift is not None and not residual <= EIGEN_RESIDUAL_TOL:
-            raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "
-                               f"above {EIGEN_RESIDUAL_TOL:g}")
-    return SpectrumReport(ev, resid, op.label, vec if want_vectors else None, solver, n,
-                          op.nnz, residual)
+    u = vec * np.sqrt(w.min())  # the ratio is scale-free; unit W-norm makes |u| <= 1
+    w = w / w.max()  # so that no product below overflows
+    r = op.entries @ u
+    r -= u * ev  # in place: with vec and u, four N x k arrays at most, as charged
+    r2 = ((np.abs(r) / scale) ** 2).T @ w
+    residual = float(np.sqrt(r2 / ((np.abs(u) ** 2).T @ w)).max())
+    if not residual <= EIGEN_RESIDUAL_TOL:
+        raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "
+                           f"above {EIGEN_RESIDUAL_TOL:g}")
+    return SpectrumReport(ev, resid, op.label, vec, solver, n, op.nnz, residual)
 
 
 def _shifted_residual(op: OperatorMatrix, c: float) -> float:
     """The Hermiticity residual of op - ic I; O(nnz), on the stored entries."""
     import scipy.sparse as sp
 
-    return max_abs(op.entries - weighted_transpose(op.entries, op.full_weights())
+    return max_abs(op.entries - weighted_transpose(op.entries, op.weights)
                    - 2j * c * sp.eye_array(op.dim, format="csr"))
 
 
@@ -228,8 +214,6 @@ def _sector_eigh(S, layout, k: int):
         np.minimum.at(label, p, last[q])
         label = label[label]  # pointer jumping: each label stays a node of its component
     del T, a, at, first, same, stored  # the O(nnz) arrays: out of the solve's peak
-    # the vectors, their unweighted copy and the residual's two work arrays
-    check_fits(4 * n * k * 16, f"{k} eigenvectors of dimension {n} and their residuals")
     order = np.argsort(label, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     real = not np.iscomplexobj(C)
@@ -376,8 +360,8 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
 
 def antihermitian_part(op: OperatorMatrix) -> tuple[OperatorMatrix, float]:
     """(H - H^dag_W)/2 and its max-entry norm, on the stored entries."""
-    anti = 0.5 * (op.entries - weighted_transpose(op.entries, op.full_weights()))
-    return (OperatorMatrix(anti, op.weights, op.spin_dim, f"antihermitian({op.label})"),
+    anti = 0.5 * (op.entries - weighted_transpose(op.entries, op.weights))
+    return (OperatorMatrix(anti, op.weights, f"antihermitian({op.label})"),
             max_abs(anti))
 
 
@@ -397,10 +381,11 @@ def gauge_covariance_residual(field: GaugeFieldSpec, lam: GaugeFunction, builder
         shifted = materialize(shifted, grid)
     H0 = builder(field)
     H1 = builder(shifted)
-    u = np.tile(np.exp(1j * (c.charge / c.hbar) * lam.grid_values(grid).ravel()), H0.spin_dim)
+    u = np.exp(1j * (c.charge / c.hbar) * lam.grid_values(grid).ravel())
+    u = np.tile(u, H0.dim // grid.size)  # one copy per spin block
     lhs = H1.entries @ (u * psi)
     rhs = u * (H0.entries @ psi)
-    return weighted_norm(lhs - rhs, H0.full_weights())
+    return weighted_norm(lhs - rhs, H0.weights)
 
 
 def spectrum_gauge_invariance(field: GaugeFieldSpec, lam: GaugeFunction, builder,

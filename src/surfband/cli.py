@@ -319,10 +319,9 @@ def run(cfg: RunConfig) -> int:
                 HamiltonianRequest(surface, grid, f, cfg.spin, constants, coupling=cfg.coupling))
             rng = np.random.default_rng(12345)
             psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-            if cfg.spin:
-                psi = np.tile(psi, 2)
             H0 = builder(base)
-            psi = psi / weighted_norm(psi, H0.full_weights())
+            psi = np.tile(psi, H0.dim // grid.size)  # one copy per spin block
+            psi = psi / weighted_norm(psi, H0.weights)
             r_op = analysis.gauge_covariance_residual(base, lam, builder, psi, grid,
                                                       constants, cfg.exact_gauge)
             dE, dE_rel = analysis.spectrum_gauge_invariance(

@@ -92,18 +92,18 @@ def check_fits(nbytes: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Sparse operator over grid nodes (x2 spin block optional).
+    """Sparse operator over grid nodes, or over both spin blocks of them.
 
     entries is a scipy.sparse CSR array; square dense arrays and other
-    sparse formats are converted on construction.  The attached weights
-    define the adjoint: A^dag = W^-1 A^H W with W = diag(weights) (tiled
-    over the spin block).  layout, when known, is (outer, n_az, inner): node
-    (o, a, i) at azimuth index a has flat index (o * n_az + a) * inner + i.
+    sparse formats are converted on construction.  weights holds one entry
+    per row (a spin operator repeats the grid measure for each block) and
+    defines the adjoint: A^dag = W^-1 A^H W with W = diag(weights).  layout,
+    when known, is (outer, n_az, inner): node (o, a, i) at azimuth index a
+    has flat index (o * n_az + a) * inner + i.
     """
 
     entries: object
     weights: np.ndarray
-    spin_dim: int = 1
     label: str = ""
     layout: tuple | None = None
 
@@ -115,8 +115,8 @@ class OperatorMatrix:
             raise ValueError(f"operator must be square, got {A.shape}")
         if not np.all(np.isfinite(A.data)):
             raise ValueError(f"non-finite entries in operator {self.label!r}")
-        if len(self.weights) * self.spin_dim != A.shape[0]:
-            raise ValueError("weights length does not match operator dimension")
+        if len(self.weights) != A.shape[0]:
+            raise ValueError(f"{len(self.weights)} weights for an operator of {A.shape[0]} rows")
         if not np.all((np.asarray(self.weights) > 0) & np.isfinite(self.weights)):
             raise ValueError(f"weights of operator {self.label!r} must be finite and positive")
         if self.layout is not None and int(np.prod(self.layout)) != A.shape[0]:
@@ -136,11 +136,6 @@ class OperatorMatrix:
         n = self.dim
         check_fits(n * n * self.entries.dtype.itemsize, f"dense {n}x{n} operator")
         return self.entries.toarray()
-
-    def full_weights(self) -> np.ndarray:
-        if self.spin_dim == 1:
-            return self.weights
-        return np.tile(self.weights, self.spin_dim)
 
 
 def weighted_inner(u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> complex:
@@ -172,7 +167,7 @@ def weighted_transpose(A, w: np.ndarray):
 
 def hermiticity_residual(op: OperatorMatrix) -> float:
     """max |A - W^-1 A^H W|: zero iff A is self-adjoint under its measure."""
-    return max_abs(op.entries - weighted_transpose(op.entries, op.full_weights()))
+    return max_abs(op.entries - weighted_transpose(op.entries, op.weights))
 
 
 def _dirichlet_d1(n: int, h: float):

@@ -102,7 +102,7 @@ class Sampled(GaugeFieldSpec):
     def __post_init__(self):
         if self.grid is None or self.a1 is None:
             raise ValueError("Sampled field requires a grid and component samples")
-        for name in ("a1", "a2"):
+        for name in ("a1", "a2", "radial_component", "radial_derivative"):
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite samples in {name}")
@@ -310,7 +310,8 @@ def load_sampled_csv(path, grid: Grid) -> Sampled:
             raise ValueError("CSV header row is mandatory")
         if len(cols) < 4:
             raise ValueError(f"CSV header has {len(cols)} columns, needs coord1, coord2, A_1, A_2")
-        has_ar = len(cols) >= 5
+        if len(cols) > 5:
+            raise ValueError(f"CSV column {cols[5]!r} is extra: only A_r may follow A_2")
         rows = [(reader.line_num, row) for row in reader if row]
     for line, row in rows:
         if len(row) != len(cols):
@@ -328,4 +329,4 @@ def load_sampled_csv(path, grid: Grid) -> Sampled:
         raise ValueError("CSV lists a grid node more than once")
     table = data[np.argsort(node)].reshape(grid.n1, grid.n2, -1)
     return Sampled(grid=grid, a1=table[..., 2], a2=table[..., 3],
-                   radial_component=table[..., 4] if has_ar else None)
+                   radial_component=table[..., 4] if len(cols) == 5 else None)

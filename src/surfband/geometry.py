@@ -86,10 +86,10 @@ def principal_curvatures(surface: SurfaceSpec) -> tuple[float, float]:
 
 
 def geometric_kinetic_energy(surface: SurfaceSpec, c: PhysicalConstants = PhysicalConstants()) -> float:
-    """Curvature-induced scalar -(hbar^2/2m)(M^2 - K).
+    """Curvature-induced scalar (hbar^2/2m)(K - M^2).
 
     M = (kappa1+kappa2)/2 and K = kappa1*kappa2, so this is -hbar^2/(8 m R^2)
-    on the cylinder and ring and exactly zero on the sphere.
+    on the cylinder and ring and exactly zero (+0.0) on the sphere.
     """
     k1, k2 = principal_curvatures(surface)
-    return -(c.hbar**2 / (2 * c.mass)) * ((0.5 * (k1 + k2)) ** 2 - k1 * k2)
+    return (c.hbar**2 / (2 * c.mass)) * (k1 * k2 - (0.5 * (k1 + k2)) ** 2)

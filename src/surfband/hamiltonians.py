@@ -279,7 +279,7 @@ def zeeman_block(field: GaugeFieldSpec, grid: Grid,
         bands, offsets = [flip, bands[0], flip.conj()], [-n, 0, n]
     H = sp.diags_array([pref * band for band in bands], offsets=offsets, shape=(2 * n, 2 * n),
                        format="csr", dtype=complex)
-    return OperatorMatrix(H, grid.weights, 2, "zeeman")
+    return OperatorMatrix(H, np.tile(grid.weights, 2), "zeeman")
 
 
 def _cartesian_field(field: GaugeFieldSpec, grid: Grid):
@@ -320,11 +320,11 @@ def _finish(req: HamiltonianRequest, H, weights: np.ndarray, name: str) -> Opera
     # the azimuth is j2 on the sphere and j1 on the ring and cylinder (Grid)
     layout = (g.n1, g.n2, 1) if req.surface.kind is SurfaceKind.SPHERE else (1, g.n1, g.n2)
     if not req.spin:
-        return OperatorMatrix(H, weights, 1, label, layout)
+        return OperatorMatrix(H, weights, label, layout)
     full = sp.kron(sp.eye_array(2), H)
     if req.field is not None:
         full = full + zeeman_block(req.field, g, req.constants).entries
-    return OperatorMatrix(full, weights, 2, label, (2 * layout[0], *layout[1:]))
+    return OperatorMatrix(full, np.tile(weights, 2), label, (2 * layout[0], *layout[1:]))
 
 
 # ---------------------------------------------------------------------------

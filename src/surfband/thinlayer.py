@@ -292,7 +292,7 @@ def build_radial_operator(p: ShellProblem) -> OperatorMatrix:
     H = H + sp.diags_array(p.centrifugal(r))
     label = (f"H_radial[{p.surface.kind.value} R={p.surface.R:g} d={p.d:g} "
              f"l={p.l} n_r={p.n_r}]")
-    return OperatorMatrix(H, weights, 1, label)
+    return OperatorMatrix(H, weights, label)
 
 
 def box_energy(p: ShellProblem, n: int = 1) -> float:

@@ -26,7 +26,7 @@ def ring_builder(grid, **kw):
 class TestSpectrum:
     def test_identity(self):
         g = build_grid(ring(1.0), 8)
-        op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, 1, "id")
+        op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, "id")
         rep = spectrum(op, 3)
         np.testing.assert_allclose(rep.eigenvalues, 1.0)
         assert rep.hermiticity_residual == 0.0
@@ -54,13 +54,13 @@ class TestSpectrum:
     def test_eigenvectors_weighted_normalized(self):
         g = build_grid(sphere(1.0), 8, 8)
         H = build_hamiltonian(HamiltonianRequest(g.surface, g))
-        rep = spectrum(H, 3, want_vectors=True)
+        rep = spectrum(H, 3)
         v = rep.eigenvectors[:, 0]
-        assert abs(weighted_norm(v, H.full_weights()) - 1.0) < 1e-10
+        assert abs(weighted_norm(v, H.weights) - 1.0) < 1e-10
 
     def test_k_validation(self):
         g = build_grid(ring(1.0), 8)
-        op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, 1, "id")
+        op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, "id")
         with pytest.raises(ValueError):
             spectrum(op, 9)
 
@@ -75,7 +75,7 @@ class TestSpectrum:
     def test_nonhermitian_sorted_by_real_then_imag(self):
         g = build_grid(ring(1.0), 4)
         entries = np.diag([1.0 + 2j, 1.0 + 1j, 0.5 + 3j, 2.0 + 0j])
-        op = OperatorMatrix(entries, g.weights, 1, "toy")
+        op = OperatorMatrix(entries, g.weights, "toy")
         ev = spectrum(op).eigenvalues
         np.testing.assert_allclose(ev, [0.5 + 3j, 1.0 + 1j, 1.0 + 2j, 2.0 + 0j])
 
@@ -89,7 +89,7 @@ class TestSpectrum:
         residual = analysis.hermiticity_residual
         monkeypatch.setattr(analysis, "hermiticity_residual",
                             lambda op: calls.append(op) or residual(op))
-        rep = spectrum(OperatorMatrix(A, np.ones(6), 1, "tiny"))
+        rep = spectrum(OperatorMatrix(A, np.ones(6), "tiny"))
         assert len(calls) == 1
         assert rep.hermiticity_residual < analysis.HERMITIAN_TOL
         assert rep.solver == "dense-eig"
@@ -121,7 +121,7 @@ class TestGaugeCovariance:
         rng = np.random.default_rng(99)
         psi = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         H = builder(field)
-        psi /= weighted_norm(psi, H.full_weights())
+        psi /= weighted_norm(psi, H.weights)
         return g, builder, field, psi
 
     def test_constant_lambda_exact(self):
@@ -177,7 +177,7 @@ class TestGaugeCovariance:
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(2 * g.size) + 1j * rng.standard_normal(2 * g.size)
         H0 = builder(field)
-        psi /= weighted_norm(psi, H0.full_weights())
+        psi /= weighted_norm(psi, H0.weights)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * z, g)
         assert gauge_covariance_residual(field, lam, builder, psi, g) < 1e-12
 
@@ -299,13 +299,13 @@ class TestMonopoleSphere:
         k = 24
         rep = spectrum(H, k)
         assert rep.solver == "sector-eigh"
-        sqw = np.sqrt(H.full_weights())
+        sqw = np.sqrt(H.weights)
         dense = np.linalg.eigvalsh((sp.diags_array(sqw) @ H.entries @ sp.diags_array(1 / sqw))
                                    .toarray())
         bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
         assert np.abs(rep.eigenvalues - dense[:k]).max() <= bound
         # without its node layout the operator takes the sparse path, which
         # once reported a level 4.4 off here (q = 2, n = 32, k = 24)
-        sparse = spectrum(OperatorMatrix(H.entries, H.weights, 1, H.label), k)
+        sparse = spectrum(OperatorMatrix(H.entries, H.weights, H.label), k)
         assert sparse.solver == ("sparse-shift-invert" if n == 32 else "dense-eigh")
         assert np.abs(sparse.eigenvalues - dense[:k]).max() <= bound

@@ -281,6 +281,47 @@ class TestRun:
         assert lines[0] == "d,l,E_raw,E_box,E_surface,shift"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["hermiticity", "--surface", "cylinder", "--n", "8", "--variant", "pragmatic",
+          "--field", "ab-flux", "--A-r", "1"], ["antihermitian_max"]),
+        (["gauge-check", "--surface", "ring", "--n1", "16", "--lam", "cos-theta"],
+         ["gauge_residual", "max_eigenvalue_shift", "max_eigenvalue_shift_relative"]),
+        (["gke", "--surface", "sphere", "--l", "0"], ["limit", "empirical_order", "closed_form"]),
+    ], ids=["hermiticity", "gauge-check", "gke"])
+    def test_key_value_csv_rows_match_the_json_report(self, argv, keys, tmp_path):
+        # one row per numeric diagnostic, in report order, then the residual;
+        # string diagnostics (operator_label, lambda) have no row
+        for fmt in ("json", "csv"):
+            out = str(tmp_path / f"r.{fmt}")
+            assert run(parse_config([*argv, "--format", fmt, "--output", out])) == 0
+        text = (tmp_path / "r.json").read_text()
+        report = json.loads(text)
+        rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()]
+        assert rows[0] == ["key", "value"]
+        assert [key for key, _ in rows[1:]] == [*keys, "hermiticity_residual"]
+        values = {**report["diagnostics"], "hermiticity_residual": report["hermiticity_residual"]}
+        for key, value in rows[1:]:
+            assert value == ("nan" if values[key] is None else f"{values[key]:.16e}")
+        if argv[0] == "gke":  # the sphere's curvature energy is +0, in both formats
+            assert ["empirical_order", "nan"] in rows
+            assert ["closed_form", "0.0000000000000000e+00"] in rows
+            assert '    "closed_form": 0' in text.splitlines()
+
+    def test_resampled_gauge_check_converges_with_the_grid(self, tmp_path):
+        # A + grad(lambda) materialized as samples is covariant only to stencil
+        # order; attached as exact link increments it is covariant to round-off
+        def gauge_residual(n, *flags):
+            out = tmp_path / "g.json"
+            assert run(parse_config(["gauge-check", "--surface", "cylinder", "--n", str(n),
+                                     "--field", "uniform-axial", "--lam", "sin-theta-z",
+                                     "--lam-amp", "0.6", "--k", "8", *flags,
+                                     "--output", str(out)])) == 0
+            return json.loads(out.read_text())["diagnostics"]["gauge_residual"]
+
+        coarse, fine = gauge_residual(16, "--resampled"), gauge_residual(32, "--resampled")
+        assert 1e-3 < fine < coarse
+        assert gauge_residual(16) <= 1e-10 and gauge_residual(32) <= 1e-10
+
     def test_collapsed_shell_exits_2(self, tmp_path, capsys):
         # d >= 2R collapses the shell: an invalid argument, reported on stderr
         cfg = parse_config(["thin-layer", "--surface", "cylinder", "--R", "0.04",

@@ -108,7 +108,19 @@ class TestOperatorMatrix:
         bad = np.eye(8)
         bad[3, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            OperatorMatrix(bad, g.weights, 1, "bad")
+            OperatorMatrix(bad, g.weights, "bad")
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            OperatorMatrix(np.ones((3, 4)), np.ones(3), "bad")
+
+    def test_one_weight_per_row(self):
+        # a spin operator repeats the grid measure for each spin block
+        g = build_grid(ring(1.0), 8)
+        H = build_hamiltonian(HamiltonianRequest(g.surface, g, spin=True))
+        assert np.array_equal(H.weights, np.tile(g.weights, 2))
+        with pytest.raises(ValueError, match="8 weights for an operator of 16 rows"):
+            OperatorMatrix(H.entries, g.weights, "spin")
 
     @pytest.mark.parametrize("entries,weights", [
         (np.diag([1.0, 2.0, 3.0]), [1.0, 0.0, 1.0]),
@@ -118,7 +130,7 @@ class TestOperatorMatrix:
     def test_weights_must_be_finite_and_positive(self, entries, weights):
         # such weights define no inner product, and spectrum would misreport the operator
         with pytest.raises(ValueError, match="finite and positive"):
-            OperatorMatrix(np.array(entries), np.array(weights), 1, "bad")
+            OperatorMatrix(np.array(entries), np.array(weights), "bad")
 
 
 class TestWeightedAdjoint:
@@ -126,11 +138,11 @@ class TestWeightedAdjoint:
         rng = np.random.default_rng(seed)
         w = rng.uniform(0.5, 2.0, n)
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return OperatorMatrix(A, w, 1, "random")
+        return OperatorMatrix(A, w, "random")
 
     def test_identity_self_adjoint(self):
         g = build_grid(ring(1.0), 8)
-        op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, 1, "id")
+        op = OperatorMatrix(np.eye(8, dtype=complex), g.weights, "id")
         adj = weighted_transpose(op.entries, op.weights)
         np.testing.assert_array_equal(adj.toarray(), np.eye(8))
 
@@ -143,7 +155,7 @@ class TestWeightedAdjoint:
     def test_anti_hermitian_diagonal(self):
         g = build_grid(ring(1.0), 8)
         d = np.linspace(1, 2, 8)
-        op = OperatorMatrix(1j * np.diag(d), g.weights, 1, "i diag")
+        op = OperatorMatrix(1j * np.diag(d), g.weights, "i diag")
         adj = weighted_transpose(op.entries, op.weights)
         np.testing.assert_allclose(adj.toarray(), -1j * np.diag(d), atol=1e-15)
 
@@ -170,12 +182,12 @@ class TestHermiticityResidual:
         g = build_grid(ring(1.0), 8)
         rng = np.random.default_rng(0)
         A = rng.standard_normal((8, 8))
-        op = OperatorMatrix((A + A.T).astype(complex), g.weights, 1, "sym")
+        op = OperatorMatrix((A + A.T).astype(complex), g.weights, "sym")
         assert hermiticity_residual(op) == 0.0
 
     def test_imaginary_diagonal(self):
         g = build_grid(ring(1.0), 8)
-        op = OperatorMatrix(1j * 0.7 * np.eye(8), g.weights, 1, "i c")
+        op = OperatorMatrix(1j * 0.7 * np.eye(8), g.weights, "i c")
         assert hermiticity_residual(op) == pytest.approx(1.4, abs=1e-15)
 
     def test_sphere_divergence_form_is_weighted_hermitian(self):

@@ -339,6 +339,18 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match=message):
             load_sampled_csv(path, build_grid(ring(1.0), 4))
 
+    @pytest.mark.parametrize("header, tail, message", [
+        ("coord1,coord2,A_1,A_2,A_r", ",inf", "non-finite samples in radial_component"),
+        ("coord1,coord2,A_1,A_2,A_r,B_z", ",0.5,1.0", "column 'B_z' is extra"),
+    ], ids=["infinite-A_r", "sixth-column"])
+    def test_bad_column_rejected(self, header, tail, message, tmp_path):
+        g = build_grid(cylinder(1.0, 1.0), 4, 3)
+        rows = [f"{t:.17g},{z:.17g},1.0,0.0{tail}" for t in g.coords1 for z in g.coords2]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_sampled_csv(path, g)
+
     def test_non_node_coordinates_rejected(self, tmp_path):
         g = build_grid(ring(1.0), 4)
         path = tmp_path / "bad2.csv"

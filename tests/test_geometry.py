@@ -41,6 +41,7 @@ class TestGeometricKineticEnergy:
     def test_sphere_vanishes(self):
         for R in (0.5, 1.0, 2.0, 7.3):
             assert geometric_kinetic_energy(sphere(R)) == 0.0
+            assert not np.signbit(geometric_kinetic_energy(sphere(R)))  # +0.0, not -0.0
 
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
     def test_cylinder_closed_form(self, R):

@@ -261,7 +261,7 @@ def test_expanded_coupling_is_the_symmetrized_gradient_form(kind, base, variant,
     scale = max_abs(H.entries)
     assert np.abs(H.toarray() - ref).max() <= 1e-15 * scale
     if variant == "correct":
-        sqw = np.sqrt(H.full_weights())
+        sqw = np.sqrt(H.weights)
         sym = lambda A: A * sqw[:, None] / sqw[None, :]
         levels = np.linalg.eigvalsh(sym(H.toarray())), np.linalg.eigvalsh(sym(ref))
         assert np.abs(levels[0] - levels[1]).max() <= 1e-14 * scale + 1e-12
@@ -620,3 +620,12 @@ class TestRequestValidationAndDispatch:
         g = build_grid(ring(1.0), 8)
         with pytest.raises(ValueError):
             HamiltonianRequest(sphere(1.0), g)
+
+    @pytest.mark.parametrize("choice, message", [
+        (dict(variant="exact"), "unknown variant 'exact'"),
+        (dict(coupling="minimal"), "unknown coupling 'minimal'"),
+        (dict(order=3), "stencil order must be 2 or 4"),
+    ], ids=["variant", "coupling", "order"])
+    def test_unknown_choice_rejected(self, choice, message):
+        with pytest.raises(ValueError, match=message):
+            ring_req(8, **choice)

@@ -62,7 +62,7 @@ def test_hermitian_gauge_covariant_and_zeeman_gauge_free(kind, n1, n2, R, base, 
     assert hermiticity_residual(H) <= 1e-12 * max_abs(H.entries)
 
     psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
-    psi /= weighted_norm(psi, H.full_weights())
+    psi /= weighted_norm(psi, H.weights)
     assert gauge_covariance_residual(field, lam, builder, psi, g) <= 1e-10
 
     z0 = zeeman_block(field, g).entries
@@ -192,10 +192,10 @@ def test_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, strength, spi
              "ab-flux": ABFlux(Phi=strength)}[base]
     H = build_hamiltonian(HamiltonianRequest(surf, g, field, spin))
     k = H.dim if full else 1 + int(k_frac * (H.dim - 1))
-    rep = spectrum(H, k, want_vectors=True)
+    rep = spectrum(H, k)
     assert rep.solver == "sector-eigh"
     assert rep.eigen_residual <= 1e-12
-    sqw = np.sqrt(H.full_weights())
+    sqw = np.sqrt(H.weights)
     ref = np.linalg.eigvalsh((sp.diags_array(sqw) @ H.entries @ sp.diags_array(1 / sqw))
                              .toarray())[:k]
     assert np.abs(rep.eigenvalues - ref).max() <= 1e-14 * max_abs(H.entries) + 1e-12
@@ -217,7 +217,7 @@ def _smooth_gauge(kind, rng):
 
 
 def _without_layout(H):
-    return OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)
+    return OperatorMatrix(H.entries, H.weights, H.label)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -245,10 +245,10 @@ def test_gauge_fixed_sector_solve_equals_dense_eigvalsh(kind, n1, n2, R, base, s
     field = UniformAxial(B=strength) if base == "uniform-axial" else ABFlux(Phi=strength)
     H = build_hamiltonian(HamiltonianRequest(surf, g, add_gauge(field, gauge, g), spin))
     k = 1 + int(k_frac * (H.dim - 1))
-    rep = spectrum(H, k, want_vectors=True)
+    rep = spectrum(H, k)
     assert rep.solver == "sector-eigh"
     assert rep.eigen_residual <= 1e-12
-    sqw = np.sqrt(H.full_weights())
+    sqw = np.sqrt(H.weights)
     ref = np.linalg.eigvalsh((sp.diags_array(sqw) @ H.entries @ sp.diags_array(1 / sqw))
                              .toarray())[:k]
     assert np.abs(rep.eigenvalues - ref).max() <= 1e-14 * max_abs(H.entries) + 1e-12
@@ -292,7 +292,7 @@ def test_sign_gauge_takes_sectors_only_when_the_orbit_twists_agree(kind, solver)
     g = build_grid(surf, 600 if kind == "ring" else 24, 24)
     H = build_hamiltonian(HamiltonianRequest(surf, g, UniformAxial(B=1.0)))
     u = sp.diags_array(np.random.default_rng(0).choice([-1.0, 1.0], H.dim))
-    shifted = OperatorMatrix(u @ H.entries @ u, H.weights, 1, H.label, H.layout)
+    shifted = OperatorMatrix(u @ H.entries @ u, H.weights, H.label, H.layout)
     rep, ref = spectrum(shifted, 16), spectrum(H, 16)
     assert rep.solver == solver
     assert np.abs(rep.eigenvalues - ref.eigenvalues).max() <= 1e-14 * max_abs(H.entries) + 1e-12

@@ -41,7 +41,7 @@ def _gauge_shifted(H, seed=0):
     carries no layout and takes the sparse or dense path.  Real operators stay real.
     """
     u = sp.diags_array(np.random.default_rng(seed).choice([-1.0, 1.0], H.dim))
-    return OperatorMatrix(u @ H.entries @ u, H.weights, H.spin_dim, H.label)
+    return OperatorMatrix(u @ H.entries @ u, H.weights, H.label)
 
 
 def _multiplicities(ev, tol=1e-9):
@@ -56,14 +56,16 @@ def _acceptance_case(name):
     surf, n, kw, k = ACCEPTANCE_GRIDS[name]
     H = _build(surf(), n, kw)
     shifted = _gauge_shifted(H)
-    return H, shifted, spectrum(shifted), k
+    return H, shifted, _dense_levels(shifted), k
+
+
+def _dense_levels(H):
+    """The dense reference: every level of H, by eigvalsh of its symmetrized form."""
+    return np.linalg.eigvalsh(analysis._symmetrized(H.entries, np.sqrt(H.weights)).toarray())
 
 
 def _check_against_dense(H, rep, k, dense=None):
-    dense = dense or spectrum(H)  # k = dim: the dense reference
-    assert dense.solver == "dense-eigh"
-    assert dense.eigen_residual is None  # eigvalsh gives no vectors to check
-    ref = dense.eigenvalues[:k]
+    ref = (_dense_levels(H) if dense is None else dense)[:k]
     bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
     assert np.abs(rep.eigenvalues - ref).max() <= bound
     assert _multiplicities(rep.eigenvalues) == _multiplicities(ref)
@@ -141,7 +143,7 @@ def test_missed_degenerate_copies_are_recovered():
     n = 600
     d = np.concatenate([np.zeros(5), np.arange(1.0, n - 4)])
     perm = np.random.default_rng(0).permutation(n)
-    op = OperatorMatrix(sp.diags_array(d[perm]), np.ones(n), 1, "degenerate")
+    op = OperatorMatrix(sp.diags_array(d[perm]), np.ones(n), "degenerate")
     rep = spectrum(op, 10)
     assert rep.solver == "sparse-shift-invert"
     np.testing.assert_allclose(rep.eigenvalues, [0, 0, 0, 0, 0, 1, 2, 3, 4, 5], atol=1e-12)
@@ -149,9 +151,9 @@ def test_missed_degenerate_copies_are_recovered():
 
 def test_sparse_eigenvectors_weighted_normalized():
     H = _gauge_shifted(_build(sphere(1.0), 24, dict(field=UniformAxial(B=1.0))))
-    rep = spectrum(H, 6, want_vectors=True)
+    rep = spectrum(H, 6)
     assert rep.solver == "sparse-shift-invert"
-    w = H.full_weights()
+    w = H.weights
     for lam, v in zip(rep.eigenvalues, rep.eigenvectors.T):
         assert abs(weighted_norm(v, w) - 1.0) < 1e-10
         assert weighted_norm(H.entries @ v - lam * v, w) < 1e-9
@@ -166,9 +168,9 @@ def test_sparse_eigenvectors_weighted_normalized():
 def test_sector_eigenvectors_weighted_orthonormal(surf, n1, n2, kw):
     H = build_hamiltonian(HamiltonianRequest(surf, build_grid(surf, n1, n2), **kw))
     k = min(H.dim, 40)
-    rep = spectrum(H, k, want_vectors=True)
+    rep = spectrum(H, k)
     assert rep.solver == "sector-eigh"
-    V, w = rep.eigenvectors, H.full_weights()
+    V, w = rep.eigenvectors, H.weights
     assert V.shape == (H.dim, k)
     np.testing.assert_allclose(V.conj().T @ (w[:, None] * V), np.eye(k), atol=1e-12)
     scale = np.abs(H.entries.data).max()
@@ -218,10 +220,10 @@ def test_real_sector_blocks_take_evx_and_keep_orthonormal_vectors(monkeypatch, n
     drivers, eigh = [], scipy.linalg.eigh
     monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda *args, **kw: drivers.append(kw.get("driver")) or eigh(*args, **kw))
-    rep = spectrum(H, k, want_vectors=True)
+    rep = spectrum(H, k)
     assert rep.solver == "sector-eigh"
     assert drivers and set(drivers) == {driver}
-    V, w = rep.eigenvectors, H.full_weights()
+    V, w = rep.eigenvectors, H.weights
     assert np.abs(V.conj().T @ (w[:, None] * V) - np.eye(k)).max() <= 1e-12
     assert rep.eigen_residual <= analysis.EIGEN_RESIDUAL_TOL
 
@@ -252,7 +254,7 @@ def _layout_operator(n_az, kind, seed):
         S[right, here] += c1.conj().T
     w = np.tile(rng.uniform(0.5, 2.0, b), n_az)
     H = S * np.sqrt(w)[None, :] / np.sqrt(w)[:, None]
-    return OperatorMatrix(sp.csr_array(H), w, 1, f"layout-{kind}", (1, n_az, b)), S
+    return OperatorMatrix(sp.csr_array(H), w, f"layout-{kind}", (1, n_az, b)), S
 
 
 @pytest.mark.parametrize("n_az, kind", [(6, "complex"), (7, "real"), (6, "real"), (6, "mirror")])
@@ -265,7 +267,7 @@ def test_unequal_components_match_dense(monkeypatch, n_az, kind):
     assert seen == [((n_sec, 3, 3), dtype), ((n_sec, 5, 5), dtype)]
     bound = 1e-14 * np.abs(S).max() + 1e-12
     assert np.abs(rep.eigenvalues - np.linalg.eigvalsh(S)).max() <= bound
-    V, w = spectrum(op, op.dim, want_vectors=True).eigenvectors, op.full_weights()
+    V, w = rep.eigenvectors, op.weights
     assert np.abs(V.conj().T @ (w[:, None] * V) - np.eye(op.dim)).max() <= bound
     assert rep.eigen_residual <= 1e-14
 
@@ -281,7 +283,7 @@ def test_sector_solve_peak_is_within_its_memory_charge(name):
     spectrum(H, k)  # one-time allocations of the first solve
     tracemalloc.start()
     try:
-        rep = spectrum(H, k, want_vectors=True)
+        rep = spectrum(H, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,30 +291,70 @@ def test_sector_solve_peak_is_within_its_memory_charge(name):
     assert peak <= charge
 
 
-@pytest.mark.parametrize("path", ["_sector_eigh", "_shift_invert"])
-def test_a_pair_above_the_residual_bound_raises(monkeypatch, path):
-    H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
-    if path == "_shift_invert":
-        H = OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)  # no layout: sparse
-    solve = getattr(analysis, path)
+@pytest.mark.parametrize("divisor", [1, 8])
+@pytest.mark.parametrize("path", ["dense-eigh", "dense-eig"])
+def test_dense_solve_peak_is_within_its_memory_charge(monkeypatch, path, divisor):
+    # the vectors with the residual's work arrays (4 N k 16 B), then those plus the N x N work
+    import tracemalloc
 
-    def perturbed(*args):
-        ev, vec = solve(*args)
+    if path == "dense-eigh":
+        H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
+        H = OperatorMatrix(H.entries, H.weights, H.label)  # complex, no layout: no sectors
+    else:
+        H, *_ = _pragmatic("cylinder", (24, 24), "ab-flux", 7,
+                           radial=(np.linspace(0.2, 1.0, 576), 0.3))
+    n, k = H.dim, H.dim // divisor
+    charges, check_fits = [], analysis.check_fits
+    monkeypatch.setattr(analysis, "check_fits",
+                        lambda nbytes, what: charges.append(nbytes) or check_fits(nbytes, what))
+    spectrum(H, k)  # one-time allocations of the first solve
+    charges.clear()
+    tracemalloc.start()
+    try:
+        rep = spectrum(H, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.solver == path
+    assert charges == [4 * n * k * 16, 4 * n * k * 16 + 3 * n * n * 16]
+    assert peak <= charges[-1]
+
+
+@pytest.mark.parametrize("path", ["_sector_eigh", "_shift_invert", "eigh", "eig"])
+def test_a_pair_above_the_residual_bound_raises(monkeypatch, path):
+    import scipy.linalg
+
+    solver = {"_sector_eigh": "sector-eigh", "_shift_invert": "sparse-shift-invert",
+              "eigh": "dense-eigh", "eig": "dense-eig"}[path]
+    H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
+    if path == "eig":
+        H, *_ = _pragmatic("cylinder", (24, 24), "ab-flux", 7,
+                           radial=(np.linspace(0.2, 1.0, 576), 0.3))
+    elif path != "_sector_eigh":
+        H = OperatorMatrix(H.entries, H.weights, H.label)  # no layout: sparse or dense
+    k = 40 if path == "eigh" else 10  # 16 k > N: dense
+    module = {"eigh": scipy.linalg, "eig": np.linalg}.get(path, analysis)
+    solve = getattr(module, path)
+
+    def perturbed(*args, **kwargs):
+        ev, vec = solve(*args, **kwargs)
         return ev, vec + 1e-6 * np.random.default_rng(0).standard_normal(vec.shape)
 
-    assert spectrum(H, 10).eigen_residual <= 1e-14
-    monkeypatch.setattr(analysis, path, perturbed)
+    rep = spectrum(H, k)
+    assert rep.solver == solver
+    assert rep.eigen_residual <= 1e-14
+    monkeypatch.setattr(module, path, perturbed)
     with pytest.raises(RuntimeError, match="residual"):
-        spectrum(H, 10)
+        spectrum(H, k)
 
 
 def test_sector_path_needs_the_node_layout():
     H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
-    bare = OperatorMatrix(H.entries, H.weights, H.spin_dim, H.label)
+    bare = OperatorMatrix(H.entries, H.weights, H.label)
     assert spectrum(H, 10).solver == "sector-eigh"
     assert spectrum(bare, 10).solver == "sparse-shift-invert"
     with pytest.raises(ValueError, match="layout"):
-        OperatorMatrix(H.entries, H.weights, 1, "bad", (1, 24, 25))
+        OperatorMatrix(H.entries, H.weights, "bad", (1, 24, 25))
 
 
 @pytest.mark.parametrize("change, solver", [(0.5, "sector-eigh"), (2.0, "dense-eigh"),
@@ -330,11 +372,11 @@ def test_sector_acceptance_at_its_tolerance(change, solver):
             entries = entries + small * pair(p, r)
     else:
         entries = H.entries + 2 * change * small * pair(p, q)
-    changed = OperatorMatrix(entries, H.weights, 1, H.label, H.layout)
+    changed = OperatorMatrix(entries, H.weights, H.label, H.layout)
     rep = spectrum(changed, H.dim)
     assert rep.solver == solver
     if solver == "sector-eigh":
-        _check_against_dense(OperatorMatrix(entries, H.weights, 1, H.label), rep, H.dim)
+        _check_against_dense(OperatorMatrix(entries, H.weights, H.label), rep, H.dim)
 
 
 def test_stiff_gauge_shifted_operator_takes_sectors():
@@ -346,7 +388,7 @@ def test_stiff_gauge_shifted_operator_takes_sectors():
     rep = spectrum(H, 8)
     assert rep.solver == "sector-eigh"
     assert rep.eigen_residual <= 1e-12
-    dense = spectrum(OperatorMatrix(H.entries, H.weights, 2, H.label))
+    dense = spectrum(OperatorMatrix(H.entries, H.weights, H.label))
     assert dense.solver == "dense-eigh"
     bound = 1e-14 * np.abs(H.entries.data).max()  # multiplicities at 1e-9 mean nothing here
     assert np.abs(rep.eigenvalues - dense.eigenvalues[:8]).max() <= bound
@@ -390,8 +432,8 @@ def test_sparse_factors_that_would_not_fit_raise(monkeypatch, tmp_path, capsys):
     from surfband import cli
 
     H = _build(cylinder(1.0, np.pi), 32, dict(field=UniformAxial(B=1.0), spin=True))
-    bare = OperatorMatrix(H.entries, H.weights, 2, H.label)  # no layout: sparse
-    lu, _ = analysis._factor(analysis._symmetrized(H.entries, np.sqrt(H.full_weights())), 0.0)
+    bare = OperatorMatrix(H.entries, H.weights, H.label)  # no layout: sparse
+    lu, _ = analysis._factor(analysis._symmetrized(H.entries, np.sqrt(H.weights)), 0.0)
     # L and U at 16 + 4 B per entry, and 33 Lanczos vectors of 16 B entries for k = 16
     charge = (lu.L.nnz + lu.U.nnz) * 20 + H.dim * 33 * 16
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: charge)
@@ -401,7 +443,7 @@ def test_sparse_factors_that_would_not_fit_raise(monkeypatch, tmp_path, capsys):
         spectrum(bare, 16)
     build = cli.build_hamiltonian
     monkeypatch.setattr(cli, "build_hamiltonian", lambda req: OperatorMatrix(
-        build(req).entries, H.weights, 2, H.label))
+        build(req).entries, H.weights, H.label))
     out = tmp_path / "r.json"
     assert cli.main(["spectrum", "--surface", "cylinder", "--n", "32", "--spin", "--field",
                      "uniform-axial", "--B", "1", "--k", "16", "--output", str(out)]) == 1
@@ -420,7 +462,7 @@ def test_deflation_recovers_a_degenerate_spin_spectrum():
     plain = build_hamiltonian(HamiltonianRequest(surf, g, field, spin=True))
     gauged = build_hamiltonian(HamiltonianRequest(surf, g, add_gauge(field, lam, g), spin=True))
     assert spectrum(gauged, 33).solver == "sector-eigh"  # the gauge is undone on each orbit
-    gauged = OperatorMatrix(gauged.entries, gauged.weights, 2, gauged.label)  # no layout: sparse
+    gauged = OperatorMatrix(gauged.entries, gauged.weights, gauged.label)  # no layout: sparse
     ref = spectrum(plain, 81)
     assert ref.solver == "sector-eigh"
     bound = 1e-14 * np.abs(gauged.entries.data).max() + 1e-12
@@ -456,7 +498,7 @@ def test_toarray_refuses_oversized_dense(monkeypatch):
     import surfband.discretize as disc
 
     g = build_grid(cylinder(1.0, np.pi), 8, 8)
-    op = OperatorMatrix(sp.eye_array(g.size), g.weights, 1, "id")
+    op = OperatorMatrix(sp.eye_array(g.size), g.weights, "id")
     assert np.array_equal(op.toarray(), np.eye(g.size))
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: g.size**2 * 8 - 1)
     with pytest.raises(MemoryError, match="limit"):
@@ -562,17 +604,16 @@ def _shifted_case(name):
 
 def _check_shifted_levels(H, im, refs, path):
     bound = 1e-14 * np.abs(H.entries.data).max() + 1e-12
-    w = H.full_weights()
+    w = H.weights
     for k in sorted({max(1, H.dim // 16), H.dim}):
-        rep = spectrum(H, k, want_vectors=True)
-        values_only = spectrum(H, k)
-        assert rep.solver == values_only.solver == path(k)
-        for ev in (rep.eigenvalues, values_only.eigenvalues):
-            for ref, trusted in refs:
-                m = min(k, trusted)
-                assert np.abs(ev[:m] - ref[:m]).max() <= bound
-                assert _multiplicities(ev[:m].real) == _multiplicities(ref[:m].real)
-            assert np.all(ev.imag == im)
+        rep = spectrum(H, k)
+        assert rep.solver == path(k)
+        ev = rep.eigenvalues
+        for ref, trusted in refs:
+            m = min(k, trusted)
+            assert np.abs(ev[:m] - ref[:m]).max() <= bound
+            assert _multiplicities(ev[:m].real) == _multiplicities(ref[:m].real)
+        assert np.all(ev.imag == im)
         for lam, v in zip(rep.eigenvalues, rep.eigenvectors.T):
             assert abs(weighted_norm(v, w) - 1.0) < 1e-10
             assert weighted_norm(H.entries @ v - lam * v, w) <= 1e-9
@@ -596,12 +637,11 @@ def test_shifted_sector_path_matches_dense_eig(name):
 def test_varying_radial_component_stays_on_dense_eig():
     a_r = np.random.default_rng(5).uniform(0.2, 1.0, 120)
     H, *_ = _pragmatic("cylinder", (12, 10), "ab-flux", 5, radial=(a_r, 0.3))
-    rep = spectrum(H, 8, want_vectors=True)
+    rep = spectrum(H, 8)
     assert rep.solver == "dense-eig"
     assert rep.eigen_residual <= 1e-12
-    assert spectrum(H, 8).eigen_residual is None
     # the vectors have unit W-norm, as on every other path
-    w = H.full_weights()
+    w = H.weights
     assert all(abs(weighted_norm(v, w) - 1.0) <= 1e-12 for v in rep.eigenvectors.T)
     # and the scale-free residual is that of eig's unit 2-norm vectors
     ev, vec = np.linalg.eig(H.toarray())
