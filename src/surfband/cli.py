@@ -209,8 +209,6 @@ def _fmt(x: float) -> str:
 def _json_text(obj, indent=0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

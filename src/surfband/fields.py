@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretize import Grid, _grid_links, tangential_gradient
-from .geometry import SurfaceKind, SurfaceSpec
+from .geometry import SurfaceKind
 
 
 def _require_grid(bound: Grid | None, grid: Grid, what: str):
@@ -66,15 +66,32 @@ class GaugeFieldSpec:
 
     A field is its base (the subclass data) and the tuple gauges of gauge
     functions lambda added by add_gauge; every sample, link integral and
-    curl is derived from these two.  radial_component / radial_derivative
-    hold on-surface samples (or constants) of A_r and dA_r/dr for the
-    pragmatic variant; correct surface Hamiltonians ignore them by
-    construction.
+    curl is derived from these two.  Each kind supplies base_samples, its
+    (A_1, A_2) node samples, and curl, its B in the local frame; gauges add
+    no curl.  radial_component / radial_derivative hold on-surface samples
+    (or constants) of A_r and dA_r/dr for the pragmatic variant; correct
+    surface Hamiltonians ignore them by construction.
     """
 
     radial_component: object = None
     radial_derivative: object = None
     gauges: tuple = ()
+
+    def cartesian_field(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        """(B_x, B_y, B_z) at every node: the local-frame curl turned to the Cartesian frame."""
+        B1, B2, B3 = self.curl(grid)
+        th = grid.coords1[:, None]
+        st, ct = np.sin(th), np.cos(th)
+        if grid.surface.kind is SurfaceKind.SPHERE:
+            sp, cp = np.sin(grid.coords2[None, :]), np.cos(grid.coords2[None, :])
+            return (B1 * st * cp + B2 * ct * cp + B3 * (-sp),
+                    B1 * st * sp + B2 * ct * sp + B3 * cp, B1 * ct + B2 * (-st))
+        return B1 * ct - B2 * st, B1 * st + B2 * ct, B3 * np.ones((grid.n1, grid.n2))
+
+
+def _node_theta(grid: Grid) -> np.ndarray:
+    """The first coordinate at every node; neither analytic field depends on the second."""
+    return np.broadcast_to(grid.coords1[:, None], (grid.n1, grid.n2))
 
 
 @dataclass(frozen=True)
@@ -83,6 +100,26 @@ class UniformAxial(GaugeFieldSpec):
 
     B: float = 0.0
 
+    def base_samples(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        theta, R = _node_theta(grid), grid.surface.R
+        zero = np.zeros_like(theta)
+        if grid.surface.kind is SurfaceKind.SPHERE:
+            return zero, 0.5 * self.B * R * np.sin(theta)
+        return zero + 0.5 * self.B * R, zero
+
+    def curl(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        theta = _node_theta(grid)
+        zero = np.zeros_like(theta)
+        if grid.surface.kind is SurfaceKind.SPHERE:
+            return self.B * np.cos(theta), -self.B * np.sin(theta), zero
+        return zero, zero.copy(), np.full_like(zero, self.B)
+
+    def cartesian_field(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        # the closed form stores no spin-flip band, so every azimuthal slice stores the
+        # same pattern; rotating the frame leaves phi-dependent round-off in Bx, By
+        shape = (grid.n1, grid.n2)
+        return np.zeros(shape), np.zeros(shape), np.full(shape, float(self.B))
+
 
 @dataclass(frozen=True)
 class ABFlux(GaugeFieldSpec):
@@ -90,14 +127,34 @@ class ABFlux(GaugeFieldSpec):
 
     Phi: float = 0.0
 
+    def base_samples(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        zero, R = np.zeros((grid.n1, grid.n2)), grid.surface.R
+        if grid.surface.kind is SurfaceKind.SPHERE:
+            s = np.sin(_node_theta(grid))
+            if np.any(np.abs(s) < 1e-12):
+                raise ValueError("singular potential at pole")
+            return zero, self.Phi / (2 * np.pi * R * s)
+        return zero + self.Phi / (2 * np.pi * R), zero
+
+    def curl(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        self.base_samples(grid)  # rejects a node on a pole, where the line pierces the sphere
+        zero = np.zeros((grid.n1, grid.n2))
+        return zero, zero.copy(), zero.copy()
+
 
 @dataclass(frozen=True)
 class Sampled(GaugeFieldSpec):
-    """Node-sampled tangential components a1, a2 bound to a grid."""
+    """Node-sampled tangential components a1, a2 bound to a grid.
+
+    source is the field materialize sampled, None for samples given directly.
+    Its gauges, sampled as stencil gradients, add no curl, so B is the
+    source's; without a source B is the stencil curl of the samples.
+    """
 
     grid: Grid = None
     a1: np.ndarray = None
     a2: np.ndarray = None
+    source: GaugeFieldSpec | None = None
 
     def __post_init__(self):
         if self.grid is None or self.a1 is None:
@@ -106,6 +163,18 @@ class Sampled(GaugeFieldSpec):
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite samples in {name}")
+
+    def base_samples(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        _require_grid(self.grid, grid, "Sampled field")
+        shape = (grid.n1, grid.n2)
+        a2 = np.zeros(shape) if self.a2 is None else np.asarray(self.a2, dtype=float).reshape(shape)
+        return np.asarray(self.a1, dtype=float).reshape(shape), a2
+
+    def curl(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        a1, a2 = self.base_samples(grid)  # rejects a grid the samples were not taken on
+        if self.source is not None:
+            return self.source.curl(grid)
+        return _curl_of_samples(grid, a1, a2, _radial_samples(self, grid)[0])
 
 
 def _radial_samples(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -123,41 +192,6 @@ def _radial_samples(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.nd
     return expand(spec.radial_component), expand(spec.radial_derivative)
 
 
-def _analytic_components(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
-    """(A_1, A_2) of an analytic base at the node coordinates theta (an array).
-
-    Neither analytic field depends on the second coordinate.
-    """
-    R = surface.R
-    zero = np.zeros_like(theta, dtype=float)
-    if isinstance(spec, UniformAxial):
-        if surface.kind is SurfaceKind.SPHERE:
-            return zero, 0.5 * spec.B * R * np.sin(theta)
-        return zero + 0.5 * spec.B * R, zero
-    if isinstance(spec, ABFlux):
-        if surface.kind is SurfaceKind.SPHERE:
-            s = np.sin(theta)
-            if np.any(np.abs(s) < 1e-12):
-                raise ValueError("singular potential at pole")
-            return zero, spec.Phi / (2 * np.pi * R * s)
-        return zero + spec.Phi / (2 * np.pi * R), zero
-    raise TypeError(f"not an analytic field spec: {type(spec).__name__}")
-
-
-def _analytic_curl(spec: GaugeFieldSpec, surface: SurfaceSpec, theta):
-    """(B_r, B_theta, B_z or B_phi) of an analytic base at the node coordinates theta (an array)."""
-    zero = np.zeros_like(theta, dtype=float)
-    if isinstance(spec, UniformAxial):
-        if surface.kind is SurfaceKind.SPHERE:
-            return spec.B * np.cos(theta), -spec.B * np.sin(theta), zero
-        return zero, zero.copy(), np.full_like(zero, spec.B)
-    if isinstance(spec, ABFlux):
-        if surface.kind is SurfaceKind.SPHERE and np.any(np.abs(np.sin(theta)) < 1e-12):
-            raise ValueError("singular potential at pole")
-        return zero, zero.copy(), zero.copy()
-    raise TypeError(f"not an analytic field spec: {type(spec).__name__}")
-
-
 def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Materialized (n1, n2) component arrays on the grid.
 
@@ -165,15 +199,7 @@ def sample_potential(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, np.n
     The base's node samples plus the stencil gradient (surface_gradient) of
     each attached gauge function.
     """
-    shape = (grid.n1, grid.n2)
-    if isinstance(spec, Sampled):
-        _require_grid(spec.grid, grid, "Sampled field")
-        a1 = np.asarray(spec.a1, dtype=float).reshape(shape)
-        a2 = (np.zeros(shape) if spec.a2 is None
-              else np.asarray(spec.a2, dtype=float).reshape(shape))
-    else:
-        theta = np.broadcast_to(grid.coords1[:, None], shape)
-        a1, a2 = _analytic_components(spec, grid.surface, theta)
+    a1, a2 = spec.base_samples(grid)
     for lam in spec.gauges:
         g1, g2 = surface_gradient(lam, grid)
         a1, a2 = a1 + g1, a2 + g2
@@ -206,16 +232,11 @@ def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
 def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, ...]:
     """curl A on the whole grid, local-frame components as (n1, n2) arrays.
 
-    Analytic bases use closed forms, Sampled bases the stencil curl.
-    Attached gauges are gradients, which have no curl, so only the base
-    enters and B does not depend on the gauge.
+    The kind's curl: closed forms for analytic bases, for Sampled ones the
+    source's or the stencil curl.  Attached gauges are gradients, which have
+    no curl, so only the base enters and B does not depend on the gauge.
     """
-    if not isinstance(spec, Sampled):
-        theta = np.broadcast_to(grid.coords1[:, None], (grid.n1, grid.n2))
-        return _analytic_curl(spec, grid.surface, theta)
-    a1, a2 = sample_potential(replace(spec, gauges=()), grid)
-    ar, _dar = _radial_samples(spec, grid)
-    return _curl_of_samples(grid, a1, a2, ar)
+    return spec.curl(grid)
 
 
 def surface_gradient(lam: GaugeFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -243,11 +264,10 @@ def add_gauge(spec: GaugeFieldSpec, lam: GaugeFunction, grid: Grid) -> GaugeFiel
 
 
 def materialize(spec: GaugeFieldSpec, grid: Grid) -> Sampled:
-    """Plain Sampled field of sample_potential's samples; attached gauges become stencil gradients."""
+    """Sampled field of sample_potential's samples (gauges as stencil gradients), source spec."""
     a1, a2 = sample_potential(spec, grid)
-    return Sampled(grid=grid, a1=a1, a2=a2,
-                   radial_component=spec.radial_component,
-                   radial_derivative=spec.radial_derivative)
+    return Sampled(grid=grid, a1=a1, a2=a2, radial_component=spec.radial_component,
+                   radial_derivative=spec.radial_derivative, source=spec)
 
 
 def link_integrals(spec: GaugeFieldSpec, grid: Grid) -> dict:

@@ -271,7 +271,7 @@ def zeeman_block(field: GaugeFieldSpec, grid: Grid,
     """
     import scipy.sparse as sp
 
-    Bx, By, Bz = (B.ravel() for B in _cartesian_field(field, grid))
+    Bx, By, Bz = (B.ravel() for B in field.cartesian_field(grid))
     pref = -(c.charge * c.hbar / (2 * c.mass))
     n, flip = Bz.size, Bx + 1j * By  # <down|sigma.B|up>; <up|sigma.B|down> is its conjugate
     bands, offsets = [np.concatenate([Bz, -Bz])], [0]
@@ -280,30 +280,6 @@ def zeeman_block(field: GaugeFieldSpec, grid: Grid,
     H = sp.diags_array([pref * band for band in bands], offsets=offsets, shape=(2 * n, 2 * n),
                        format="csr", dtype=complex)
     return OperatorMatrix(H, np.tile(grid.weights, 2), "zeeman")
-
-
-def _cartesian_field(field: GaugeFieldSpec, grid: Grid):
-    if isinstance(field, fields_mod.UniformAxial):
-        # the closed form stores no spin-flip band, so every azimuthal slice stores the
-        # same pattern; rotating the frame leaves phi-dependent round-off in Bx, By
-        shape = (grid.n1, grid.n2)
-        return np.zeros(shape), np.zeros(shape), np.full(shape, float(field.B))
-    B1, B2, B3 = fields_mod.sample_magnetic_field(field, grid)
-    th = grid.coords1[:, None]
-    if grid.surface.kind is SurfaceKind.SPHERE:
-        ph = grid.coords2[None, :]
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        Bx = B1 * st * cp + B2 * ct * cp + B3 * (-sp)
-        By = B1 * st * sp + B2 * ct * sp + B3 * cp
-        Bz = B1 * ct + B2 * (-st)
-        return Bx, By, Bz
-    stv, ctv = np.sin(th), np.cos(th)
-    shape = (grid.n1, grid.n2)
-    Bx = B1 * ctv - B2 * stv
-    By = B1 * stv + B2 * ctv
-    Bz = B3 * np.ones(shape)
-    return Bx, By, Bz
 
 
 # ---------------------------------------------------------------------------

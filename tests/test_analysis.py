@@ -96,6 +96,16 @@ class TestSpectrum:
         np.testing.assert_allclose(rep.eigenvalues, ev[np.lexsort((ev.imag, ev.real))],
                                    rtol=0, atol=1e-24)
 
+    def test_a_failed_lapack_solve_raises_runtime_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        jordan = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.ones(2),
+                                "jordan")
+        with pytest.raises(RuntimeError, match="eigensolver failed for operator 'jordan'"):
+            spectrum(jordan)
+
 
 class TestAntihermitianPart:
     def test_correct_hamiltonian_is_clean(self):

@@ -69,13 +69,23 @@ class TestParseConfig:
             parse_config(["spectrum", "--config", str(cfile)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("content", [None, "{\"R\": 2"], ids=["missing", "not-json"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        cfile = tmp_path / "run.json"
+        if content is not None:
+            cfile.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["spectrum", "--config", str(cfile)])
+        assert exc.value.code == 2
+        assert f"--config: cannot read {cfile}" in capsys.readouterr().err
+
     def test_config_file_int_accepted_for_float(self, tmp_path):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"R": 2, "spin": True, "output": None}))
         cfg = parse_config(["spectrum", "--config", str(cfile)])
         assert cfg.R == 2 and cfg.spin is True
 
-    @pytest.mark.parametrize("flags", [["--R", "nan"], ["--d", "0.1,inf"]])
+    @pytest.mark.parametrize("flags", [["--R", "nan"], ["--d", "0.1,inf"], ["--d", "0.1,abc"]])
     def test_non_finite_flag_exits_2(self, flags, tmp_path):
         # the CLI checks the floats it parses; the shell rejects a width d = inf
         assert _exit_code(["thin-layer", *flags], tmp_path) == 2
@@ -310,10 +320,10 @@ class TestRun:
     def test_resampled_gauge_check_converges_with_the_grid(self, tmp_path):
         # A + grad(lambda) materialized as samples is covariant only to stencil
         # order; attached as exact link increments it is covariant to round-off
-        def gauge_residual(n, *flags):
+        def gauge_residual(n, *flags, lam="sin-theta-z"):
             out = tmp_path / "g.json"
             assert run(parse_config(["gauge-check", "--surface", "cylinder", "--n", str(n),
-                                     "--field", "uniform-axial", "--lam", "sin-theta-z",
+                                     "--field", "uniform-axial", "--lam", lam,
                                      "--lam-amp", "0.6", "--k", "8", *flags,
                                      "--output", str(out)])) == 0
             return json.loads(out.read_text())["diagnostics"]["gauge_residual"]
@@ -321,6 +331,10 @@ class TestRun:
         coarse, fine = gauge_residual(16, "--resampled"), gauge_residual(32, "--resampled")
         assert 1e-3 < fine < coarse
         assert gauge_residual(16) <= 1e-10 and gauge_residual(32) <= 1e-10
+        # the samples keep their source's B, which no gauge changes: the Zeeman term adds nothing
+        spin = [gauge_residual(n, "--resampled", "--spin") for n in (16, 32)]
+        np.testing.assert_allclose(spin, [coarse, fine], rtol=1e-10)
+        assert gauge_residual(16, "--resampled", "--spin", lam="const") <= 1e-12
 
     def test_collapsed_shell_exits_2(self, tmp_path, capsys):
         # d >= 2R collapses the shell: an invalid argument, reported on stderr
@@ -430,6 +444,32 @@ class TestRun:
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".surfband-")]
         assert leftovers == []
         assert out.exists()
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "r.json"
+        assert run(parse_config(["gke", "--surface", "sphere", "--output", str(out)])) == 1
+        assert "cannot write the report" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_report_without_output_is_written_to_the_working_directory(self, tmp_path,
+                                                                        monkeypatch):
+        from surfband.cli import _json_text
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--surface", "ring", "--n", "16", "--k", "2"]) == 0
+        assert main(["gke", "--surface", "cylinder", "--format", "csv"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["surfband_report.csv", "surfband_report.json"]
+        text = (tmp_path / "surfband_report.json").read_text()
+        assert '    "output": null,' in text.splitlines()
+        (tmp_path / "c.json").write_text(json.dumps(json.loads(text)["config"]))
+        cfg = parse_config(["spectrum", "--config", "c.json"])
+        assert (cfg.output, cfg.surface, cfg.n1, cfg.k) == (None, "ring", 16, 2)
+        assert (tmp_path / "surfband_report.csv").read_text().startswith("key,value\n")
+        assert json.loads(_json_text({"config": {}})) == {"config": {}}
 
 
 class TestExitCodes:

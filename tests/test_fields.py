@@ -301,6 +301,22 @@ class TestMaterialize:
         assert plain.gauges == ()
         np.testing.assert_allclose(plain.a1, sample_potential(shifted, g)[0])
 
+    @pytest.mark.parametrize("surf", [cylinder(1.0, 1.0), sphere(1.0)], ids=["cylinder", "sphere"])
+    @pytest.mark.parametrize("base", [UniformAxial(B=1.3), ABFlux(Phi=0.4)], ids=["B", "AB"])
+    def test_materialized_field_keeps_its_source_b(self, surf, base):
+        # gauges sampled as stencil gradients add no curl; the stencil curl of the
+        # samples would not do (it closes d/dr with d/dr(r A_t) = A_t and halves a uniform B)
+        g = build_grid(surf, 12, 8)
+        lam = GaugeFunction.from_callable(lambda t, c2: np.cos(t) * np.cos(c2), g)
+        plain = materialize(add_gauge(base, lam, g), g)
+        got, want = sample_magnetic_field(plain, g), sample_magnetic_field(base, g)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # the frame rotation of the exact curl leaves round-off where UniformAxial stores zeros
+        for a, b in zip(plain.cartesian_field(g), base.cartesian_field(g)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="different grid"):
+            sample_magnetic_field(plain, build_grid(surf, 12, 6))
+
 
 class TestCsvLoading:
     def test_round_trip(self, tmp_path):
@@ -329,10 +345,12 @@ class TestCsvLoading:
             load_sampled_csv(path, g)
 
     @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("coord1,coord2,A_1,A_2\n0.0,0.0,1.0,0.0\n", "1 rows, grid needs 4"),
         ("coord1,coord2,A_1\n0.0,0.0,1.0\n", "3 columns"),
         ("coord1,coord2,A_1,A_2\n0.0,0.0,1.0,0.0\n0.1,0.0,1.0\n", "line 3 has 3 values"),
         ("coord1,coord2,A_1,A_2\n0.0,0.0,1.0,0.0,2.0\n", "line 2 has 5 values"),
-    ], ids=["three-columns", "short-row", "long-row"])
+    ], ids=["empty", "missing-rows", "three-columns", "short-row", "long-row"])
     def test_column_counts_checked(self, text, message, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text(text)
@@ -369,6 +387,12 @@ class TestCsvLoading:
                         + "".join(f"{t:.17g},{z:.17g},1.0,0.0\n" for t, z in nodes))
         with pytest.raises(ValueError, match="more than once"):
             load_sampled_csv(path, g)
+
+    @pytest.mark.parametrize("given", ["grid", "a1"])
+    def test_sampled_needs_a_grid_and_samples(self, given):
+        kwargs = {"grid": build_grid(ring(1.0), 4), "a1": np.zeros(4)}
+        with pytest.raises(ValueError, match="requires a grid and component samples"):
+            Sampled(**{given: kwargs[given]})
 
     def test_non_finite_samples_rejected(self):
         g = build_grid(ring(1.0), 4)

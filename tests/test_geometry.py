@@ -78,5 +78,9 @@ class TestValidation:
     def test_constants_validated(self):
         with pytest.raises(ValueError):
             PhysicalConstants(hbar=0.0)
+        with pytest.raises(ValueError, match="mass must be positive"):
+            PhysicalConstants(mass=0.0)
+        with pytest.raises(ValueError, match="zero charge"):
+            PhysicalConstants(charge=0.0).flux_quantum
         # charge sign is allowed
         assert PhysicalConstants(charge=-1.0).flux_quantum < 0

@@ -464,8 +464,6 @@ class TestZeeman:
     def test_bands_equal_the_sum_of_pauli_products(self, surf, base):
         import scipy.sparse as sp
 
-        from surfband.hamiltonians import _cartesian_field
-
         g = build_grid(surf, 9, 7)
         rng = np.random.default_rng(2)
         field = {"uniform-axial": UniformAxial(B=1.3), "ab-flux": ABFlux(Phi=0.4),
@@ -475,7 +473,7 @@ class TestZeeman:
                  np.array([[0, -1j], [1j, 0]], dtype=complex),
                  np.array([[1, 0], [0, -1]], dtype=complex))
         ref = sum(-0.5 * sp.kron(sig, sp.diags_array(B.ravel()))
-                  for B, sig in zip(_cartesian_field(field, g), pauli))
+                  for B, sig in zip(field.cartesian_field(g), pauli))
         zb = zeeman_block(field, g).entries
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(zb, attr), getattr(ref, attr))
@@ -553,6 +551,11 @@ class TestRadialOperatorIdentities:
                 defects.append(abs(lhs - rhs))
             assert defects[0] < 1e-3
             assert defects[1] < defects[0] / 3.0
+
+    @pytest.mark.parametrize("r0, r1", [(2.5, 2.5), (2.5, 0.5), (0.0, 2.5)])
+    def test_open_radial_grid_needs_an_interval_off_the_axis(self, r0, r1):
+        with pytest.raises(ValueError, match="need 0 < r0 < r1"):
+            open_radial_grid(r0, r1, 40)
 
     @pytest.mark.parametrize("operator", [hermitian_radial_momentum, radial_flux_laplacian])
     def test_ring_is_the_cylinder_and_unknown_kinds_are_rejected(self, operator):

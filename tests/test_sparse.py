@@ -320,6 +320,49 @@ def test_dense_solve_peak_is_within_its_memory_charge(monkeypatch, path, divisor
     assert peak <= charges[-1]
 
 
+_RSS_RISE = """
+import resource, sys
+import numpy as np, scipy.sparse as sp
+from surfband.analysis import spectrum
+from surfband.discretize import OperatorMatrix, build_grid
+from surfband.geometry import cylinder
+from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
+
+def free_cylinder(n):
+    # no layout, so no sectors; a varying imaginary diagonal leaves only the general solver
+    surf = cylinder(1.0, np.pi)
+    H = build_hamiltonian(HamiltonianRequest(surf, build_grid(surf, n, n)))
+    entries = H.entries
+    if sys.argv[1] == "dense-eig":
+        entries = entries + sp.diags_array(1j * np.linspace(0.1, 1.0, H.dim))
+    return OperatorMatrix(entries, H.weights, H.label)
+
+spectrum(warm := free_cylinder(8), warm.dim)  # 64-dim warm-up: LAPACK's one-time allocations
+op = free_cylinder(32)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rep = spectrum(op, op.dim)
+print(rep.solver, op.dim, 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+
+@pytest.mark.parametrize("path", ["dense-eigh", "dense-eig"])
+def test_dense_solve_rss_rise_is_within_its_memory_charge(path):
+    # tracemalloc misses LAPACK's work arrays, which numpy allocates in C; the process's
+    # peak RSS does not: at k = N it may rise by the vectors' and the N x N work's charges
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _RSS_RISE, path], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=300)
+    solver, n, rise = out.stdout.split()
+    n, rise = int(n), int(rise)
+    assert (solver, n) == (path, 1024)
+    assert rise <= 4 * n * n * 16 + 3 * n * n * 16
+
+
 @pytest.mark.parametrize("path", ["_sector_eigh", "_shift_invert", "eigh", "eig"])
 def test_a_pair_above_the_residual_bound_raises(monkeypatch, path):
     import scipy.linalg
@@ -485,6 +528,60 @@ def test_a_surplus_of_levels_raises(monkeypatch):
     H = _gauge_shifted(_build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0))))
     with pytest.raises(RuntimeError, match="not eigenvalues"):
         spectrum(H, 10)
+
+
+def test_factor_gives_no_count_for_a_singular_shift_or_an_off_diagonal_pivot():
+    # neither factorization proves an inertia
+    assert analysis._factor(sp.csr_array(np.diag([0.0, 1.0, 2.0])), 1.0) == (None, None)
+    lu, count = analysis._factor(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])), 0.0)
+    assert lu is not None and count is None
+
+
+def test_an_uncounted_certificate_is_retried_with_a_doubled_gap(monkeypatch):
+    _, shifted, dense, k = _acceptance_case("c04-cylinder")
+    resolution = 1e-8 * np.abs(shifted.entries.data).max()
+    factor, seen, refused = analysis._factor, [], []
+
+    def refuse_once(S, sigma):
+        lu, negative = factor(S, sigma)
+        seen.append(sigma)
+        if not refused and dense[k - 1] < sigma < dense[k - 1] + 1.5 * resolution:
+            refused.append(sigma)
+            return lu, None
+        return lu, negative
+
+    monkeypatch.setattr(analysis, "_factor", refuse_once)
+    rep = spectrum(shifted, k)
+    assert rep.solver == "sparse-shift-invert" and refused
+    retry = seen[seen.index(refused[0]) + 1]
+    assert retry - dense[k - 1] == pytest.approx(2 * (refused[0] - dense[k - 1]), rel=1e-3)
+    _check_against_dense(shifted, rep, k, dense)
+
+
+def test_levels_no_count_certifies_raise(monkeypatch):
+    _, shifted, dense, k = _acceptance_case("c04-cylinder")
+    factor = analysis._factor
+
+    def uncounted_above_the_lowest(S, sigma):
+        lu, negative = factor(S, sigma)
+        return lu, None if sigma > dense[0] else negative
+
+    monkeypatch.setattr(analysis, "_factor", uncounted_above_the_lowest)
+    with pytest.raises(RuntimeError, match="could not be certified"):
+        spectrum(shifted, k)
+
+
+def test_an_arpack_failure_raises_runtime_error(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def fail(*args, **kwargs):
+        raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+    monkeypatch.setattr(sla, "eigsh", fail)
+    _, shifted, _, k = _acceptance_case("c04-cylinder")
+    with pytest.raises(RuntimeError, match="shift-invert eigensolve failed"):
+        spectrum(shifted, k)
 
 
 def test_solver_choice_depends_on_dim_and_k_only():

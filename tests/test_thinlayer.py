@@ -248,6 +248,16 @@ class TestTridiagonalSolve:
         with pytest.raises(RuntimeError, match="Weyl bracket"):
             radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)
 
+    def test_a_level_outside_its_certified_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(thinlayer, "_rayleigh_quotient", lambda main, off, v: -1.0)
+        with pytest.raises(RuntimeError, match="left its bracket"):
+            radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)
+
+    def test_inverse_iteration_overflow_raises(self):
+        # pivots raised to tiny cannot keep the solve of a huge right-hand side finite
+        with pytest.raises(RuntimeError, match="overflowed"):
+            thinlayer._inverse_iteration([0.0, 0.0], [0.0], 0.0, np.array([1e300, 1e300]), 1e-300)
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["ring", "cylinder", "sphere"]), R=st.floats(0.1, 10.0),
