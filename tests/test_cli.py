@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -470,6 +473,87 @@ class TestRun:
         assert (cfg.output, cfg.surface, cfg.n1, cfg.k) == (None, "ring", 16, 2)
         assert (tmp_path / "surfband_report.csv").read_text().startswith("key,value\n")
         assert json.loads(_json_text({"config": {}})) == {"config": {}}
+
+
+class TestReportWrite:
+    """A report reaches its path by one rename of a fully written temp file."""
+
+    def _write(self, out, surface="sphere"):
+        assert run(parse_config(["gke", "--surface", surface, "--output", str(out)])) == 0
+        return out.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no posix_fallocate")
+    def test_blocks_are_reserved_for_exactly_the_report(self, tmp_path, monkeypatch):
+        calls, real = [], os.posix_fallocate
+
+        def record(fd, offset, length):
+            calls.append((offset, length))
+            real(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", record)
+        out = tmp_path / "r.json"
+        data = self._write(out)
+        assert calls == [(0, len(data))]
+        assert os.stat(out).st_size == len(data)
+        assert b"\0" not in data and data.endswith(b"}\n")
+        assert json.loads(data)["config"]["surface"] == "sphere"
+
+    @pytest.mark.parametrize("fallocate", ["missing", "unsupported"])
+    def test_same_bytes_without_reserved_blocks(self, tmp_path, monkeypatch, fallocate):
+        out = tmp_path / "r.json"
+        expected = self._write(out)
+        out.unlink()
+        if fallocate == "missing":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            def refuse(fd, offset, length):
+                raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+
+            monkeypatch.setattr(os, "posix_fallocate", refuse)
+        assert self._write(out) == expected
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_failed_write_keeps_the_previous_report(self, tmp_path, monkeypatch, capsys):
+        from surfband import cli
+
+        out = tmp_path / "r.json"
+        before = self._write(out)
+        opened = []
+
+        class DiskFull(io.FileIO):
+            def write(self, b):
+                opened.append(os.path.basename(self.name))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", DiskFull, raising=False)
+        assert run(parse_config(["gke", "--surface", "cylinder", "--output", str(out)])) == 1
+        assert "cannot write the report" in capsys.readouterr().err
+        assert len(opened) == 1 and opened[0].startswith(".surfband-")
+        assert out.read_bytes() == before
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_rewrite_replaces_the_report_by_rename(self, tmp_path):
+        out = tmp_path / "r.json"
+        before = self._write(out)
+        old = tmp_path / "old.json"
+        os.link(out, old)  # a second name for the first report's inode
+        after = self._write(out, surface="cylinder")
+        assert after != before
+        assert os.stat(out).st_ino != os.stat(old).st_ino
+        assert old.read_bytes() == before  # never truncated in place
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_report_mode_follows_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "r.json"
+        out.write_text("{}\n")
+        os.chmod(out, 0o644 ^ 0o600 ^ mode)  # the replaced report's mode is not kept
+        saved = os.umask(umask)
+        try:
+            self._write(out)
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(os.stat(out).st_mode) == mode
 
 
 class TestExitCodes:
