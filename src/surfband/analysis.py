@@ -16,7 +16,7 @@ from .discretize import (
     weighted_norm,
     weighted_transpose,
 )
-from .fields import GaugeFieldSpec, GaugeFunction, add_gauge, materialize
+from .fields import GaugeFieldSpec, GaugeFunction
 from .geometry import PhysicalConstants
 
 HERMITIAN_TOL = 1e-10
@@ -25,6 +25,12 @@ EIGEN_RESIDUAL_TOL = 1e-10  # the largest on a Hermitian path; correct solves gi
 # shift-invert ARPACK; smaller or nearly full solves use dense eigh.
 SPARSE_MIN_DIM = 512
 _SHIFT_INVERT_SEED = 20161031
+# shift-invert is charged this many first-factorization fills: bisection and certification
+# hold two factorizations at once, plus SuperLU's work space.  ru_maxrss rise of a warmed
+# process over the first fill, layout-less free spheres, k = 16, five runs each:
+#   order 2, n = 128: 49.3-49.5 MiB over 11.9 (4.2x); n = 192: 134.6-136.3 over 30.7 (4.4x)
+#   order 4, n = 64: 41.1-83.7 MiB over 12.7 (3.2-6.6x); n = 96: 125.3-162.5 over 33.1 (3.8-4.9x)
+SHIFT_INVERT_FILL_MULTIPLE = 8
 _MAX_FACTORIZATIONS = 40
 # the Hermitian test's relative floor, times max|H|; sectors are taken when each stored
 # entry of the phase-fixed operator is within this fraction of max|S| of slice 0's entry
@@ -96,7 +102,12 @@ def spectrum(op: OperatorMatrix, k: int | None = None) -> SpectrumReport:
     # c is one diagonal entry's imaginary part, not a mean, so the levels of
     # the shifted solve carry Im E = c exactly; c = 0 means plain Hermitian
     c = float(op.entries[0, 0].imag)
-    shift = c if (resid if c == 0.0 else _shifted_residual(op, c)) <= tol else None
+    if c != 0.0:  # the Hermiticity residual of H - ic I, on the stored entries
+        import scipy.sparse as sp
+
+        anti = antihermitian_part(op)[0].entries
+        resid_c = 2 * max_abs(anti - 1j * c * sp.eye_array(n, format="csr"))
+    shift = c if (resid if c == 0.0 else resid_c) <= tol else None
     solver = choose_solver(n, k, shift is not None)
     w = op.weights
     try:
@@ -136,14 +147,6 @@ def spectrum(op: OperatorMatrix, k: int | None = None) -> SpectrumReport:
         raise RuntimeError(f"eigenpairs of {op.label!r} have residual {residual:.3g}, "
                            f"above {EIGEN_RESIDUAL_TOL:g}")
     return SpectrumReport(ev, resid, op.label, vec, solver, n, op.nnz, residual)
-
-
-def _shifted_residual(op: OperatorMatrix, c: float) -> float:
-    """The Hermiticity residual of op - ic I; O(nnz), on the stored entries."""
-    import scipy.sparse as sp
-
-    return max_abs(op.entries - weighted_transpose(op.entries, op.weights)
-                   - 2j * c * sp.eye_array(op.dim, format="csr"))
 
 
 def _symmetrized(A, sqw: np.ndarray):
@@ -276,16 +279,16 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     The shift sigma starts just below min_i (S_ii - sum_(j != i) |S_ij| sqrt(w_j / w_i)),
     Gershgorin's bound for W^(-1/2) S W^(1/2) = W^(-1) K, which has S's
     eigenvalues: S - sigma I is positive definite, and the eigenvalues
-    nearest sigma are the lowest.  Its fill is charged to check_fits.  While
-    k or more levels may lie below the bracket top (the Rayleigh quotient of
-    the weighted constant vector, then the last rejected shift), the bracket
-    is bisected: a shift far below the wanted levels makes Lanczos crawl and
-    can make it settle on the wrong levels.  The last positive definite
-    factorization is reused as OPinv.  Lanczos can drop copies of a
-    degenerate level or miss one near the top of the window, so the inertia
-    just above the k-th eigenvalue must match the count found; missing
-    levels are searched for with the found eigenvectors orthonormalized and
-    deflated, and a surplus raises.
+    nearest sigma are the lowest.  Its fill, times SHIFT_INVERT_FILL_MULTIPLE,
+    is charged to check_fits.  While k or more levels may lie below the
+    bracket top (the Rayleigh quotient of the weighted constant vector, then
+    the last rejected shift), the bracket is bisected: a shift far below the
+    wanted levels makes Lanczos crawl and can make it settle on the wrong
+    levels.  The last positive definite factorization is reused as OPinv.
+    Lanczos can drop copies of a degenerate level or miss one near the top
+    of the window, so the inertia just above the k-th eigenvalue must match
+    the count found; missing levels are searched for with the found
+    eigenvectors orthonormalized and deflated, and a surplus raises.
     """
     import scipy.linalg
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
@@ -297,9 +300,9 @@ def _shift_invert(S, k: int, sqw: np.ndarray, scale: float, label: str):
     d = S.diagonal().real  # |S_ii| is taken out of the row sum: diagonals can be negative
     sigma = float((d + np.abs(d) - abs(S) @ sqw / sqw).min()) - resolution
     lu, _ = _factor(S, sigma)
-    # the fill of L and U with its row indices, and ncv Lanczos vectors
-    check_fits(lu.nnz * (S.dtype.itemsize + 4) + n * ncv * S.dtype.itemsize,
-               f"the sparse factors of {label!r}")
+    # the fill of L and U with its row indices, as often as the path holds it, and ncv vectors
+    check_fits(SHIFT_INVERT_FILL_MULTIPLE * lu.nnz * (S.dtype.itemsize + 4)
+               + n * ncv * S.dtype.itemsize, f"the sparse factors of {label!r}")
     # the Rayleigh quotient bounds the lowest level from above; count it as holding every level
     top, below_top = float(np.vdot(u, S @ u).real), n
     while below_top >= k and top - sigma > resolution:
@@ -365,20 +368,16 @@ def antihermitian_part(op: OperatorMatrix) -> tuple[OperatorMatrix, float]:
             max_abs(anti))
 
 
-def gauge_covariance_residual(field: GaugeFieldSpec, lam: GaugeFunction, builder,
-                              psi: np.ndarray, grid: Grid,
-                              c: PhysicalConstants = PhysicalConstants(),
-                              exact: bool = True) -> float:
-    """|| H(A + grad lam) U psi - U H(A) psi ||_W with U = diag(exp(i e lam / hbar)).
+def gauge_covariance_residual(field: GaugeFieldSpec, shifted: GaugeFieldSpec,
+                              lam: GaugeFunction, builder, psi: np.ndarray, grid: Grid,
+                              c: PhysicalConstants = PhysicalConstants()) -> float:
+    """|| H(shifted) U psi - U H(field) psi ||_W with U = diag(exp(i e lam / hbar)).
 
-    exact=True shifts the field by attaching lam (per-link increments are the
-    exact line integrals of the gradient), making the identity hold to
-    round-off.  exact=False materializes A + grad(lam) as plain samples, and
-    the residual is O(h^p) for smooth lam.
+    shifted is field with lam added.  add_gauge's field (per-link increments
+    are the exact line integrals of the gradient) makes the identity hold to
+    round-off; materialized, A + grad(lam) is plain samples, and the residual
+    is O(h^p) for smooth lam.
     """
-    shifted = add_gauge(field, lam, grid)
-    if not exact:
-        shifted = materialize(shifted, grid)
     H0 = builder(field)
     H1 = builder(shifted)
     u = np.exp(1j * (c.charge / c.hbar) * lam.grid_values(grid).ravel())
@@ -388,15 +387,12 @@ def gauge_covariance_residual(field: GaugeFieldSpec, lam: GaugeFunction, builder
     return weighted_norm(lhs - rhs, H0.weights)
 
 
-def spectrum_gauge_invariance(field: GaugeFieldSpec, lam: GaugeFunction, builder,
-                              k: int, grid: Grid, exact: bool = True) -> tuple[float, float]:
-    """max |E_i(A + grad lam) - E_i(A)| over the lowest k levels, and that over max |E_i(A)|.
+def spectrum_gauge_invariance(field: GaugeFieldSpec, shifted: GaugeFieldSpec, builder,
+                              k: int) -> tuple[float, float]:
+    """max |E_i(shifted) - E_i(field)| over the lowest k levels, and that over max |E_i(field)|.
 
     The relative shift (absolute when every level is 0) says whether stiff levels moved.
     """
-    shifted = add_gauge(field, lam, grid)
-    if not exact:
-        shifted = materialize(shifted, grid)
     ev0 = spectrum(builder(field), k).eigenvalues
     ev1 = spectrum(builder(shifted), k).eigenvalues
     shift = float(np.abs(np.real(ev1) - np.real(ev0)).max())

@@ -330,10 +330,13 @@ def run(cfg: RunConfig) -> int:
             H0 = builder(base)
             psi = np.tile(psi, H0.dim // grid.size)  # one copy per spin block
             psi = psi / weighted_norm(psi, H0.weights)
-            r_op = analysis.gauge_covariance_residual(base, lam, builder, psi, grid,
-                                                      constants, cfg.exact_gauge)
-            dE, dE_rel = analysis.spectrum_gauge_invariance(
-                base, lam, builder, min(cfg.k, H0.dim), grid, cfg.exact_gauge)
+            shifted = fields.add_gauge(base, lam, grid)
+            if not cfg.exact_gauge:
+                shifted = fields.materialize(shifted, grid)
+            r_op = analysis.gauge_covariance_residual(base, shifted, lam, builder, psi, grid,
+                                                      constants)
+            dE, dE_rel = analysis.spectrum_gauge_invariance(base, shifted, builder,
+                                                            min(cfg.k, H0.dim))
             residual = hermiticity_residual(H0)
             diagnostics = {"gauge_residual": r_op, "max_eigenvalue_shift": dE,
                            "max_eigenvalue_shift_relative": dE_rel,

@@ -67,10 +67,10 @@ class GaugeFieldSpec:
     A field is its base (the subclass data) and the tuple gauges of gauge
     functions lambda added by add_gauge; every sample, link integral and
     curl is derived from these two.  Each kind supplies base_samples, its
-    (A_1, A_2) node samples, and curl, its B in the local frame; gauges add
-    no curl.  radial_component / radial_derivative hold on-surface samples
-    (or constants) of A_r and dA_r/dr for the pragmatic variant; correct
-    surface Hamiltonians ignore them by construction.
+    (A_1, A_2) node samples, and curl, its B in the local frame as (n1, n2)
+    arrays; gauges add no curl.  radial_component / radial_derivative hold
+    on-surface samples (or constants) of A_r and dA_r/dr for the pragmatic
+    variant; correct surface Hamiltonians ignore them by construction.
     """
 
     radial_component: object = None
@@ -227,16 +227,6 @@ def _curl_of_samples(grid: Grid, a1: np.ndarray, a2: np.ndarray,
     if kind is SurfaceKind.CYLINDER:
         return (d1(a2) - d2(a1), d2(ar), a1 / R - d1(ar))
     return (np.zeros(shape), np.zeros(shape), a1 / R - d1(ar))
-
-
-def sample_magnetic_field(spec: GaugeFieldSpec, grid: Grid) -> tuple[np.ndarray, ...]:
-    """curl A on the whole grid, local-frame components as (n1, n2) arrays.
-
-    The kind's curl: closed forms for analytic bases, for Sampled ones the
-    source's or the stencil curl.  Attached gauges are gradients, which have
-    no curl, so only the base enters and B does not depend on the gauge.
-    """
-    return spec.curl(grid)
 
 
 def surface_gradient(lam: GaugeFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -93,21 +93,17 @@ def _liouville_potential(p: ShellProblem, r: np.ndarray) -> np.ndarray:
     return (c.hbar**2 / (2 * c.mass)) * (p.l * (p.l + s - 1) + s * (s - 2) / 4) / r**2
 
 
-def _box_symbol(n: int, h: float, d: float) -> np.longdouble:
-    """(4/h^2) sin^2(n pi h / 2d): the discrete transverse box symbol for mode n.
-
-    Times hbar^2/2m it is the exact n-th eigenvalue of the constant-potential
-    Liouville matrix (d = n_r h), and the discrete counterpart of (n pi/d)^2.
-    """
-    kl = np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(d)
-    hl = np.longdouble(h)
-    return (4 / (hl * hl)) * np.sin(kl * hl / 2) ** 2
-
-
 def _box_modes(p: ShellProblem, n, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_n, defect_n), modes n: hbar^2/2m times the box symbol, and the exact continuum minus it."""
+    """(mu_n, defect_n) for modes n: hbar^2/2m times the box symbol, and the continuum minus it.
+
+    The discrete transverse box symbol (4/h^2) sin^2(k h / 2), k = n pi/d, times
+    hbar^2/2m is the exact n-th eigenvalue of the constant-potential Liouville
+    matrix (d = n_r h), the discrete counterpart of hbar^2 k^2/2m; both are taken
+    in long double.
+    """
     pref = p.constants.hbar**2 / (2 * p.constants.mass)
-    sym, kl = _box_symbol(n, h, p.d), np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(p.d)
+    kl, hl = np.longdouble(n) * np.longdouble(np.pi) / np.longdouble(p.d), np.longdouble(h)
+    sym = (4 / (hl * hl)) * np.sin(kl * hl / 2) ** 2
     return (pref * sym).astype(float), (pref * (kl * kl - sym)).astype(float)
 
 

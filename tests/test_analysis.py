@@ -13,7 +13,7 @@ from surfband.analysis import (
     spectrum_gauge_invariance,
 )
 from surfband.discretize import OperatorMatrix, build_grid, weighted_norm
-from surfband.fields import ABFlux, GaugeFunction, Sampled, UniformAxial
+from surfband.fields import ABFlux, GaugeFunction, Sampled, UniformAxial, add_gauge, materialize
 from surfband.geometry import PhysicalConstants, cylinder, ring, sphere
 from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
 
@@ -137,12 +137,14 @@ class TestGaugeCovariance:
     def test_constant_lambda_exact(self):
         g, builder, field, psi = self._setup()
         lam = GaugeFunction.from_callable(lambda t, z: 1.7, g)
-        assert gauge_covariance_residual(field, lam, builder, psi, g) < 1e-12
+        shifted = add_gauge(field, lam, g)
+        assert gauge_covariance_residual(field, shifted, lam, builder, psi, g) < 1e-12
 
     def test_smooth_lambda_exact_with_attached_gradient(self):
         g, builder, field, psi = self._setup()
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * z, g)
-        assert gauge_covariance_residual(field, lam, builder, psi, g) < 1e-12
+        shifted = add_gauge(field, lam, g)
+        assert gauge_covariance_residual(field, shifted, lam, builder, psi, g) < 1e-12
 
     def test_ring_sin_theta_exact(self):
         g = build_grid(ring(1.0), 64)
@@ -152,7 +154,8 @@ class TestGaugeCovariance:
         psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi /= weighted_norm(psi, g.weights)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t), g)
-        assert gauge_covariance_residual(field, lam, builder, psi, g) < 1e-12
+        shifted = add_gauge(field, lam, g)
+        assert gauge_covariance_residual(field, shifted, lam, builder, psi, g) < 1e-12
 
     def test_resampled_residual_converges_at_stencil_order(self):
         errs = []
@@ -164,19 +167,36 @@ class TestGaugeCovariance:
             psi_full = np.exp(1j * np.add.outer(g.coords1, 0.7 * g.coords2)).ravel()
             psi = psi_full / weighted_norm(psi_full, g.weights)
             lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * np.cos(z), g)
-            errs.append(gauge_covariance_residual(field, lam, builder, psi, g, exact=False))
+            shifted = materialize(add_gauge(field, lam, g), g)
+            errs.append(gauge_covariance_residual(field, shifted, lam, builder, psi, g))
         ratio = np.log2(errs[0] / errs[1])
         assert 1.5 <= ratio <= 2.5
+
+    def test_expanded_coupling_residual_on_a_smooth_psi_falls_at_stencil_order(self):
+        # the expanded hop 1 - i theta is not unitary, so the residual is not round-off;
+        # on a smooth psi it falls as h^2 (on a random one it measures grid-scale noise)
+        errs = []
+        for n in (24, 48, 96):
+            g = build_grid(cylinder(1.0, np.pi), n, n)
+            builder = ring_builder(g, coupling="expanded")
+            field = UniformAxial(B=1.0)
+            psi = np.outer(np.cos(g.coords1), np.cos(g.coords2 / 2)).ravel().astype(complex)
+            psi /= weighted_norm(psi, g.weights)
+            lam = GaugeFunction.from_callable(lambda t, z: 0.6 * np.sin(t) * z, g)
+            shifted = add_gauge(field, lam, g)
+            errs.append(gauge_covariance_residual(field, shifted, lam, builder, psi, g))
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
 
     def test_spectrum_invariance_constant(self):
         g, builder, field, _ = self._setup(16)
         lam = GaugeFunction.from_callable(lambda t, z: 2.0, g)
-        assert max(spectrum_gauge_invariance(field, lam, builder, 10, g)) < 1e-12
+        assert max(spectrum_gauge_invariance(field, add_gauge(field, lam, g), builder, 10)) < 1e-12
 
     def test_spectrum_invariance_smooth(self):
         g, builder, field, _ = self._setup(16)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * z, g)
-        assert max(spectrum_gauge_invariance(field, lam, builder, 10, g)) < 1e-10
+        assert max(spectrum_gauge_invariance(field, add_gauge(field, lam, g), builder, 10)) < 1e-10
 
     def test_exact_for_spin_half(self):
         g = build_grid(cylinder(1.0, np.pi), 16, 16)
@@ -189,7 +209,8 @@ class TestGaugeCovariance:
         H0 = builder(field)
         psi /= weighted_norm(psi, H0.weights)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * z, g)
-        assert gauge_covariance_residual(field, lam, builder, psi, g) < 1e-12
+        shifted = add_gauge(field, lam, g)
+        assert gauge_covariance_residual(field, shifted, lam, builder, psi, g) < 1e-12
 
     def test_flux_periodicity_by_integer_relabeling(self):
         # Phi and Phi + Phi0 give the same grid spectrum: the coupling shifts

@@ -13,7 +13,6 @@ from surfband.fields import (
     link_integrals,
     load_sampled_csv,
     materialize,
-    sample_magnetic_field,
     sample_potential,
     surface_gradient,
 )
@@ -67,23 +66,23 @@ class TestEvalPotential:
 
 class TestMagneticField:
     def test_uniform_axial_curl(self):
-        B = sample_magnetic_field(UniformAxial(B=2.0), build_grid(cylinder(1.0, 1.0), 6, 4))
+        B = UniformAxial(B=2.0).curl(build_grid(cylinder(1.0, 1.0), 6, 4))
         assert not B[0].any() and not B[1].any()
         assert np.all(B[2] == 2.0)
 
     def test_ab_flux_pure_gauge(self):
-        B = sample_magnetic_field(ABFlux(Phi=3.0), build_grid(ring(1.0), 8))
+        B = ABFlux(Phi=3.0).curl(build_grid(ring(1.0), 8))
         assert not any(b.any() for b in B)
 
     def test_sampled_constant_axial_curl_free(self):
         surf = cylinder(1.0, 1.0)
         g = build_grid(surf, 8, 8)
         spec = Sampled(grid=g, a1=np.zeros((8, 8)), a2=np.full((8, 8), 1.3))
-        np.testing.assert_allclose(sample_magnetic_field(spec, g), 0.0, atol=1e-12)
+        np.testing.assert_allclose(spec.curl(g), 0.0, atol=1e-12)
 
     def test_sphere_uniform_axial_components(self):
         g = build_grid(sphere(1.0), 6, 4)
-        Br, Bth, Bph = sample_magnetic_field(UniformAxial(B=1.5), g)
+        Br, Bth, Bph = UniformAxial(B=1.5).curl(g)
         th = g.coords1[:, None]
         np.testing.assert_allclose(Br, 1.5 * np.cos(th) * np.ones(4), rtol=1e-15)
         np.testing.assert_allclose(Bth, -1.5 * np.sin(th) * np.ones(4), rtol=1e-15)
@@ -94,7 +93,7 @@ class TestMagneticField:
     @pytest.mark.parametrize("spec", [UniformAxial(B=1.5), ABFlux(Phi=2.0)], ids=["B", "AB"])
     def test_grid_curl_is_point_curl_at_every_node(self, surf, spec):
         g = build_grid(surf, 6, 4)
-        B = sample_magnetic_field(spec, g)
+        B = spec.curl(g)
         assert all(b.shape == (g.n1, g.n2) for b in B)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(B) for b in B[i + 1:])
         for j, k in np.ndindex(g.n1, g.n2):
@@ -166,7 +165,7 @@ class TestAddGauge:
         g = build_grid(surf, 16, 16)
         lam = GaugeFunction.from_callable(lambda t, z: np.sin(t) * np.cos(z), g)
         shifted = add_gauge(UniformAxial(B=1.0), lam, g)
-        B1, B2, B3 = sample_magnetic_field(shifted, g)
+        B1, B2, B3 = shifted.curl(g)
         assert np.abs(B1).max() < 1e-12
         assert np.abs(B2).max() < 1e-12
         assert np.abs(B3 - 1.0).max() < 1e-12
@@ -176,8 +175,8 @@ class TestAddGauge:
         g = build_grid(surf, 16, 16)
         lam = GaugeFunction.from_callable(lambda t, p: np.cos(t) * np.cos(p), g)
         shifted = add_gauge(UniformAxial(B=1.0), lam, g)
-        direct = sample_magnetic_field(UniformAxial(B=1.0), g)
-        got = sample_magnetic_field(shifted, g)
+        direct = UniformAxial(B=1.0).curl(g)
+        got = shifted.curl(g)
         for a, b in zip(got, direct):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -309,13 +308,13 @@ class TestMaterialize:
         g = build_grid(surf, 12, 8)
         lam = GaugeFunction.from_callable(lambda t, c2: np.cos(t) * np.cos(c2), g)
         plain = materialize(add_gauge(base, lam, g), g)
-        got, want = sample_magnetic_field(plain, g), sample_magnetic_field(base, g)
+        got, want = plain.curl(g), base.curl(g)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         # the frame rotation of the exact curl leaves round-off where UniformAxial stores zeros
         for a, b in zip(plain.cartesian_field(g), base.cartesian_field(g)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
         with pytest.raises(ValueError, match="different grid"):
-            sample_magnetic_field(plain, build_grid(surf, 12, 6))
+            plain.curl(build_grid(surf, 12, 6))
 
 
 class TestCsvLoading:

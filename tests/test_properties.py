@@ -63,7 +63,7 @@ def test_hermitian_gauge_covariant_and_zeeman_gauge_free(kind, n1, n2, R, base, 
 
     psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     psi /= weighted_norm(psi, H.weights)
-    assert gauge_covariance_residual(field, lam, builder, psi, g) <= 1e-10
+    assert gauge_covariance_residual(field, shifted, lam, builder, psi, g) <= 1e-10
 
     z0 = zeeman_block(field, g).entries
     z1 = zeeman_block(shifted, g).entries

@@ -363,6 +363,61 @@ def test_dense_solve_rss_rise_is_within_its_memory_charge(path):
     assert rise <= 4 * n * n * 16 + 3 * n * n * 16
 
 
+_SHIFT_INVERT_RSS_RISE = """
+import resource, sys
+from surfband import analysis
+from surfband.discretize import OperatorMatrix, build_grid
+from surfband.geometry import sphere
+from surfband.hamiltonians import HamiltonianRequest, build_hamiltonian
+
+def free_sphere(n):
+    H = build_hamiltonian(HamiltonianRequest(sphere(1.0), build_grid(sphere(1.0), n, n),
+                                             order=int(sys.argv[1])))
+    return OperatorMatrix(H.entries, H.weights, H.label)  # no layout, so no sectors
+
+analysis.spectrum(free_sphere(24), 16)  # warm-up on the same path
+op, charges, check_fits = free_sphere(int(sys.argv[2])), [], analysis.check_fits
+analysis.check_fits = lambda nbytes, what: charges.append(nbytes) or check_fits(nbytes, what)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rep = analysis.spectrum(op, 16)
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(rep.solver, max(charges), 1024 * rise)
+"""
+
+
+@pytest.mark.parametrize("order, n", [(2, 128), (4, 64)])
+def test_shift_invert_rss_rise_is_within_its_memory_charge(order, n):
+    # two factorizations held at once and SuperLU's work space: the process rises by
+    # 3.2 to 6.6 times the first fill (12 MiB for both operators)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _SHIFT_INVERT_RSS_RISE, str(order), str(n)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True, timeout=300)
+    solver, charge, rise = out.stdout.split()
+    assert solver == "sparse-shift-invert"
+    assert int(rise) <= int(charge)
+
+
+def test_shift_invert_charges_more_than_the_first_fill(monkeypatch):
+    import surfband.discretize as disc
+
+    H = _build(sphere(1.0), 24, dict(order=4))
+    bare = OperatorMatrix(H.entries, H.weights, H.label)  # no layout: sparse
+    lu, _ = analysis._factor(analysis._symmetrized(H.entries, np.sqrt(H.weights)), 0.0)
+    # one fill of real L and U at 8 + 4 B per entry, and 33 Lanczos vectors for k = 16:
+    # above the 16 vectors' charge, below the path's
+    first_fill = lu.nnz * 12 + H.dim * 33 * 8
+    assert 4 * H.dim * 16 * 16 < first_fill
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: first_fill)
+    with pytest.raises(MemoryError, match="sparse factors .* limit"):
+        spectrum(bare, 16)
+
+
 @pytest.mark.parametrize("path", ["_sector_eigh", "_shift_invert", "eigh", "eig"])
 def test_a_pair_above_the_residual_bound_raises(monkeypatch, path):
     import scipy.linalg
@@ -445,7 +500,8 @@ def test_stiff_gauge_shift_is_read_relative_to_the_levels(monkeypatch):
     lam = GaugeFunction.from_callable(lambda c1, c2: np.sin(c1) * c2, g)
     builder = lambda f: build_hamiltonian(HamiltonianRequest(surf, g, f, spin=True))
     field = UniformAxial(B=1.0)
-    assert analysis.spectrum_gauge_invariance(field, lam, builder, 8, g) == (0.0, 0.0)
+    shifted = add_gauge(field, lam, g)
+    assert analysis.spectrum_gauge_invariance(field, shifted, builder, 8) == (0.0, 0.0)
     sector, calls = analysis._sector_eigh, []
 
     def first_only(*args):  # the gauged half takes the dense path
@@ -453,7 +509,7 @@ def test_stiff_gauge_shift_is_read_relative_to_the_levels(monkeypatch):
         return sector(*args) if len(calls) == 1 else None
 
     monkeypatch.setattr(analysis, "_sector_eigh", first_only)
-    shift, relative = analysis.spectrum_gauge_invariance(field, lam, builder, 8, g)
+    shift, relative = analysis.spectrum_gauge_invariance(field, shifted, builder, 8)
     assert len(calls) == 2
     assert shift > 1e180
     assert relative <= 1e-13
@@ -462,11 +518,13 @@ def test_stiff_gauge_shift_is_read_relative_to_the_levels(monkeypatch):
 def test_sector_blocks_that_would_not_fit_keep_the_current_path(monkeypatch):
     import surfband.discretize as disc
 
-    H = _build(cylinder(1.0, np.pi), 24, dict(field=UniformAxial(B=1.0)))
-    # 24 blocks of 24x24, charged 3 x 16 B per block entry: 663,552 B
-    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 3 * 24**3 * 16 - 1)
+    surf = cylinder(1.0, np.pi)
+    H = build_hamiltonian(HamiltonianRequest(surf, build_grid(surf, 8, 96), UniformAxial(B=1.0)))
+    # 8 blocks of 96x96, charged 3 x 16 B per block entry: 3,538,944 B, above the 2.0 MB
+    # that shift-invert charges for this long, thin grid
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 3 * 8 * 96**2 * 16 - 1)
     assert spectrum(H, 10).solver == "sparse-shift-invert"
-    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 3 * 24**3 * 16)
+    monkeypatch.setattr(disc, "dense_memory_limit", lambda: 3 * 8 * 96**2 * 16)
     assert spectrum(H, 10).solver == "sector-eigh"
 
 
@@ -477,8 +535,9 @@ def test_sparse_factors_that_would_not_fit_raise(monkeypatch, tmp_path, capsys):
     H = _build(cylinder(1.0, np.pi), 32, dict(field=UniformAxial(B=1.0), spin=True))
     bare = OperatorMatrix(H.entries, H.weights, H.label)  # no layout: sparse
     lu, _ = analysis._factor(analysis._symmetrized(H.entries, np.sqrt(H.weights)), 0.0)
-    # L and U at 16 + 4 B per entry, and 33 Lanczos vectors of 16 B entries for k = 16
-    charge = (lu.L.nnz + lu.U.nnz) * 20 + H.dim * 33 * 16
+    # L and U at 16 + 4 B per entry, as often as the path holds them, and 33 Lanczos
+    # vectors of 16 B entries for k = 16
+    charge = analysis.SHIFT_INVERT_FILL_MULTIPLE * (lu.L.nnz + lu.U.nnz) * 20 + H.dim * 33 * 16
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: charge)
     assert spectrum(bare, 16).solver == "sparse-shift-invert"
     monkeypatch.setattr(disc, "dense_memory_limit", lambda: charge - 1)

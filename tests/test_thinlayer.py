@@ -243,8 +243,8 @@ class TestTridiagonalSolve:
 
     def test_failed_bracket_raises(self, monkeypatch):
         # a bracket that misses its level is an error, never a silent fallback
-        monkeypatch.setattr(thinlayer, "_box_symbol",
-                            lambda n, h, d: np.zeros(np.shape(n), np.longdouble))
+        monkeypatch.setattr(thinlayer, "_box_modes",
+                            lambda p, n, h: (np.zeros(np.shape(n)), np.zeros(np.shape(n))))
         with pytest.raises(RuntimeError, match="Weyl bracket"):
             radial_spectrum(ShellProblem(cylinder(1.0, 1.0), 0.1, 1), 1)
 
